@@ -1,6 +1,8 @@
 """Byte-deterministic SVG/TikZ emission and structural element counts."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -188,3 +190,59 @@ def test_ternary_panel():
     data = panel(words, columns=3)
     assert svg_count(data, "cell") == 3
     assert svg_count(data, "ring") == 6  # two rings per ternary cell
+
+
+# sha256 of each golden group's outputs joined by NUL bytes.  Any change to
+# emitted bytes, element order or float formatting shows up here.
+GOLDEN_SPECS = (
+    RenderSpec(),
+    RenderSpec(grid=False),
+    RenderSpec(label=True),
+    RenderSpec(canvas=300, radius_scale=25.5, stroke_width=0.75,
+               light_color="#fee0d2", dark_color="de2d26",
+               marker_radius=3.25, label=True),
+)
+
+
+def golden_words() -> list[Word]:
+    """Random words for N = 1..16, all-zero, and all-nonzero at odd/even N."""
+    rng = random.Random(2021)
+    words = []
+    for p in (2, 3, 5, 7, 11):
+        words += [Word(p, tuple(rng.randrange(p) for _ in range(n)))
+                  for n in range(1, 17)]
+        words.append(Word(p, (0,) * 7))
+        words += [Word(p, tuple(1 + k % (p - 1) for k in range(n)))
+                  for n in (7, 12)]
+    return words
+
+
+def golden_outputs(group: str) -> list[bytes]:
+    words = golden_words()
+    if group in ("svg", "svg_n1"):
+        picked = [w for w in words if (len(w) == 1) == (group == "svg_n1")]
+        return [to_svg(features(w), spec) for w in picked for spec in GOLDEN_SPECS]
+    if group == "tikz":
+        return [to_tikz(features(w), spec).encode("ascii")
+                for w in words for spec in GOLDEN_SPECS]
+    if group == "grid":
+        return [render_grid(n, p, spec) for n in (2, 3, 5, 7, 12, 16)
+                for p in (2, 3, 5, 7, 11) for spec in GOLDEN_SPECS[::3]]
+    assert group == "panel"
+    ternary = [Word(3, digits) for digits in itertools.product(range(3), repeat=4)]
+    return [panel(ternary, columns=9, spec=GOLDEN_SPECS[3])]
+
+
+GOLDEN_SHA256 = {
+    "svg": "4f48c08902dd9431da0a8e7322e2f117ce37395fbe5c5535bacb85493d15eee5",
+    "svg_n1": "4fe9f5fe43c34d2252c6f9b34b2cb49180d44dee738a861fe9965893baa4a7b5",
+    "tikz": "b4c9bbc9faab54b1c31502e9d5ef18e79fdfedc9ebfca708b82c0b26026ad426",
+    "grid": "cc2eb18b1e7a21b436bfb44e1448e0ad6dae423a2da1c6c08596ebbc17c0b9fc",
+    "panel": "32bf608a767d0528a06198418988c52e965bf8b02af5e927a3f40c23d6a7e72d",
+}
+
+
+@pytest.mark.parametrize("group", ["svg", "svg_n1", "tikz", "grid", "panel"])
+def test_golden_bytes(group):
+    digest = hashlib.sha256(b"\0".join(golden_outputs(group))).hexdigest()
+    assert digest == GOLDEN_SHA256[group]
