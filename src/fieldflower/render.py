@@ -4,12 +4,14 @@ Every drawing routine here is a pure function of (shape, spec): element order
 is fixed, floats are printed with a fixed 6-decimal convention, and no locale,
 clock, or scheduling input leaks into the output.  Rendering the same input
 twice must produce identical bytes; golden-file tests depend on it.
+
+One walk, _draw, decides which primitives a cell has and in what order; SVG
+and TikZ differ only in the format table that turns each primitive into text.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .flowergeom import FlowerShape, features, petal_shades
@@ -60,17 +62,9 @@ def _clean_color(color: str) -> str:
     return c.upper()
 
 
-def _rgb(color: str) -> tuple[int, int, int]:
-    return int(color[0:2], 16), int(color[2:4], 16), int(color[4:6], 16)
-
-
 def _fmt(v: float) -> str:
     out = f"{v:.6f}"
     return "0.000000" if out == "-0.000000" else out
-
-
-def _shade_hex(shade: str, spec: RenderSpec) -> str:
-    return spec.light_color if shade == "light" else spec.dark_color
 
 
 def _arrow_geometry(n: int, p: int, spec: RenderSpec):
@@ -95,83 +89,130 @@ def _arrow_geometry(n: int, p: int, spec: RenderSpec):
     return (sx, sy), (ex, ey), r, a0, a1, wings
 
 
-def _grid_svg(n: int, p: int, spec: RenderSpec, cx: float, cy: float) -> list[str]:
-    out = []
-    r_outer = (p - 1) * spec.radius_scale
-    w = _fmt(spec.stroke_width * 0.5)
-    for k in range(n):
-        angle = math.tau * k / n
-        x2 = cx + r_outer * math.cos(angle)
-        y2 = cy - r_outer * math.sin(angle)
-        out.append(
-            f'<line class="axis" x1="{_fmt(cx)}" y1="{_fmt(cy)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="#{_AXIS_COLOR}" stroke-width="{w}"/>'
-        )
-    for i in range(1, p):
-        out.append(
-            f'<circle class="ring" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'r="{_fmt(i * spec.radius_scale)}" fill="none" '
-            f'stroke="#{_RING_COLOR}" stroke-width="{w}" stroke-dasharray="3 3"/>'
-        )
-    (sx, sy), (ex, ey), r, _, _, wings = _arrow_geometry(n, p, spec)
-    d = (
-        f"M {_fmt(cx + sx)} {_fmt(cy - sy)} "
-        f"A {_fmt(r)} {_fmt(r)} 0 0 0 {_fmt(cx + ex)} {_fmt(cy - ey)}"
-    )
-    for wx, wy in wings:
-        d += f" M {_fmt(cx + wx)} {_fmt(cy - wy)} L {_fmt(cx + ex)} {_fmt(cy - ey)}"
-    out.append(
-        f'<path class="arrow" d="{d}" fill="none" '
-        f'stroke="#{_ARROW_COLOR}" stroke-width="{w}"/>'
-    )
-    return out
+def _svg_arrow(start, end, r, a0, a1, wings, w):
+    d = f"M {start[0]} {start[1]} A {r} {r} 0 0 0 {end[0]} {end[1]}"
+    for x, y in wings:
+        d += f" M {x} {y} L {end[0]} {end[1]}"
+    return (f'<path class="arrow" d="{d}" fill="none" '
+            f'stroke="#{_ARROW_COLOR}" stroke-width="{w}"/>')
 
 
-def _shape_svg(shape: FlowerShape, spec: RenderSpec, cx: float, cy: float) -> list[str]:
-    """The flower itself: petals, outline, thorns, markers, optional label."""
-    s = spec.radius_scale
-    px = [cx + s * pt.x for pt in shape.points]
-    py = [cy - s * pt.y for pt in shape.points]
+def _tikz_color(color: str) -> str:
+    r, g, b = int(color[0:2], 16), int(color[2:4], 16), int(color[4:6], 16)
+    return f"{{rgb,255:red,{r};green,{g};blue,{b}}}"
+
+
+# Format tables: one f-string formatter per primitive kind.  "at" maps a point
+# in math coordinates (y up, origin at the cell centre c) to the format's
+# (x, y) strings; "color" maps a 6-hex-digit RGB to the format's colour
+# syntax.  o is the cell centre, w a formatted line width, and the trailing
+# index argument numbers the primitive within its kind.
+_SVG = {
+    "at": lambda c, x, y: (_fmt(c + x), _fmt(c - y)),
+    "color": lambda color: color,
+    "axis": lambda o, q, w, k: (
+        f'<line class="axis" x1="{o[0]}" y1="{o[1]}" x2="{q[0]}" y2="{q[1]}" '
+        f'stroke="#{_AXIS_COLOR}" stroke-width="{w}"/>'),
+    "ring": lambda o, r, w, i: (
+        f'<circle class="ring" cx="{o[0]}" cy="{o[1]}" r="{r}" fill="none" '
+        f'stroke="#{_RING_COLOR}" stroke-width="{w}" stroke-dasharray="3 3"/>'),
+    "arrow": _svg_arrow,
+    "petal": lambda o, a, b, color, i: (
+        f'<polygon class="petal" points="{o[0]},{o[1]} {a[0]},{a[1]} '
+        f'{b[0]},{b[1]}" fill="#{color}" stroke="none"/>'),
+    "outline": lambda pts, w: (
+        '<polygon class="outline" points="'
+        + " ".join([f"{x},{y}" for x, y in pts])
+        + f'" fill="none" stroke="#{_OUTLINE_COLOR}" stroke-width="{w}"/>'),
+    "thorn": lambda o, q, color, w, i: (
+        f'<line class="thorn" x1="{o[0]}" y1="{o[1]}" x2="{q[0]}" y2="{q[1]}" '
+        f'stroke="#{color}" stroke-width="{w}"/>'),
+    "marker": lambda q, r, color, k: (
+        f'<circle class="marker" cx="{q[0]}" cy="{q[1]}" r="{r}" '
+        f'fill="#{color}"/>'),
+    "label": lambda o, spec, p, text: (
+        f'<text class="label" x="{o[0]}" '
+        f'y="{_fmt(spec.canvas / 2 + spec.canvas / 2 - 0.02 * spec.canvas)}" '
+        f'text-anchor="middle" font-family="monospace" '
+        f'font-size="{_fmt(0.05 * spec.canvas)}" '
+        f'fill="#{_LABEL_COLOR}">{text}</text>'),
+}
+
+_TIKZ = {
+    "at": lambda c, x, y: (_fmt(x), _fmt(y)),
+    "color": _tikz_color,
+    "axis": lambda o, q, w, k: (
+        f"\\draw[gray!60, line width={w}pt] (0,0) -- ({q[0]},{q[1]}); "
+        f"% axis {k}"),
+    "ring": lambda o, r, w, i: (
+        f"\\draw[gray!60, dashed] (0,0) circle[radius={r}]; % ring {i}"),
+    "arrow": lambda start, end, r, a0, a1, wings, w: (
+        f"\\draw[->, gray] ({start[0]},{start[1]}) "
+        f"arc[start angle={_fmt(math.degrees(a0))}, "
+        f"end angle={_fmt(math.degrees(a1))}, radius={r}]; % arrow"),
+    "petal": lambda o, a, b, color, i: (
+        f"\\draw[fill={color}, draw=none] (0,0) -- ({a[0]},{a[1]}) -- "
+        f"({b[0]},{b[1]}) -- cycle; % petal {i}"),
+    "outline": lambda pts, w: (
+        f"\\draw[line width={w}pt] "
+        + " -- ".join([f"({x},{y})" for x, y in pts])
+        + " -- cycle; % outline"),
+    "thorn": lambda o, q, color, w, i: (
+        f"\\draw[draw={color}, line width={w}pt] (0,0) -- ({q[0]},{q[1]}); "
+        f"% thorn {i}"),
+    "marker": lambda q, r, color, k: (
+        f"\\fill[fill={color}] ({q[0]},{q[1]}) circle[radius={r}]; "
+        f"% marker {k}"),
+    "label": lambda o, spec, p, text: (
+        f"\\node[anchor=north, font=\\ttfamily] at "
+        f"(0,{_fmt(-((p - 1) * spec.radius_scale + 0.6 * spec.radius_scale))}) "
+        f"{{{text}}}; % label"),
+}
+
+
+def _draw(f: dict, spec: RenderSpec, n: int, p: int,
+          shape: FlowerShape | None = None) -> list[str]:
+    """One line per primitive of a cell, in the fixed drawing order.
+
+    The order is grid (axes, rings, arrow), petals, outline, thorns, markers,
+    label.  With shape None only the grid is drawn, whatever spec.grid says.
+    Each point is formatted once and reused by every primitive through it.
+    """
+    at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
+    o = at(c, 0.0, 0.0)
     out = []
-    if spec.grid:
-        out.extend(_grid_svg(len(shape.word), shape.word.modulus, spec, cx, cy))
-    for (a, b), shade in zip(shape.petals, petal_shades(shape)):
-        out.append(
-            f'<polygon class="petal" points="{_fmt(cx)},{_fmt(cy)} '
-            f'{_fmt(px[a])},{_fmt(py[a])} {_fmt(px[b])},{_fmt(py[b])}" '
-            f'fill="#{_shade_hex(shade, spec)}" stroke="none"/>'
-        )
+    if shape is None or spec.grid:
+        w = _fmt(spec.stroke_width * 0.5)
+        r_outer = (p - 1) * s
+        axis = f["axis"]
+        for k in range(n):
+            angle = math.tau * k / n
+            q = at(c, r_outer * math.cos(angle), r_outer * math.sin(angle))
+            out.append(axis(o, q, w, k))
+        ring = f["ring"]
+        out.extend(ring(o, _fmt(i * s), w, i) for i in range(1, p))
+        start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
+        out.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
+                              [at(c, *wing) for wing in wings], w))
+        if shape is None:
+            return out
+    pts = [at(c, s * pt.x, s * pt.y) for pt in shape.points]
+    light, dark = f["color"](spec.light_color), f["color"](spec.dark_color)
+    petal = f["petal"]
+    for i, ((a, b), shade) in enumerate(zip(shape.petals, petal_shades(shape))):
+        out.append(petal(o, pts[a], pts[b], light if shade == "light" else dark, i))
+    w = _fmt(spec.stroke_width)
     # The all-zero word has every point on the origin; its outline would be a
     # degenerate dot, so it is omitted entirely.
     if shape.word.weight() > 0:
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
-        out.append(
-            f'<polygon class="outline" points="{pts}" fill="none" '
-            f'stroke="#{_OUTLINE_COLOR}" stroke-width="{_fmt(spec.stroke_width)}"/>'
-        )
-    for k in shape.thorns:
-        out.append(
-            f'<line class="thorn" x1="{_fmt(cx)}" y1="{_fmt(cy)}" '
-            f'x2="{_fmt(px[k])}" y2="{_fmt(py[k])}" '
-            f'stroke="#{spec.dark_color}" stroke-width="{_fmt(spec.stroke_width)}"/>'
-        )
-    for pt in shape.points:
-        if pt.radius == 0:
-            continue
-        out.append(
-            f'<circle class="marker" cx="{_fmt(px[pt.index])}" '
-            f'cy="{_fmt(py[pt.index])}" r="{_fmt(spec.marker_radius)}" '
-            f'fill="#{spec.dark_color}"/>'
-        )
+        out.append(f["outline"](pts, w))
+    thorn = f["thorn"]
+    out.extend(thorn(o, pts[k], dark, w, i) for i, k in enumerate(shape.thorns))
+    marker, mr = f["marker"], _fmt(spec.marker_radius)
+    out.extend(marker(pts[pt.index], mr, dark, pt.index)
+               for pt in shape.points if pt.radius != 0)
     if spec.label:
-        out.append(
-            f'<text class="label" x="{_fmt(cx)}" '
-            f'y="{_fmt(cy + spec.canvas / 2 - 0.02 * spec.canvas)}" '
-            f'text-anchor="middle" font-family="monospace" '
-            f'font-size="{_fmt(0.05 * spec.canvas)}" '
-            f'fill="#{_LABEL_COLOR}">{format_word(shape.word)}</text>'
-        )
+        out.append(f["label"](o, spec, p, format_word(shape.word)))
     return out
 
 
@@ -188,8 +229,8 @@ def _svg_document(width: float, height: float, body: list[str]) -> bytes:
 def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
     """Standalone SVG document for one flower shape."""
     spec = spec or RenderSpec()
-    c = spec.canvas / 2
-    return _svg_document(spec.canvas, spec.canvas, _shape_svg(shape, spec, c, c))
+    body = _draw(_SVG, spec, len(shape.word), shape.word.modulus, shape)
+    return _svg_document(spec.canvas, spec.canvas, body)
 
 
 def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
@@ -198,23 +239,15 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
     spec = spec or RenderSpec()
-    c = spec.canvas / 2
-    return _svg_document(spec.canvas, spec.canvas, _grid_svg(n, p, spec, c, c))
-
-
-def _cell_svg(word: Word, spec: RenderSpec, tx: float, ty: float) -> str:
-    c = spec.canvas / 2
-    body = _shape_svg(features(word), spec, c, c)
-    open_tag = f'<g class="cell" transform="translate({_fmt(tx)} {_fmt(ty)})">'
-    return "\n".join([open_tag, *body, "</g>"])
+    return _svg_document(spec.canvas, spec.canvas, _draw(_SVG, spec, n, p))
 
 
 def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
           workers: int = 1) -> bytes:
     """Row-major grid of flowers, one cell per word, in list order.
 
-    Cells may be rendered in parallel; assembly is an ordered concatenation,
-    so the bytes do not depend on worker count or scheduling.
+    Cells are rendered serially.  workers is accepted for compatibility and
+    ignored: threads only slowed this pure-Python string building down.
     """
     spec = spec or RenderSpec()
     if not words:
@@ -229,19 +262,13 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
     rows = -(-len(words) // columns)
-    offsets = [
-        ((i % columns) * spec.canvas, (i // columns) * spec.canvas)
-        for i in range(len(words))
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(
-                lambda iw: _cell_svg(iw[1], spec, *offsets[iw[0]]),
-                enumerate(words),
-            ))
-    else:
-        cells = [_cell_svg(w, spec, *offsets[i]) for i, w in enumerate(words)]
-    return _svg_document(columns * spec.canvas, rows * spec.canvas, cells)
+    body = []
+    for i, w in enumerate(words):
+        tx, ty = (i % columns) * spec.canvas, (i // columns) * spec.canvas
+        body.append(f'<g class="cell" transform="translate({_fmt(tx)} {_fmt(ty)})">')
+        body.extend(_draw(_SVG, spec, n, p, features(w)))
+        body.append("</g>")
+    return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
 
 
 def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:
@@ -252,65 +279,6 @@ def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:
     stay checkable on the text.
     """
     spec = spec or RenderSpec()
-    n, p = len(shape.word), shape.word.modulus
-    s = spec.radius_scale
-    lr, lg, lb = _rgb(spec.light_color)
-    dr, dg, db = _rgb(spec.dark_color)
-    light = f"{{rgb,255:red,{lr};green,{lg};blue,{lb}}}"
-    dark = f"{{rgb,255:red,{dr};green,{dg};blue,{db}}}"
-    lines = ["\\begin{tikzpicture}[x=1pt,y=1pt]"]
-    if spec.grid:
-        r_outer = (p - 1) * s
-        for k in range(n):
-            angle = math.tau * k / n
-            lines.append(
-                f"\\draw[gray!60, line width={_fmt(spec.stroke_width * 0.5)}pt] "
-                f"(0,0) -- ({_fmt(r_outer * math.cos(angle))},"
-                f"{_fmt(r_outer * math.sin(angle))}); % axis {k}"
-            )
-        for i in range(1, p):
-            lines.append(
-                f"\\draw[gray!60, dashed] (0,0) circle[radius={_fmt(i * s)}]; "
-                f"% ring {i}"
-            )
-        (sx, sy), _, r, a0, a1, _ = _arrow_geometry(n, p, spec)
-        lines.append(
-            f"\\draw[->, gray] ({_fmt(sx)},{_fmt(sy)}) "
-            f"arc[start angle={_fmt(math.degrees(a0))}, "
-            f"end angle={_fmt(math.degrees(a1))}, radius={_fmt(r)}]; % arrow"
-        )
-    xs = [s * pt.x for pt in shape.points]
-    ys = [s * pt.y for pt in shape.points]
-    for i, ((a, b), shade) in enumerate(zip(shape.petals, petal_shades(shape))):
-        color = light if shade == "light" else dark
-        lines.append(
-            f"\\draw[fill={color}, draw=none] (0,0) -- "
-            f"({_fmt(xs[a])},{_fmt(ys[a])}) -- ({_fmt(xs[b])},{_fmt(ys[b])}) "
-            f"-- cycle; % petal {i}"
-        )
-    if shape.word.weight() > 0:
-        path = " -- ".join(f"({_fmt(x)},{_fmt(y)})" for x, y in zip(xs, ys))
-        lines.append(
-            f"\\draw[line width={_fmt(spec.stroke_width)}pt] {path} "
-            f"-- cycle; % outline"
-        )
-    for i, k in enumerate(shape.thorns):
-        lines.append(
-            f"\\draw[draw={dark}, line width={_fmt(spec.stroke_width)}pt] "
-            f"(0,0) -- ({_fmt(xs[k])},{_fmt(ys[k])}); % thorn {i}"
-        )
-    for pt in shape.points:
-        if pt.radius == 0:
-            continue
-        lines.append(
-            f"\\fill[fill={dark}] ({_fmt(xs[pt.index])},{_fmt(ys[pt.index])}) "
-            f"circle[radius={_fmt(spec.marker_radius)}]; % marker {pt.index}"
-        )
-    if spec.label:
-        ly = (p - 1) * s + 0.6 * s
-        lines.append(
-            f"\\node[anchor=north, font=\\ttfamily] at (0,{_fmt(-ly)}) "
-            f"{{{format_word(shape.word)}}}; % label"
-        )
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+    body = _draw(_TIKZ, spec, len(shape.word), shape.word.modulus, shape)
+    return "\n".join(["\\begin{tikzpicture}[x=1pt,y=1pt]", *body,
+                      "\\end{tikzpicture}"]) + "\n"
