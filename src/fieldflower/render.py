@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from string import hexdigits
 
 from .flowergeom import FlowerShape, features, petal_shades
 from .gfield import Word, _require_prime, format_word
@@ -45,20 +46,18 @@ class RenderSpec:
     def __post_init__(self) -> None:
         for name in ("canvas", "radius_scale", "stroke_width", "marker_radius"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be strictly positive, got {v}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(
+                    f"{name} must be finite and strictly positive, got {v}"
+                )
         object.__setattr__(self, "light_color", _clean_color(self.light_color))
         object.__setattr__(self, "dark_color", _clean_color(self.dark_color))
 
 
 def _clean_color(color: str) -> str:
     c = color.removeprefix("#")
-    if len(c) != 6:
+    if len(c) != 6 or not all(ch in hexdigits for ch in c):
         raise ValueError(f"color must be 6 hex digits, got {color!r}")
-    try:
-        int(c, 16)
-    except ValueError:
-        raise ValueError(f"color must be 6 hex digits, got {color!r}") from None
     return c.upper()
 
 

@@ -150,6 +150,20 @@ def test_render_spec_flags(capsys, tmp_path):
     assert ">1110000</text>" in text
 
 
+@pytest.mark.parametrize("flags", [
+    ("--light-color", "0x1234"),
+    ("--dark-color", "+12345"),
+    ("--canvas", "inf"),
+    ("--marker-radius", "nan"),
+])
+def test_render_bad_spec_exit_2(capsys, tmp_path, flags):
+    out_file = tmp_path / "bad.svg"
+    code, _, err = run_cli(capsys, "render", "1011", "--out", str(out_file), *flags)
+    assert code == 2
+    assert "error:" in err
+    assert not out_file.exists()
+
+
 def test_panel_all_binary_7(capsys, tmp_path):
     out_file = tmp_path / "panel.svg"
     code, out, _ = run_cli(

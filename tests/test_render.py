@@ -29,6 +29,13 @@ def test_spec_validation():
         RenderSpec(light_color="blue")
     with pytest.raises(ValueError):
         RenderSpec(dark_color="12345")
+    for color in ("0x1234", "+12345", " 1234 ", "1_2345", "-ABCDE", "#0X1234"):
+        with pytest.raises(ValueError):
+            RenderSpec(light_color=color)
+    for name in ("canvas", "radius_scale", "stroke_width", "marker_radius"):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                RenderSpec(**{name: bad})
     spec = RenderSpec(light_color="#aabbcc")
     assert spec.light_color == "AABBCC"
 
