@@ -89,7 +89,8 @@ def _arrow_geometry(n: int, p: int, spec: RenderSpec):
 
 
 def _svg_arrow(start, end, r, a0, a1, wings, w):
-    d = f"M {start[0]} {start[1]} A {r} {r} 0 0 0 {end[0]} {end[1]}"
+    large = int(a1 - a0 > math.pi)
+    d = f"M {start[0]} {start[1]} A {r} {r} 0 {large} 0 {end[0]} {end[1]}"
     for x, y in wings:
         d += f" M {x} {y} L {end[0]} {end[1]}"
     return (f'<path class="arrow" d="{d}" fill="none" '

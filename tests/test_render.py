@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -130,6 +131,14 @@ def test_tikz_counts_match_svg_counts():
         assert tikz_count(tikz, "marker") == svg_count(svg, "marker")
 
 
+def test_svg_arrow_takes_the_large_arc_past_half_a_turn():
+    # the arrow sweeps 0.7 * tau / N: 252 degrees at N=1, 126 at N=2
+    for n, flag in ((1, "1"), (2, "0"), (7, "0")):
+        svg = to_svg(features(Word(2, (1,) * n))).decode("ascii")
+        arc = re.search(r'class="arrow" d="M \S+ \S+ A (\S+) \1 0 (\d) 0 ', svg)
+        assert arc.group(2) == flag
+
+
 def test_tikz_all_ones_has_seven_petal_triangles():
     tikz = to_tikz(features(parse_word("1111111", 2)))
     assert tikz_count(tikz, "petal") == 7
@@ -242,7 +251,7 @@ def golden_outputs(group: str) -> list[bytes]:
 
 GOLDEN_SHA256 = {
     "svg": "4f48c08902dd9431da0a8e7322e2f117ce37395fbe5c5535bacb85493d15eee5",
-    "svg_n1": "4fe9f5fe43c34d2252c6f9b34b2cb49180d44dee738a861fe9965893baa4a7b5",
+    "svg_n1": "cdce8670b529db017e92f078fc5f03b15d5d9fdbcc1cb8f44ed96f0fc8eec817",
     "tikz": "b4c9bbc9faab54b1c31502e9d5ef18e79fdfedc9ebfca708b82c0b26026ad426",
     "grid": "cc2eb18b1e7a21b436bfb44e1448e0ad6dae423a2da1c6c08596ebbc17c0b9fc",
     "panel": "32bf608a767d0528a06198418988c52e965bf8b02af5e927a3f40c23d6a7e72d",
