@@ -121,14 +121,16 @@ def test_svg_element_order_is_fixed():
 
 
 def test_tikz_counts_match_svg_counts():
-    for text in sorted(ref.FLOWER_COUNTS):
-        word = parse_word(text, 2)
-        shape = features(word)
-        svg = to_svg(shape)
-        tikz = to_tikz(shape)
-        assert tikz_count(tikz, "petal") == svg_count(svg, "petal")
-        assert tikz_count(tikz, "thorn") == svg_count(svg, "thorn")
-        assert tikz_count(tikz, "marker") == svg_count(svg, "marker")
+    # Same primitives in the same order: the SVG class names, in document
+    # order, equal the kinds named by the TikZ trailing comments.
+    words = [parse_word(text, 2) for text in sorted(ref.FLOWER_COUNTS)]
+    words += [w for w in golden_words() if w.modulus in (2, 3, 5, 7)]
+    for word, grid, label in itertools.product(words, (True, False), (True, False)):
+        shape, spec = features(word), RenderSpec(grid=grid, label=label)
+        svg = re.findall(r'class="(\w+)"', to_svg(shape, spec).decode("ascii"))
+        tikz = [line.rsplit("; % ", 1)[1].split()[0]
+                for line in to_tikz(shape, spec).splitlines()[1:-1]]
+        assert svg == tikz
 
 
 def test_svg_arrow_takes_the_large_arc_past_half_a_turn():
