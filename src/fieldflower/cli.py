@@ -199,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="field modulus for word-list files (default 2)")
     pn.add_argument("--out", default="panel.svg")
     pn.add_argument("--workers", type=int, default=1,
-                    help="parallel cell rendering (output is identical)")
+                    help="accepted for compatibility and ignored; "
+                         "rendering is serial")
     _add_render_options(pn)
     pn.set_defaults(handler=cmd_panel)
 
