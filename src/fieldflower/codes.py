@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .gfield import Word
+from .gfield import Word, _same_field
 from .modlinalg import MatrixOverGfp, matrix_from_words, rref
 from .ntt import Transform, fixed_space, hamming_ntt_matrix
 
@@ -91,13 +92,12 @@ def _check_enumerable(code: LinearCode) -> None:
         )
 
 
-def enumerate_codewords(code: LinearCode) -> list[Word]:
-    """All p**k codewords u*G, ordered by the message word u lexicographically."""
+def _codewords(code: LinearCode) -> Iterator[Word]:
+    """Yield the codewords of `enumerate_codewords` one at a time, in its order."""
     _check_enumerable(code)
     p = code.modulus
     g = code.generator.entries
     n = code.length
-    words = []
     for u in itertools.product(range(p), repeat=code.dimension):
         acc = [0] * n
         for coeff, row in zip(u, g):
@@ -105,31 +105,27 @@ def enumerate_codewords(code: LinearCode) -> list[Word]:
                 continue
             for j in range(n):
                 acc[j] = (acc[j] + coeff * row[j]) % p
-        words.append(Word(p, tuple(acc)))
-    return words
+        yield Word(p, tuple(acc))
+
+
+def enumerate_codewords(code: LinearCode) -> list[Word]:
+    """All p**k codewords u*G, ordered by the message word u lexicographically."""
+    return list(_codewords(code))
 
 
 def minimum_distance(code: LinearCode) -> int:
     """Minimum Hamming distance, by exhaustive weight enumeration.
 
     For a linear code the minimum distance equals the minimum weight over
-    nonzero codewords, so one pass over the codebook suffices.
+    nonzero codewords, so one streamed pass over the codebook suffices.
     """
-    _check_enumerable(code)
-    best = code.length + 1
-    for w in enumerate_codewords(code):
-        wt = w.weight()
-        if 0 < wt < best:
-            best = wt
-    return best
+    weights = (w.weight() for w in _codewords(code))
+    return min((wt for wt in weights if wt), default=code.length + 1)
 
 
 def is_codeword(code: LinearCode, word: Word) -> bool:
     """Membership test: does the word lie in the row space of the generator?"""
-    if word.modulus != code.modulus:
-        raise ValueError(
-            f"word is over GF({word.modulus}) but code is over GF({code.modulus})"
-        )
+    _same_field(word, code)
     if len(word) != code.length:
         raise ValueError(f"word has length {len(word)}, code has length {code.length}")
     stacked = MatrixOverGfp(

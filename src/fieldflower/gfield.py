@@ -2,12 +2,16 @@
 
 Everything in this module is an immutable value: elements and words can be
 shared freely across threads, and every operation returns a new value.
+
+`_residues` alone decides what a value of GF(p) is (a prime `int` modulus,
+`int` residues in 0..p-1) for elements, words and matrices alike, and
+`_same_field` alone checks that two operands share a modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def is_prime(n: int) -> bool:
@@ -23,8 +27,37 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus must be a prime, got {p}")
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"modulus must be a prime int, got {p!r}")
+
+
+def _residues(
+    p: int, values: Iterable[int], width: int | None = None
+) -> tuple[int, ...]:
+    """Check that p is a prime and every value an int in 0..p-1.
+
+    Returns the values as a tuple.  With `width`, the values are a matrix
+    read row by row, and an error names the position as (row,column).
+    """
+    _require_prime(p)
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int or not 0 <= v < p:
+            # Locate v only on failure, keeping enumerate out of the hot loop.
+            # Every value before it passed, so none of them is v itself.
+            k = next(k for k, u in enumerate(values) if u is v)
+            at = k if width is None else f"({k // width},{k % width})"
+            raise ValueError(
+                f"value {v!r} at position {at} out of range for GF({p}): "
+                f"expected an int in 0..{p - 1}"
+            )
+    return values
+
+
+def _same_field(a, b) -> None:
+    """Require two field values (anything with a .modulus) to share p."""
+    if a.modulus != b.modulus:
+        raise ValueError(f"modulus mismatch: GF({a.modulus}) vs GF({b.modulus})")
 
 
 @dataclass(frozen=True)
@@ -35,31 +68,21 @@ class FieldElement:
     modulus: int
 
     def __post_init__(self) -> None:
-        _require_prime(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"value {self.value} out of range for GF({self.modulus})"
-            )
-
-    def _require_same_field(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: GF({self.modulus}) vs GF({other.modulus})"
-            )
+        _residues(self.modulus, (self.value,))
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._require_same_field(other)
+        _same_field(self, other)
         return FieldElement((self.value + other.value) % self.modulus, self.modulus)
 
     def __neg__(self) -> "FieldElement":
         return FieldElement((self.modulus - self.value) % self.modulus, self.modulus)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._require_same_field(other)
+        _same_field(self, other)
         return FieldElement((self.value - other.value) % self.modulus, self.modulus)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._require_same_field(other)
+        _same_field(self, other)
         return FieldElement((self.value * other.value) % self.modulus, self.modulus)
 
     def inverse(self) -> "FieldElement":
@@ -82,15 +105,9 @@ class Word:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_prime(self.modulus)
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        object.__setattr__(self, "symbols", _residues(self.modulus, self.symbols))
         if len(self.symbols) == 0:
             raise ValueError("a word must have at least one symbol")
-        for k, s in enumerate(self.symbols):
-            if not 0 <= s < self.modulus:
-                raise ValueError(
-                    f"symbol {s} at position {k} out of range for GF({self.modulus})"
-                )
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -114,9 +131,9 @@ def parse_word(text: str, p: int) -> Word:
 
     Canonical form for p <= 10 is a contiguous base-p digit string whose
     leftmost character is x_0.  A comma-separated decimal form ("0,11,3")
-    is accepted for any p and required for p > 10.
+    is accepted for any p and required for p > 10.  The modulus and the
+    symbol range are checked by `Word`.
     """
-    _require_prime(p)
     if text == "":
         raise ValueError("empty word")
     if "," in text:
@@ -134,9 +151,6 @@ def parse_word(text: str, p: int) -> Word:
             symbols.append(int(ch))
     else:
         raise ValueError(f"words over GF({p}) must use the comma-separated form")
-    for k, s in enumerate(symbols):
-        if s >= p:
-            raise ValueError(f"symbol {s} at position {k} is not below p={p}")
     return Word(p, tuple(symbols))
 
 

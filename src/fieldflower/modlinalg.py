@@ -6,14 +6,18 @@ dimensions <= 16), so exact integer arithmetic is both correct and fast.
 All pivot choices are deterministic (first nonzero entry scanning rows
 top-down, columns left-to-right) so that downstream output, in particular
 canonical null-space bases, is byte-reproducible.
+
+Entries are checked by `gfield._residues` and operands matched by
+`gfield._same_field`; this module has no value check of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .gfield import Word, _require_prime
+from .gfield import Word, _residues, _same_field
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,6 @@ class MatrixOverGfp:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _require_prime(self.modulus)
         object.__setattr__(
             self, "entries", tuple(tuple(row) for row in self.entries)
         )
@@ -34,11 +37,7 @@ class MatrixOverGfp:
         for i, row in enumerate(self.entries):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-            for j, e in enumerate(row):
-                if not 0 <= e < self.modulus:
-                    raise ValueError(
-                        f"entry {e} at ({i},{j}) out of range for GF({self.modulus})"
-                    )
+        _residues(self.modulus, chain.from_iterable(self.entries), width)
 
     @property
     def rows(self) -> int:
@@ -70,14 +69,9 @@ class RrefResult:
     pivot_columns: tuple[int, ...]
 
 
-def _check_same_modulus(a_mod: int, b_mod: int) -> None:
-    if a_mod != b_mod:
-        raise ValueError(f"modulus mismatch: GF({a_mod}) vs GF({b_mod})")
-
-
 def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
     """y_i = sum_j M[i][j] * x_j mod p."""
-    _check_same_modulus(m.modulus, x.modulus)
+    _same_field(m, x)
     if m.cols != len(x):
         raise ValueError(f"matrix has {m.cols} columns, word has {len(x)} symbols")
     p = m.modulus
@@ -88,7 +82,7 @@ def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
 
 
 def mat_mul(a: MatrixOverGfp, b: MatrixOverGfp) -> MatrixOverGfp:
-    _check_same_modulus(a.modulus, b.modulus)
+    _same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     p = a.modulus
@@ -100,7 +94,7 @@ def mat_mul(a: MatrixOverGfp, b: MatrixOverGfp) -> MatrixOverGfp:
 
 
 def mat_sub(a: MatrixOverGfp, b: MatrixOverGfp) -> MatrixOverGfp:
-    _check_same_modulus(a.modulus, b.modulus)
+    _same_field(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     p = a.modulus
@@ -167,7 +161,7 @@ def _nonzero_rows(m: MatrixOverGfp) -> tuple[tuple[int, ...], ...]:
 
 def same_row_space(a: MatrixOverGfp, b: MatrixOverGfp) -> bool:
     """True iff the canonical RREFs agree after dropping all-zero rows."""
-    _check_same_modulus(a.modulus, b.modulus)
+    _same_field(a, b)
     if a.cols != b.cols:
         raise ValueError(f"column count mismatch: {a.cols} vs {b.cols}")
     return _nonzero_rows(rref(a).rref) == _nonzero_rows(rref(b).rref)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gfield import FieldElement, Word
-from .modlinalg import MatrixOverGfp, identity, mat_sub, mat_vec, null_space
+from .modlinalg import MatrixOverGfp, mat_vec, null_space
 
 _HAMMING_ROWS = (
     (0, 1, 0, 1, 1, 0, 0),
@@ -118,12 +118,15 @@ class EigenSpace:
 
 
 def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
+    """The eigenspace of lam: the null space of M - lam*I."""
+    if m.rows != m.cols:
+        raise ValueError(f"eigen-analysis needs a square matrix, got {m.rows}x{m.cols}")
     p = m.modulus
-    shifted = mat_sub(m, MatrixOverGfp(p, tuple(
-        tuple(lam if i == j else 0 for j in range(m.cols)) for i in range(m.rows)
-    )))
-    basis = null_space(shifted)
-    return EigenSpace(FieldElement(lam, p), tuple(basis))
+    shifted = MatrixOverGfp(p, tuple(
+        tuple((e - lam) % p if i == j else e for j, e in enumerate(row))
+        for i, row in enumerate(m.entries)
+    ))
+    return EigenSpace(FieldElement(lam, p), tuple(null_space(shifted)))
 
 
 def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
@@ -134,14 +137,8 @@ def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
     correct.  Spaces are returned in ascending eigenvalue order.
     """
     m = _matrix_of(transform)
-    if m.rows != m.cols:
-        raise ValueError(f"eigen-analysis needs a square matrix, got {m.rows}x{m.cols}")
-    spaces = []
-    for lam in range(m.modulus):
-        space = _eigen_space_for(m, lam)
-        if space.dimension >= 1:
-            spaces.append(space)
-    return spaces
+    spaces = (_eigen_space_for(m, lam) for lam in range(m.modulus))
+    return [space for space in spaces if space.dimension >= 1]
 
 
 def fixed_space(transform: Transform | MatrixOverGfp) -> EigenSpace:
@@ -150,6 +147,4 @@ def fixed_space(transform: Transform | MatrixOverGfp) -> EigenSpace:
     May have dimension 0, in which case the basis is empty.
     """
     m = _matrix_of(transform)
-    if m.rows != m.cols:
-        raise ValueError(f"eigen-analysis needs a square matrix, got {m.rows}x{m.cols}")
     return _eigen_space_for(m, 1 % m.modulus)

@@ -1,10 +1,13 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fieldflower
 from fieldflower.cli import main
 from fieldflower.gfield import parse_word_list
 import reference_constants as ref
@@ -271,9 +274,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_console_script_entry_point():
+    # Run the package under test, installed or not.
+    src = str(Path(fieldflower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fieldflower", "transform", "hamming", "0011000"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1111000\n"

@@ -60,6 +60,8 @@ def test_element_out_of_range_rejected():
         FieldElement(5, 5)
     with pytest.raises(ValueError):
         FieldElement(-1, 5)
+    with pytest.raises(ValueError):
+        FieldElement(1.0, 3)
 
 
 def test_nonprime_modulus_rejected():
@@ -67,6 +69,8 @@ def test_nonprime_modulus_rejected():
         FieldElement(1, 6)
     with pytest.raises(ValueError):
         Word(4, (1, 0))
+    with pytest.raises(ValueError):
+        Word(3.0, (1, 2))
 
 
 def test_word_basics():
@@ -82,6 +86,10 @@ def test_word_symbol_range_enforced():
         Word(2, (0, 2))
     with pytest.raises(ValueError):
         Word(3, ())
+    with pytest.raises(ValueError):
+        Word(3, (1.5, 2))
+    with pytest.raises(ValueError):
+        Word(2, (True, False))
 
 
 def test_parse_word_digit_form():

@@ -31,6 +31,8 @@ def test_matrix_validation():
         MatrixOverGfp(2, ((0, 2),))
     with pytest.raises(ValueError):
         MatrixOverGfp(9, ((1, 0),))
+    with pytest.raises(ValueError):
+        MatrixOverGfp(3, ((1.0, 2),))
 
 
 def test_identity_is_its_own_rref():
