@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -256,6 +257,21 @@ def test_codewords_stdout(capsys):
     words = out.splitlines()
     assert len(words) == 16
     assert words[0] == "0000000"
+
+
+# sha256 of `codewords <name>` stdout: pins every codeword and the message
+# order of the listing, byte for byte.
+CODEWORDS_SHA256 = {
+    "hamming": "6638082c978db57d6927aecdbbcae681b3950cb890d9f53b414e7c968aec7f62",
+    "golay": "bfbdb0ebfa85bfb1f9153a908d7f2b9d4f0394938b7cd6b7b411d9790cadc30f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODEWORDS_SHA256))
+def test_codewords_golden_stdout(capsys, name):
+    code, out, _ = run_cli(capsys, "codewords", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == CODEWORDS_SHA256[name]
 
 
 def test_codewords_to_file(capsys, tmp_path):
