@@ -92,35 +92,63 @@ def _check_enumerable(code: LinearCode) -> None:
         )
 
 
-def _codewords(code: LinearCode) -> Iterator[Word]:
-    """Yield the codewords of `enumerate_codewords` one at a time, in its order."""
+def _span(p: int, n: int, rows) -> list[tuple[int, ...]]:
+    """Every sum c_0*r_0 + c_1*r_1 + ... over GF(p), for c in lexicographic
+    order with the first row as the most significant digit."""
+    span = [(0,) * n]
+    for row in rows:
+        multiples = [tuple([c * x % p for x in row]) for c in range(p)]
+        span = [tuple([(x + y) % p for x, y in zip(v, m)])
+                for v in span for m in multiples]
+    return span
+
+
+def _half_spans(code: LinearCode) -> tuple[list, list]:
+    """Spans of the high generator rows g[:k//2] and of the low rows g[k//2:].
+
+    Codeword u*G is hi + lo, with hi fixed by the high digits of u and lo by
+    the low ones, so a walk with hi outer and lo inner visits u in
+    lexicographic order.  Each span holds at most p**ceil(k/2) words.
+    """
     _check_enumerable(code)
-    p = code.modulus
     g = code.generator.entries
-    n = code.length
-    for u in itertools.product(range(p), repeat=code.dimension):
-        acc = [0] * n
-        for coeff, row in zip(u, g):
-            if coeff == 0:
-                continue
-            for j in range(n):
-                acc[j] = (acc[j] + coeff * row[j]) % p
-        yield Word(p, tuple(acc))
+    h = len(g) // 2
+    return (_span(code.modulus, code.length, g[:h]),
+            _span(code.modulus, code.length, g[h:]))
+
+
+def _codewords(code: LinearCode) -> Iterator[tuple[int, ...]]:
+    """Yield the symbols of each codeword, in `enumerate_codewords` order."""
+    p = code.modulus
+    high, low = _half_spans(code)
+    for hi in high:
+        for lo in low:
+            yield tuple([(x + y) % p for x, y in zip(hi, lo)])
 
 
 def enumerate_codewords(code: LinearCode) -> list[Word]:
     """All p**k codewords u*G, ordered by the message word u lexicographically."""
-    return list(_codewords(code))
+    p = code.modulus
+    return [Word(p, t) for t in _codewords(code)]
 
 
 def minimum_distance(code: LinearCode) -> int:
     """Minimum Hamming distance, by exhaustive weight enumeration.
 
     For a linear code the minimum distance equals the minimum weight over
-    nonzero codewords, so one streamed pass over the codebook suffices.
+    nonzero codewords, so one streamed pass over the codebook suffices.  Each
+    codeword is the sum of one word from the span of the high half of the
+    generator rows and one from the span of the low half; over GF(2) the
+    words are int bit masks, summed by XOR and weighed by `int.bit_count`.
     """
-    weights = (w.weight() for w in _codewords(code))
-    return min((wt for wt in weights if wt), default=code.length + 1)
+    n = code.length
+    if code.modulus == 2:
+        high, low = ([int("".join(map(str, t)), 2) for t in span]
+                     for span in _half_spans(code))
+        weights = ((hi ^ lo).bit_count() for hi in high for lo in low)
+    else:
+        weights = (n - t.count(0) for t in _codewords(code))
+    return min(filter(None, weights), default=n + 1)
 
 
 def is_codeword(code: LinearCode, word: Word) -> bool:

@@ -120,7 +120,7 @@ class Word:
 
     def weight(self) -> int:
         """Number of nonzero symbols (Hamming weight)."""
-        return sum(1 for s in self.symbols if s)
+        return len(self.symbols) - self.symbols.count(0)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r} over GF({self.modulus}))"

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from fieldflower import codes
 from fieldflower.codes import (
     ENUMERATION_LIMIT,
     LinearCode,
@@ -18,7 +19,7 @@ from fieldflower.codes import (
     minimum_distance,
 )
 from fieldflower.gfield import Word, format_word, parse_word
-from fieldflower.modlinalg import MatrixOverGfp, identity, same_row_space
+from fieldflower.modlinalg import MatrixOverGfp, identity, rref, same_row_space
 from fieldflower.ntt import GOLAY, HAMMING, apply
 import reference_constants as ref
 
@@ -159,13 +160,85 @@ def test_builtin_code_lookup():
         builtin_code("reed-muller")
 
 
-def test_enumeration_guard():
-    big = LinearCode(identity(24, 2))
+@pytest.mark.parametrize("p,k", [(2, 24), (3, 15)])
+def test_enumeration_guard(monkeypatch, p, k):
+    big = LinearCode(identity(k, p))
     assert big.size > ENUMERATION_LIMIT
-    with pytest.raises(ValueError):
+
+    def no_span(*args):
+        raise AssertionError("span built before the enumeration cap was checked")
+
+    monkeypatch.setattr(codes, "_span", no_span)
+    with pytest.raises(ValueError, match="refusing to enumerate"):
         enumerate_codewords(big)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="refusing to enumerate"):
         minimum_distance(big)
+
+
+def reference_codewords(code):
+    """The u*G walk: every codeword recomputed from its message word u, with
+    u in lexicographic order.  Oracle for the split walk in `codes`."""
+    p, g, n = code.modulus, code.generator.entries, code.length
+    words = []
+    for u in itertools.product(range(p), repeat=code.dimension):
+        acc = [0] * n
+        for coeff, row in zip(u, g):
+            for j in range(n):
+                acc[j] = (acc[j] + coeff * row[j]) % p
+        words.append(Word(p, tuple(acc)))
+    return words
+
+
+# Largest k per p that keeps a differential case at most 729 codewords.
+_MAX_K = {2: 9, 3: 6, 5: 4, 7: 3}
+
+
+def random_full_rank_code(rng, p, shape):
+    """A random full-rank code over GF(p).  `shape` is 'k=1', 'k=n' (the
+    full space), 'zero columns' or 'any'."""
+    k = 1 if shape == "k=1" else rng.randint(1, _MAX_K[p])
+    n = k if shape == "k=n" else k + rng.randint(1, 5)
+    zero_cols = set(rng.sample(range(n), n - k)) if shape == "zero columns" else set()
+    while True:
+        rows = tuple(
+            tuple(0 if j in zero_cols else rng.randrange(p) for j in range(n))
+            for _ in range(k)
+        )
+        if rref(MatrixOverGfp(p, rows)).rank == k:
+            return LinearCode(MatrixOverGfp(p, rows))
+
+
+# Seed s draws a code of the field and shape _SHAPES[s % 16].
+_SHAPES = tuple(itertools.product((2, 3, 5, 7), ("k=1", "k=n", "zero columns", "any")))
+
+
+def differential_code(seed):
+    p, shape = _SHAPES[seed % len(_SHAPES)]
+    return random_full_rank_code(random.Random(seed), p, shape)
+
+
+def test_differential_codes_cover_the_edge_shapes():
+    by_p = Counter()
+    for seed in range(208):
+        c = differential_code(seed)
+        k, n = c.dimension, c.length
+        zero_col = any(not any(col) for col in zip(*c.generator.entries))
+        by_p.update((c.modulus, tag) for tag, hit in (
+            ("k=1", k == 1), ("odd k>1", k > 1 and k % 2), ("k=n", k == n),
+            ("zero column", zero_col)) if hit)
+    assert set(by_p) == set(itertools.product(
+        (2, 3, 5, 7), ("k=1", "odd k>1", "k=n", "zero column")))
+
+
+@pytest.mark.parametrize("seed", range(208))
+def test_split_walk_matches_reference_walk(seed):
+    code = differential_code(seed)
+    expected = reference_codewords(code)
+    got = enumerate_codewords(code)
+    assert got == expected
+    assert all(type(w) is Word for w in got)
+    nonzero = [w.weight() for w in expected if w.weight()]
+    assert minimum_distance(code) == min(nonzero, default=code.length + 1)
 
 
 @pytest.mark.parametrize("name,transform", [("hamming", HAMMING), ("golay", GOLAY)])
