@@ -126,32 +126,35 @@ class Word:
         return f"Word({format_word(self)!r} over GF({self.modulus}))"
 
 
+def _is_decimal(text: str) -> bool:
+    """True for an ASCII numeral [0-9]+: no sign, underscore, space or other
+    script's digits, all of which `int` would take."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_word(text: str, p: int) -> Word:
     """Parse a word from its text form.
 
     Canonical form for p <= 10 is a contiguous base-p digit string whose
     leftmost character is x_0.  A comma-separated decimal form ("0,11,3")
-    is accepted for any p and required for p > 10.  The modulus and the
-    symbol range are checked by `Word`.
+    is accepted for any p and required for p > 10.  Symbols are ASCII
+    digits only.  The modulus and the symbol range are checked by `Word`.
     """
     if text == "":
         raise ValueError("empty word")
     if "," in text:
-        symbols = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part.isdigit():
-                raise ValueError(f"invalid symbol {part!r} in word {text!r}")
-            symbols.append(int(part))
+        symbols = [part.strip() for part in text.split(",")]
     elif p <= 10:
-        symbols = []
-        for ch in text:
-            if not ch.isdigit():
-                raise ValueError(f"invalid digit {ch!r} in word {text!r}")
-            symbols.append(int(ch))
+        symbols = list(text)
     else:
         raise ValueError(f"words over GF({p}) must use the comma-separated form")
-    return Word(p, tuple(symbols))
+    for k, symbol in enumerate(symbols):
+        if not _is_decimal(symbol):
+            raise ValueError(
+                f"invalid symbol {symbol!r} at position {k} in word {text!r} "
+                f"over GF({p}): expected ASCII digits 0-9"
+            )
+    return Word(p, tuple(map(int, symbols)))
 
 
 def format_word(word: Word) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .gfield import Word, _residues, _same_field
+from .gfield import Word, _is_decimal, _residues, _same_field
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,22 @@ def parse_matrix(text: str) -> MatrixOverGfp:
     header = header.strip()
     if not header.startswith("p="):
         raise ValueError(f"matrix text must start with a p=<modulus> header, got {header!r}")
-    try:
-        p = int(header[2:])
-    except ValueError:
-        raise ValueError(f"invalid modulus in header {header!r}") from None
+    modulus = header[2:].strip()
+    if not _is_decimal(modulus):
+        raise ValueError(f"invalid modulus in header {header!r}")
+    p = int(modulus)
     rows = []
     for chunk in body.replace("\n", " ").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+        tokens = chunk.split()
+        if not tokens:
             continue
-        try:
-            rows.append(tuple(int(tok) for tok in chunk.split()))
-        except ValueError:
-            raise ValueError(f"invalid matrix row {chunk!r}") from None
+        for col, token in enumerate(tokens):
+            if not _is_decimal(token):
+                raise ValueError(
+                    f"invalid entry {token!r} at position ({len(rows)},{col}) "
+                    f"in matrix over GF({p}): expected ASCII digits 0-9"
+                )
+        rows.append(tuple(map(int, tokens)))
     if not rows:
         raise ValueError("matrix text has no rows")
     return MatrixOverGfp(p, tuple(rows))

@@ -51,6 +51,22 @@ def test_transform_usage_errors(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("word", ["001\u0661000", "00\u00b21000"])
+def test_transform_rejects_non_ascii_digits(capsys, word):
+    code, out, err = run_cli(capsys, "transform", "hamming", word)
+    assert (code, out) == (2, "")
+    assert "at position" in err and "GF(2)" in err
+
+
+@pytest.mark.parametrize("text", ["p=2\n1 0;\n0 \u0661\n", "p=13\n1 0;\n0 1_0\n"])
+def test_matrix_file_rejects_lenient_integers(capsys, tmp_path, text):
+    f = tmp_path / "m.txt"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariants", "--matrix-file", str(f))
+    assert (code, out) == (2, "")
+    assert "at position (1,1)" in err
+
+
 def test_transform_from_matrix_file(capsys, tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("p=3\n0 1;\n1 0\n")

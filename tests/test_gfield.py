@@ -115,6 +115,13 @@ def test_parse_word_errors():
         parse_word("101", 13)  # p > 10 requires commas
     with pytest.raises(ValueError):
         parse_word("1,14,0", 13)
+    # only ASCII digits, though str.isdigit and int() take the others
+    for text, p in (("001\u0661000", 2), ("00\u00b21000", 2), ("1,\u0661,0", 3),
+                    ("1,+1,0", 3), ("1,1_0,0", 13), ("1, ,0", 3)):
+        with pytest.raises(ValueError, match="invalid symbol"):
+            parse_word(text, p)
+    with pytest.raises(ValueError, match=r"'\u00b2' at position 2 .* GF\(2\)"):
+        parse_word("00\u00b21000", 2)
 
 
 def test_format_word_round_trip():

@@ -214,6 +214,13 @@ def test_parse_matrix_errors():
         parse_matrix("p=2\n1 z")
     with pytest.raises(ValueError):
         parse_matrix("p=2\n1 2")
+    # only ASCII [0-9]+ entries and moduli, though int() takes the others
+    for bad in ("p=2\n0 \u0661", "p=2\n0 +1", "p=13\n1_0 0", "p=1_1\n1 0",
+                "p=\u0663\n1 0", "p=2\n0 -1"):
+        with pytest.raises(ValueError, match="invalid"):
+            parse_matrix(bad)
+    with pytest.raises(ValueError, match=r"'1_0' at position \(1,0\) .* GF\(13\)"):
+        parse_matrix("p=13\n1 0; 1_0 2")
 
 
 def test_matrix_from_words():
