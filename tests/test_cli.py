@@ -67,6 +67,14 @@ def test_matrix_file_rejects_lenient_integers(capsys, tmp_path, text):
     assert "at position (1,1)" in err
 
 
+def test_matrix_file_modulus_past_two_to_the_64_exit_2(capsys, tmp_path):
+    f = tmp_path / "m.txt"
+    f.write_text(f"p={2**64 + 13}\n1 0;\n0 1\n")
+    code, out, err = run_cli(capsys, "invariants", "--matrix-file", str(f))
+    assert (code, out) == (2, "")
+    assert "below 2**64" in err
+
+
 def test_transform_from_matrix_file(capsys, tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("p=3\n0 1;\n1 0\n")

@@ -1,6 +1,8 @@
 """Field arithmetic and word parsing."""
 
 import itertools
+import math
+import tracemalloc
 
 import pytest
 
@@ -19,6 +21,40 @@ PRIMES = (2, 3, 5, 7)
 
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == trial_division(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael 561, then the least strong pseudoprimes to bases 2;
+    # 2 and 3; 2..7; and 2..23
+    for n in (561, 2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert is_prime(n)
+
+
+def test_large_prime_modulus_builds_at_once():
+    w = Word(2**61 - 1, (0, 1))
+    assert w.modulus == 2**61 - 1
+
+
+def test_modulus_past_two_to_the_64_refused():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            is_prime(2**64)
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            Word(2**64 + 13, (0, 1))
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("p", PRIMES)
