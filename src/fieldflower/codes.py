@@ -4,11 +4,16 @@ A code is represented by a generator matrix with independent rows.  Everything
 downstream (codeword enumeration, minimum distance, membership) is exact and
 exhaustive; the dimensions in play are small enough that brute force is the
 honest implementation, guarded by an explicit enumeration cap.
+
+Codebook walks split the k generator rows into a high half g[:k//2] and a
+low half g[k//2:] and precompute the span of each, so every codeword costs
+one n-symbol addition hi + lo rather than k rows of multiply-adds, and the
+extra memory is p**ceil(k/2) words.  Over GF(2), `minimum_distance` walks
+the same split on int bit masks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
