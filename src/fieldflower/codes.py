@@ -97,7 +97,7 @@ def _check_enumerable(code: LinearCode) -> None:
         )
 
 
-def _span(p: int, n: int, rows) -> list[tuple[int, ...]]:
+def _span(p: int, n: int, rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """Every sum c_0*r_0 + c_1*r_1 + ... over GF(p), for c in lexicographic
     order with the first row as the most significant digit."""
     span = [(0,) * n]
