@@ -6,15 +6,22 @@ exhaustive; the dimensions in play are small enough that brute force is the
 honest implementation, guarded by an explicit enumeration cap.
 
 Codebook walks split the k generator rows into a high half g[:k//2] and a
-low half g[k//2:] and precompute the span of each, so every codeword costs
-one n-symbol addition hi + lo rather than k rows of multiply-adds, and the
-extra memory is p**ceil(k/2) words.  Over GF(2), `minimum_distance` walks
-the same split on int bit masks.
+low half g[k//2:]: each codeword is hi + lo, one word from the span of each
+half, at an extra memory of about p**ceil(k/2) words.  Words are packed into
+ints, symbol j in lane j of W bits (native byte order of the `array` format),
+with W the narrowest of 8, 16 and 32 such that p <= 2**(W-1).  Lanes of hi + lo
+lie in 0..2p-2; adding 2**(W-1) - p to each sets its top bit exactly when it
+is p or more, without a carry into the next lane, so subtracting p where the
+top bit is set reduces it.  A bias of 2**(W-1) - 1 instead marks each nonzero
+lane, so the weight of a reduced word is a popcount.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from struct import calcsize
 from typing import Iterator
 
 from .gfield import Word, _same_field
@@ -97,63 +104,56 @@ def _check_enumerable(code: LinearCode) -> None:
         )
 
 
-def _span(p: int, n: int, rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Every sum c_0*r_0 + c_1*r_1 + ... over GF(p), for c in lexicographic
-    order with the first row as the most significant digit."""
-    span = [(0,) * n]
-    for row in rows:
-        multiples = [tuple([c * x % p for x in row]) for c in range(p)]
-        span = [tuple([(x + y) % p for x, y in zip(v, m)])
-                for v in span for m in multiples]
-    return span
+def _lanes(p: int, n: int) -> tuple[str, int, int, int]:
+    """Layout of n symbols of GF(p) as one int: the lane format, its width W,
+    ONE (1 in every lane) and TOP (the top bit of every lane)."""
+    fmt = next(f for f in "BHI" if p <= 1 << 8 * calcsize(f) - 1)
+    w = 8 * calcsize(fmt)
+    one = ((1 << w * n) - 1) // ((1 << w) - 1)
+    return fmt, w, one, one << w - 1
 
 
-def _half_spans(code: LinearCode) -> tuple[list, list]:
-    """Spans of the high generator rows g[:k//2] and of the low rows g[k//2:].
-
-    Codeword u*G is hi + lo, with hi fixed by the high digits of u and lo by
-    the low ones, so a walk with hi outer and lo inner visits u in
-    lexicographic order.  Each span holds at most p**ceil(k/2) words.
-    """
-    _check_enumerable(code)
-    g = code.generator.entries
-    h = len(g) // 2
-    return (_span(code.modulus, code.length, g[:h]),
-            _span(code.modulus, code.length, g[h:]))
-
-
-def _codewords(code: LinearCode) -> Iterator[tuple[int, ...]]:
-    """Yield the symbols of each codeword, in `enumerate_codewords` order."""
-    p = code.modulus
-    high, low = _half_spans(code)
-    for hi in high:
+def _span(p: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+    """Yield every sum c_0*r_0 + c_1*r_1 + ... over GF(p), packed, for c in
+    lexicographic order with the first row most significant: hi + lo, with hi
+    over the span of rows[:h] outside and lo over that of rows[h:] inside."""
+    fmt, w, one, top = _lanes(p, len(rows[0]))
+    if len(rows) == 1:
+        for c in range(p):
+            multiple = array(fmt, [c * x % p for x in rows[0]])
+            yield int.from_bytes(multiple, sys.byteorder)
+        return
+    h = len(rows) // 2
+    low = list(_span(p, rows[h:]))
+    bias = ((1 << w - 1) - p) * one
+    for hi in _span(p, rows[:h]):
         for lo in low:
-            yield tuple([(x + y) % p for x, y in zip(hi, lo)])
+            s = hi + lo
+            yield s - p * (((s + bias) & top) >> w - 1)
 
 
 def enumerate_codewords(code: LinearCode) -> list[Word]:
     """All p**k codewords u*G, ordered by the message word u lexicographically."""
+    _check_enumerable(code)
     p = code.modulus
-    return [Word(p, t) for t in _codewords(code)]
+    fmt, w, _, _ = _lanes(p, code.length)
+    size = code.length * w // 8
+    return [Word(p, tuple(memoryview(s.to_bytes(size, sys.byteorder)).cast(fmt)))
+            for s in _span(p, code.generator.entries)]
 
 
 def minimum_distance(code: LinearCode) -> int:
     """Minimum Hamming distance, by exhaustive weight enumeration.
 
     For a linear code the minimum distance equals the minimum weight over
-    nonzero codewords, so one streamed pass over the codebook suffices.  Each
-    codeword is the sum of one word from the span of the high half of the
-    generator rows and one from the span of the low half; over GF(2) the
-    words are int bit masks, summed by XOR and weighed by `int.bit_count`.
+    nonzero codewords, so one streamed pass over the codebook suffices.
     """
-    n = code.length
-    if code.modulus == 2:
-        high, low = ([int("".join(map(str, t)), 2) for t in span]
-                     for span in _half_spans(code))
-        weights = ((hi ^ lo).bit_count() for hi in high for lo in low)
-    else:
-        weights = (n - t.count(0) for t in _codewords(code))
-    return min(filter(None, weights), default=n + 1)
+    _check_enumerable(code)
+    _, _, one, top = _lanes(code.modulus, code.length)
+    nonzero = top - one
+    weights = (((s + nonzero) & top).bit_count()
+               for s in _span(code.modulus, code.generator.entries))
+    return min(filter(None, weights), default=code.length + 1)
 
 
 def is_codeword(code: LinearCode, word: Word) -> bool:

@@ -165,8 +165,8 @@ def test_enumeration_guard(monkeypatch):
         raise AssertionError("span built before the enumeration cap was checked")
 
     monkeypatch.setattr(codes, "_span", no_span)
-    # p=2 reaches the bit-mask walk of minimum_distance, p=3 the tuple walk
-    for p, k in ((2, 24), (3, 15)):
+    # p=2 and p=3 fit 8-bit lanes; no lane width holds a prime past 2**31
+    for p, k in ((2, 24), (3, 15), (2147483659, 1)):
         big = LinearCode(identity(k, p))
         assert big.size > ENUMERATION_LIMIT
         with pytest.raises(ValueError, match="refusing to enumerate"):
@@ -193,12 +193,8 @@ def reference_codewords(code):
 _MAX_K = {2: 9, 3: 6, 5: 4, 7: 3}
 
 
-def random_full_rank_code(rng, p, shape):
-    """A random full-rank code over GF(p).  `shape` is 'k=1', 'k=n' (the
-    full space), 'zero columns' or 'any'."""
-    k = 1 if shape == "k=1" else rng.randint(1, _MAX_K[p])
-    n = k if shape == "k=n" else k + rng.randint(1, 5)
-    zero_cols = set(rng.sample(range(n), n - k)) if shape == "zero columns" else set()
+def random_full_rank_code(rng, p, k, n, zero_cols=frozenset()):
+    """A random full-rank [n, k] code over GF(p), zero in the columns zero_cols."""
     while True:
         rows = tuple(
             tuple(0 if j in zero_cols else rng.randrange(p) for j in range(n))
@@ -208,13 +204,23 @@ def random_full_rank_code(rng, p, shape):
             return LinearCode(MatrixOverGfp(p, rows))
 
 
-# Seed s draws a code of the field and shape _SHAPES[s % 16].
+# Seed s draws a code of the field and shape _SHAPES[s % 16]: 'k=1', 'k=n'
+# (the full space), 'zero columns' or 'any'.
 _SHAPES = tuple(itertools.product((2, 3, 5, 7), ("k=1", "k=n", "zero columns", "any")))
 
 
 def differential_code(seed):
     p, shape = _SHAPES[seed % len(_SHAPES)]
-    return random_full_rank_code(random.Random(seed), p, shape)
+    rng = random.Random(seed)
+    k = 1 if shape == "k=1" else rng.randint(1, _MAX_K[p])
+    n = k if shape == "k=n" else k + rng.randint(1, 5)
+    zero_cols = set(rng.sample(range(n), n - k)) if shape == "zero columns" else set()
+    return random_full_rank_code(rng, p, k, n, zero_cols)
+
+
+# Moduli on each side of the 8/16-bit and the 16/32-bit lane-width switch, at
+# the largest k that keeps p**k under ENUMERATION_LIMIT.
+_LANE_BOUNDARY_K = {127: 2, 131: 2, 32749: 1, 32771: 1}
 
 
 def test_differential_codes_cover_the_edge_shapes():
@@ -230,9 +236,12 @@ def test_differential_codes_cover_the_edge_shapes():
         (2, 3, 5, 7), ("k=1", "odd k>1", "k=n", "zero column")))
 
 
-@pytest.mark.parametrize("seed", range(208))
-def test_split_walk_matches_reference_walk(seed):
-    code = differential_code(seed)
+@pytest.mark.parametrize("code", [
+    *(pytest.param(differential_code(s), id=str(s)) for s in range(208)),
+    *(pytest.param(random_full_rank_code(random.Random(p), p, k, k + 3), id=f"p={p}")
+      for p, k in _LANE_BOUNDARY_K.items()),
+])
+def test_split_walk_matches_reference_walk(code):
     expected = reference_codewords(code)
     got = enumerate_codewords(code)
     assert got == expected
