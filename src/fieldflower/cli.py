@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .codes import builtin_code, enumerate_codewords, minimum_distance
 from .flowergeom import features
-from .gfield import Word, format_word, format_word_list, parse_word, \
-    parse_word_list
+from .gfield import Word, _is_decimal, format_word, format_word_list, \
+    parse_word, parse_word_list
 from .modlinalg import MatrixOverGfp, mat_vec, parse_matrix
 from .ntt import BUILTIN_TRANSFORMS, eigen_spectrum, fixed_space
 from .render import RenderSpec, panel, to_svg, to_tikz
@@ -28,6 +28,13 @@ class CommandOutcome:
 
     exit_code: int
     report: str = ""
+
+
+def _decimal(text: str) -> int:
+    """argparse type for integer options: an ASCII numeral [0-9]+ only."""
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits 0-9, got {text!r}")
+    return int(text)
 
 
 def _render_spec_from(args: argparse.Namespace) -> RenderSpec:
@@ -185,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rd = sub.add_parser("render", help="draw one word as a flower")
     rd.add_argument("word", help="word to draw")
-    rd.add_argument("--p", type=int, default=2, help="field modulus (default 2)")
+    rd.add_argument("--p", type=_decimal, default=2, help="field modulus (default 2)")
     rd.add_argument("--format", choices=("svg", "tikz"), default="svg")
     rd.add_argument("--out", help="output path (default <word>.<format>)")
     _add_render_options(rd)
@@ -194,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pn = sub.add_parser("panel", help="draw many words in a grid layout")
     pn.add_argument("source",
                     help="word-list file, or all-binary-7 for every 7-bit word")
-    pn.add_argument("--columns", type=int, default=16)
-    pn.add_argument("--p", type=int, default=2,
+    pn.add_argument("--columns", type=_decimal, default=16)
+    pn.add_argument("--p", type=_decimal, default=2,
                     help="field modulus for word-list files (default 2)")
     pn.add_argument("--out", default="panel.svg")
     pn.add_argument("--workers", type=int, default=1,
