@@ -1,8 +1,9 @@
 """Dense linear algebra over GF(p).
 
 Matrices are immutable tuples of residue rows.  Elimination is plain
-Gauss-Jordan with Fermat inverses: the fields here are tiny (p <= 7,
-dimensions <= 16), so exact integer arithmetic is both correct and fast.
+Gauss-Jordan with Fermat inverses over exact Python integers, correct for
+every accepted modulus (any prime below 2**64); the built-in transforms are
+small (p = 2 and 3, dimensions <= 16), so this is also fast.
 All pivot choices are deterministic (first nonzero entry scanning rows
 top-down, columns left-to-right) so that downstream output, in particular
 canonical null-space bases, is byte-reproducible.
