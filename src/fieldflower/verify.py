@@ -112,11 +112,16 @@ def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp) -> tuple[bool, str]
     return True, f"all {total} codewords are fixed points"
 
 
+def _random_words() -> list[tuple[int, ...]]:
+    """The 10,000 seeded ternary 12-symbol words the addition-only check
+    runs after the codewords."""
+    rng = random.Random(_RNG_SEED)
+    return [tuple(rng.randrange(3) for _ in range(12)) for _ in range(10000)]
+
+
 def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:
     words = enumerate_codewords(code_from_fixed_space(tg))
-    rng = random.Random(_RNG_SEED)
-    randoms = [Word(3, tuple(rng.randrange(3) for _ in range(12)))
-               for _ in range(10000)]
+    randoms = [Word(3, r) for r in _random_words()]
     for w in words + randoms:
         if apply_addition_only(w) != mat_vec(tg, w):
             return False, f"paths disagree on {format_word(w)}"

@@ -276,6 +276,17 @@ def test_verify_reports_and_exit_code(capsys):
     assert any("golay" in ln for ln in lines)
 
 
+# sha256 of `verify` stdout: every check's PASS/FAIL line, its detail and
+# the 12/13 summary, byte for byte.
+VERIFY_SHA256 = "20520cfbe1e625f3417e934ce9191a33651f1ff180d8ac5f81fbba65c5d0aeee"
+
+
+def test_verify_golden_stdout(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_SHA256
+
+
 def test_mindist_hamming(capsys):
     code, out, _ = run_cli(capsys, "mindist", "hamming")
     assert (code, out) == (0, "n=7 k=4 d=3\n")

@@ -1,10 +1,13 @@
 """The built-in verification suite, including its deliberate red check."""
 
+import hashlib
+from itertools import chain
+
 import pytest
 
 from fieldflower.modlinalg import MatrixOverGfp, identity
-from fieldflower.ntt import golay_ntt_matrix
-from fieldflower.verify import format_report, run_checks
+from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
+from fieldflower.verify import _random_words, format_report, run_checks
 
 EXPECTED_CHECKS = [
     "hamming-matrix-checksum",
@@ -76,3 +79,107 @@ def test_format_report_shape(fresh_results):
         assert line.startswith(("PASS ", "FAIL "))
         assert name in line
     assert lines[-1] == f"{len(EXPECTED_CHECKS) - 1}/{len(EXPECTED_CHECKS)} checks passed"
+
+
+def _flipped(m, i, j):
+    entries = [list(row) for row in m.entries]
+    entries[i][j] = (entries[i][j] + 1) % m.modulus
+    return MatrixOverGfp(m.modulus, tuple(tuple(r) for r in entries))
+
+
+# The detail strings of the two checks that walk every codeword, under
+# injected matrices, as the per-word implementation reported them: which
+# word is reported first, and which error a mismatched field or shape gives.
+INJECTED_DETAILS = {
+    "corrupted-golay": (
+        {"golay_matrix": _flipped(golay_ntt_matrix(), 0, 0)},
+        (True, "all 259 codewords are fixed points"),
+        (False, "paths disagree on 120110121010"),
+    ),
+    "identity-hamming": (
+        {"hamming_matrix": identity(7, 2)},
+        (True, "all 745 codewords are fixed points"),
+        (True, "paths agree on 729 codewords + 10000 random words"),
+    ),
+    "flipped-hamming": (
+        {"hamming_matrix": _flipped(hamming_ntt_matrix(), 0, 0)},
+        (False, "codeword 1010100 is not fixed"),
+        (True, "paths agree on 729 codewords + 10000 random words"),
+    ),
+    "hamming-over-gf3": (
+        {"hamming_matrix": identity(7, 3)},
+        (False, "raised ValueError: modulus mismatch: GF(3) vs GF(2)"),
+        (True, "paths agree on 729 codewords + 10000 random words"),
+    ),
+    "hamming-3x3": (
+        {"hamming_matrix": identity(3, 2)},
+        (False, "raised ValueError: matrix has 3 columns, word has 7 symbols"),
+        (True, "paths agree on 729 codewords + 10000 random words"),
+    ),
+    "golay-identity-3": (
+        {"golay_matrix": identity(3, 3)},
+        (True, "all 43 codewords are fixed points"),
+        (False, "raised ValueError: expected a ternary word of length 12"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INJECTED_DETAILS))
+def test_injected_matrix_details(case):
+    kwargs, isomorphism, addition_only = INJECTED_DETAILS[case]
+    by_name = {r.name: (r.passed, r.detail) for r in run_checks(**kwargs)}
+    assert by_name["transform-code-isomorphism"] == isomorphism
+    assert by_name["golay-addition-only"] == addition_only
+
+
+def test_random_words_are_the_seeded_draw():
+    words = _random_words()
+    assert len(words) == 10000
+    assert all(len(w) == 12 for w in words)
+    digest = hashlib.sha256(bytes(chain.from_iterable(words))).hexdigest()
+    assert digest == \
+        "ea27fbeeef6ce72996bada924ce25885c77f177c001d463d0f8f4f0bf5bece90"
+
+
+# A 12x12 matrix over GF(7) fixing e_0 and e_1: n(p-1)**2 = 432 lies past the
+# 8-bit lane bound, so every product it takes part in is computed word by word.
+GF7_MATRIX = MatrixOverGfp(7, (
+    (1, 0, 3, 5, 0, 0, 6, 4, 0, 2, 4, 0),
+    (0, 1, 0, 0, 3, 3, 0, 1, 0, 4, 3, 0),
+    (0, 0, 0, 1, 5, 5, 4, 0, 4, 4, 3, 0),
+    (0, 0, 4, 6, 1, 2, 3, 1, 4, 0, 4, 2),
+    (0, 0, 5, 1, 0, 4, 4, 5, 1, 2, 0, 4),
+    (0, 0, 4, 0, 4, 1, 3, 5, 4, 3, 6, 2),
+    (0, 0, 3, 2, 2, 1, 6, 1, 5, 6, 1, 0),
+    (0, 0, 4, 3, 2, 5, 3, 2, 4, 0, 0, 4),
+    (0, 0, 6, 2, 1, 3, 3, 0, 5, 0, 6, 4),
+    (0, 0, 6, 2, 2, 5, 2, 4, 3, 4, 6, 3),
+    (0, 0, 0, 2, 3, 5, 5, 0, 0, 5, 5, 2),
+    (0, 0, 5, 6, 3, 2, 5, 3, 5, 2, 0, 3),
+))
+
+GF7_RESULTS = [
+    ("hamming-matrix-checksum", True, "sha256 d5088ccc0fa0.."),
+    ("golay-matrix-checksum", False,
+     "sha256 61d4c748181f.. != expected 6cee364bdfb2.."),
+    ("hamming-transform-pair", True, "2 transform pairs hold"),
+    ("hamming-invariant", True, "1 invariant words hold"),
+    ("golay-transform-pairs", False,
+     "raised ValueError: modulus mismatch: GF(7) vs GF(3)"),
+    ("golay-invariants", False,
+     "raised ValueError: modulus mismatch: GF(7) vs GF(3)"),
+    ("hamming-eigenspace-generator", True,
+     "dim 4, row space matches generator, all 4 rows fixed"),
+    ("hamming-code-parameters", True, "n=7 k=4 d=3"),
+    ("golay-code-parameters", False, "n=12 k=2 d=1, expected n=12 k=6 d=6"),
+    ("transform-code-isomorphism", True, "all 65 codewords are fixed points"),
+    ("golay-addition-only", False,
+     "raised ValueError: expected a ternary word of length 12"),
+    ("flower-features", True, "128-word sweep + figure words hold"),
+    ("render-determinism", True, "repeat and parallel renders byte-identical"),
+]
+
+
+def test_golay_matrix_over_gf7():
+    results = run_checks(golay_matrix=GF7_MATRIX)
+    assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
