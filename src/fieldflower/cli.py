@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--p", type=_decimal, default=2,
                     help="field modulus for word-list files (default 2)")
     pn.add_argument("--out", default="panel.svg")
-    pn.add_argument("--workers", type=int, default=1,
+    pn.add_argument("--workers", type=_decimal, default=1,
                     help="accepted for compatibility and ignored; "
                          "rendering is serial")
     _add_render_options(pn)

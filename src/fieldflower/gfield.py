@@ -11,6 +11,7 @@ shared freely across threads, and every operation returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -52,8 +53,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _is_prime_modulus(p: int) -> bool:
+    """is_prime, decided once per modulus: every value of a field asks."""
+    return is_prime(p)
+
+
 def _require_prime(p: int) -> None:
-    if type(p) is not int or not is_prime(p):
+    # The type test comes first: the cache would take 3.0 or True for the
+    # int key equal to it.  A refusal is raised anew on every call.
+    if type(p) is not int or not _is_prime_modulus(p):
         raise ValueError(f"modulus must be a prime int, got {p!r}")
 
 

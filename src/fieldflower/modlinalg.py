@@ -10,13 +10,22 @@ canonical null-space bases, is byte-reproducible.
 
 Entries are checked by `gfield._residues` and operands matched by
 `gfield._same_field`; this module has no value check of its own.
+
+`_mat_batch` multiplies a whole `_Batch` of vectors at once.  A batch stores
+symbol j of every vector in row j; for the product each row becomes one int
+with an 8-bit lane per vector, so output row i is sum_j M[i][j] * X_j, lane
+by lane, reduced by one `bytes.translate` through a v % p table.  A lane
+then holds at most n(p-1)**2, which is exact while it is at most 255 (7 for
+the 7-point transform, 48 for the 12-point one).  Past that bound the
+product is taken with `mat_vec` vector by vector; lanes never wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .gfield import Word, _is_decimal, _residues, _same_field
 
@@ -70,16 +79,93 @@ class RrefResult:
     pivot_columns: tuple[int, ...]
 
 
-def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
-    """y_i = sum_j M[i][j] * x_j mod p."""
+def _require_operand(m: MatrixOverGfp, x: "Word | _Batch") -> None:
+    """Require x to be over the field of m, with one symbol per column."""
     _same_field(m, x)
     if m.cols != len(x):
         raise ValueError(f"matrix has {m.cols} columns, word has {len(x)} symbols")
+
+
+def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
+    """y_i = sum_j M[i][j] * x_j mod p."""
+    _require_operand(m, x)
     p = m.modulus
     xs = x.symbols
     return Word(p, tuple(
         sum(e * v for e, v in zip(row, xs)) % p for row in m.entries
     ))
+
+
+# The largest lane sum an 8-bit lane holds exactly.
+_LANE_MAX = 255
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Vectors over GF(p) stored position by position: rows[j] holds symbol
+    j of every vector, as bytes (one byte per vector) while p <= 256 and as
+    a tuple past that.
+
+    Like a `Word`, it has a modulus and its len() is the symbol count.  The
+    values are residues by construction (codewords, seeded draws) and are
+    not checked again.
+    """
+
+    modulus: int
+    rows: tuple
+
+    @classmethod
+    def of(cls, p: int, vectors: Iterable[Sequence[int]]) -> "_Batch":
+        row = bytes if p <= 256 else tuple
+        return cls(p, tuple(row(column) for column in zip(*vectors)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def size(self) -> int:
+        """The number of vectors."""
+        return len(self.rows[0])
+
+    def lanes(self) -> list[int]:
+        """Each row as one int, vector b in bits 8b..8b+7."""
+        return [int.from_bytes(row, "little") for row in self.rows]
+
+    def word(self, b: int) -> Word:
+        return Word(self.modulus, tuple(row[b] for row in self.rows))
+
+    def first_difference(self, other: "_Batch") -> int | None:
+        """The index of the first vector on which two batches of one shape
+        differ, or None where they agree."""
+        if self.rows == other.rows:
+            return None
+        return min(
+            next(b for b, (u, v) in enumerate(zip(mine, theirs)) if u != v)
+            for mine, theirs in zip(self.rows, other.rows) if mine != theirs
+        )
+
+
+@lru_cache(maxsize=16)
+def _residue_table(p: int) -> bytes:
+    """v % p for every byte value v."""
+    return bytes(v % p for v in range(256))
+
+
+def _reduce_lanes(p: int, sums: Iterable[int], size: int) -> tuple[bytes, ...]:
+    """Each packed sum of `size` 8-bit lanes, every lane reduced mod p."""
+    table = _residue_table(p)
+    return tuple(s.to_bytes(size, "little").translate(table) for s in sums)
+
+
+def _mat_batch(m: MatrixOverGfp, x: _Batch) -> _Batch:
+    """mat_vec(m, w) for every vector w of the batch, as a batch."""
+    _require_operand(m, x)
+    p = m.modulus
+    if m.cols * (p - 1) ** 2 > _LANE_MAX:
+        return _Batch.of(p, (mat_vec(m, x.word(b)).symbols for b in range(x.size)))
+    xs = x.lanes()
+    sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
+    return _Batch(p, _reduce_lanes(p, sums, x.size))
 
 
 def mat_mul(a: MatrixOverGfp, b: MatrixOverGfp) -> MatrixOverGfp:

@@ -6,14 +6,26 @@ are fixed constants.  The 12-point matrix has entries in {0, +1, -1} (with
 2 = -1 mod 3), so it admits an addition-only evaluation path that never
 multiplies; that path is kept separate from the generic matrix product on
 purpose, and the two are required to agree everywhere.
+
+There is one addition-only evaluator, `_signed_sums`, and it evaluates a
+batch: symbol j of every word packed into one int, an 8-bit lane per word.
+Each output row adds its +1 columns, subtracts its -1 columns and adds
+`_OFFSET` to every lane, then one `bytes.translate` reduces the lanes mod 3.
+The offset is a multiple of 3, so it leaves every residue alone, and at
+least 2 * (the most -1 entries in a row), so no lane goes below 0; a lane
+stays at most _OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255, so
+none carries into the next.  `apply_addition_only` is a batch of one word,
+whose symbols are already one-lane ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
 from .gfield import FieldElement, Word
-from .modlinalg import MatrixOverGfp, mat_vec, null_space
+from .modlinalg import MatrixOverGfp, _Batch, _reduce_lanes, mat_vec, null_space
 
 _HAMMING_ROWS = (
     (0, 1, 0, 1, 1, 0, 0),
@@ -42,6 +54,19 @@ _GOLAY_SIGNED_ROWS = (
     (-1, 1, 0, 0, 1, -1, 1, 0, 0, 0, 1, 1),
     (1, -1, -1, 0, -1, 0, 0, 1, 1, 0, 0, 1),
 )
+
+
+# Per row of the signed form: a getter for the symbols under its +1 entries
+# and one for those under its -1 entries.  Every row has at least two of
+# each, so each getter returns a tuple.
+_SIGNED_GETTERS = tuple(
+    (itemgetter(*(j for j, e in enumerate(row) if e == 1)),
+     itemgetter(*(j for j, e in enumerate(row) if e == -1)))
+    for row in _GOLAY_SIGNED_ROWS
+)
+
+# The least multiple of 3 that is at least 2 * (the most -1 entries in a row).
+_OFFSET = 3 * -(-2 * max(row.count(-1) for row in _GOLAY_SIGNED_ROWS) // 3)
 
 
 def hamming_ntt_matrix() -> MatrixOverGfp:
@@ -84,25 +109,37 @@ def apply(transform: Transform | MatrixOverGfp, x: Word) -> Word:
     return mat_vec(_matrix_of(transform), x)
 
 
+def _signed_sums(xs: Sequence[int], size: int) -> tuple[bytes, ...]:
+    """The 12-point transform of `size` words by additions and subtractions
+    only: xs[j] packs symbol j of every word, one 8-bit lane per word, and
+    output row i holds symbol i of every image, as bytes."""
+    offset = _OFFSET * int.from_bytes(b"\x01" * size, "little")
+    return _reduce_lanes(3, (
+        sum(plus(xs)) - sum(minus(xs)) + offset
+        for plus, minus in _SIGNED_GETTERS
+    ), size)
+
+
+def _require_golay_shape(x: Word | _Batch) -> None:
+    if x.modulus != 3 or len(x) != 12:
+        raise ValueError("expected a ternary word of length 12")
+
+
 def apply_addition_only(x: Word) -> Word:
     """Evaluate the 12-point ternary transform without any multiplication.
 
     Each output coordinate is a signed accumulation over the {-1, 0, +1}
     matrix: add x_j where the entry is +1, subtract where it is -1, skip
-    zeros, and reduce mod 3 once at the end.
+    zeros, and reduce mod 3 once at the end.  The word is a batch of one.
     """
-    if x.modulus != 3 or len(x) != 12:
-        raise ValueError("expected a ternary word of length 12")
-    out = []
-    for row in _GOLAY_SIGNED_ROWS:
-        acc = 0
-        for e, v in zip(row, x.symbols):
-            if e == 1:
-                acc += v
-            elif e == -1:
-                acc -= v
-        out.append(acc % 3)
-    return Word(3, tuple(out))
+    _require_golay_shape(x)
+    return Word(3, tuple(b"".join(_signed_sums(x.symbols, 1))))
+
+
+def _addition_only_batch(x: _Batch) -> _Batch:
+    """apply_addition_only of every word of the batch, as a batch."""
+    _require_golay_shape(x)
+    return _Batch(3, _signed_sums(x.lanes(), x.size))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ transform/code isomorphism, the addition-only evaluation path, flower feature
 counts, and rendering determinism.  The matrices are injectable so tests can
 corrupt one and watch the right checks go red.
 
+The transform/code isomorphism and the addition-only check evaluate their
+words as `modlinalg._Batch`es, one packed product per batch, rather than
+word by word; on a mismatch they still name the first word that differs,
+codewords before the seeded random words, and over a field or shape the
+per-word functions refuse they raise the same error.
+
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
 (weight-5 fixed words exist, e.g. 000101200202).  The golay-code-parameters
@@ -24,9 +30,9 @@ from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
     hamming_generator, minimum_distance
 from .flowergeom import features
 from .gfield import Word, format_word, parse_word
-from .modlinalg import MatrixOverGfp, format_matrix, mat_vec, \
-    matrix_from_words, same_row_space
-from .ntt import apply_addition_only, fixed_space, golay_ntt_matrix, \
+from .modlinalg import MatrixOverGfp, _Batch, _mat_batch, format_matrix, \
+    mat_vec, matrix_from_words, same_row_space
+from .ntt import _addition_only_batch, fixed_space, golay_ntt_matrix, \
     hamming_ntt_matrix
 from .render import RenderSpec, panel, to_svg
 
@@ -101,14 +107,19 @@ def _check_code_parameters(code: LinearCode,
     return False, f"{label}, expected {want}"
 
 
+def _codeword_batch(code: LinearCode) -> _Batch:
+    return _Batch.of(code.modulus, (w.symbols for w in enumerate_codewords(code)))
+
+
 def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp) -> tuple[bool, str]:
     total = 0
     for m, code in ((th, LinearCode(hamming_generator())),
                     (tg, code_from_fixed_space(tg))):
-        for w in enumerate_codewords(code):
-            if mat_vec(m, w) != w:
-                return False, f"codeword {format_word(w)} is not fixed"
-            total += 1
+        words = _codeword_batch(code)
+        k = _mat_batch(m, words).first_difference(words)
+        if k is not None:
+            return False, f"codeword {format_word(words.word(k))} is not fixed"
+        total += words.size
     return True, f"all {total} codewords are fixed points"
 
 
@@ -120,12 +131,15 @@ def _random_words() -> list[tuple[int, ...]]:
 
 
 def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:
-    words = enumerate_codewords(code_from_fixed_space(tg))
-    randoms = [Word(3, r) for r in _random_words()]
-    for w in words + randoms:
-        if apply_addition_only(w) != mat_vec(tg, w):
-            return False, f"paths disagree on {format_word(w)}"
-    return True, f"paths agree on {len(words)} codewords + {len(randoms)} random words"
+    words = _codeword_batch(code_from_fixed_space(tg))
+    randoms = _Batch.of(3, _random_words())
+    # codewords first: over a field other than GF(3) they raise as
+    # apply_addition_only would on the first of them
+    for batch in (words, randoms):
+        k = _addition_only_batch(batch).first_difference(_mat_batch(tg, batch))
+        if k is not None:
+            return False, f"paths disagree on {format_word(batch.word(k))}"
+    return True, f"paths agree on {words.size} codewords + {randoms.size} random words"
 
 
 def _check_flower_features() -> tuple[bool, str]:

@@ -34,6 +34,7 @@ from fieldflower.modlinalg import (
 from fieldflower.ntt import GOLAY, HAMMING, apply, apply_addition_only, fixed_space
 from fieldflower.render import RenderSpec, panel, to_svg
 import reference_constants as ref
+from reference_paths import reference_addition_only
 
 
 def check(criterion: str, passed: bool, detail: str) -> None:
@@ -124,8 +125,8 @@ def test_criterion_08_multiplication_free_path():
     rng = random.Random(420)
     randoms = [Word(3, tuple(rng.randrange(3) for _ in range(12)))
                for _ in range(10000)]
-    ok = all(apply_addition_only(w) == apply(GOLAY, w)
-             for w in words + randoms)
+    ok = all(apply_addition_only(w) == reference_addition_only(w)
+             == apply(GOLAY, w) for w in words + randoms)
     check("criterion 8 (multiplication-free path)", ok,
           f"addition-only agrees with the matrix product on "
           f"{len(words)} codewords + {len(randoms)} random words: {ok}")

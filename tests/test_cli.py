@@ -199,6 +199,9 @@ def test_render_bad_spec_exit_2(capsys, tmp_path, flags):
     ("render", "0,1,0,2", "--p", "1_1"),
     ("panel", "all-binary-7", "--p", "+3"),
     ("panel", "all-binary-7", "--columns", "1_6"),
+    ("panel", "all-binary-7", "--workers", "\u0663"),
+    ("panel", "all-binary-7", "--workers", "+4"),
+    ("panel", "all-binary-7", "--workers", "1_0"),
 ])
 def test_integer_options_take_ascii_digits_only(capsys, tmp_path, argv):
     bad, good = tmp_path / "bad.svg", tmp_path / "good.svg"

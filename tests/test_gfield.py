@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from fieldflower import gfield
 from fieldflower.gfield import (
     FieldElement,
     Word,
@@ -15,6 +16,7 @@ from fieldflower.gfield import (
     parse_word,
     parse_word_list,
 )
+from fieldflower.modlinalg import MatrixOverGfp
 
 PRIMES = (2, 3, 5, 7)
 
@@ -55,6 +57,34 @@ def test_modulus_past_two_to_the_64_refused():
         assert tracemalloc.get_traced_memory()[1] < 64 * 1024
     finally:
         tracemalloc.stop()
+
+
+def test_modulus_is_checked_once_per_field(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(gfield, "is_prime", counting_is_prime)
+    gfield._is_prime_modulus.cache_clear()
+    try:
+        for v in range(1000):
+            Word(32749, (v, 0))
+        FieldElement(5, 32749)
+        MatrixOverGfp(32749, ((1, 2), (3, 4)))
+        assert calls == [32749]
+        Word(3, (0,))
+        for _ in range(3):
+            # refusals are not remembered: each call raises again
+            for p in (32751, 3.0, True, "3"):
+                with pytest.raises(ValueError, match="prime int"):
+                    Word(p, (0,))
+            with pytest.raises(ValueError, match="below 2\\*\\*64"):
+                Word(2**64 + 13, (0,))
+        assert calls == [32749, 3, 32751] + [2**64 + 13] * 3
+    finally:
+        gfield._is_prime_modulus.cache_clear()
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from fieldflower import modlinalg
 from fieldflower.gfield import Word
 from fieldflower.modlinalg import (
     MatrixOverGfp,
+    _Batch,
+    _mat_batch,
     format_matrix,
     identity,
     mat_mul,
@@ -167,6 +170,75 @@ def test_shape_and_modulus_mismatches_rejected():
         mat_vec(a, Word(2, (1, 0, 1)))
     with pytest.raises(ValueError):
         mat_mul(a, MatrixOverGfp(2, ((1, 0),)))
+
+
+def batch_product(m, words):
+    out = _mat_batch(m, _Batch.of(m.modulus, [w.symbols for w in words]))
+    return [out.word(b) for b in range(out.size)]
+
+
+def lane_stress(rng, p, rows, n, count):
+    """A matrix whose first row is all p-1 and vectors led by the all-(p-1)
+    one, so that lane sums reach n*(p-1)**2; the rest is random."""
+    m = MatrixOverGfp(p, ((p - 1,) * n,) + tuple(
+        tuple(rng.randrange(p) for _ in range(n)) for _ in range(rows - 1)
+    ))
+    words = [Word(p, (p - 1,) * n), Word(p, (0,) * n)] + [
+        Word(p, tuple(rng.randrange(p) for _ in range(n)))
+        for _ in range(count - 2)
+    ]
+    return m, words
+
+
+# (p, n, packed): n*(p-1)**2 is 255 at (2, 255), the widest exact lane sum,
+# and 256 at (2, 256), (3, 64), (5, 16) and (17, 1); past p = 256 the batch
+# rows are tuples.
+@pytest.mark.parametrize("p,n,packed", [
+    (2, 7, True), (3, 12, True), (3, 63, True), (5, 15, True),
+    (2, 255, True), (2, 256, False), (3, 64, False), (5, 16, False),
+    (17, 1, False), (7, 12, False), (257, 3, False),
+])
+def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, packed):
+    rng = random.Random(p * 1000 + n)
+    m, words = lane_stress(rng, p, 6, n, 40)
+    expected = [mat_vec(m, w) for w in words]
+    calls = []
+    monkeypatch.setattr(modlinalg, "mat_vec",
+                        lambda *a: calls.append(a) or mat_vec(*a))
+    assert batch_product(m, words) == expected
+    # past the lane bound, and only there, the product is taken word by word
+    assert len(calls) == (0 if packed else len(words))
+
+
+@pytest.mark.parametrize("size", [1, 2, 729, 10729])
+def test_batch_product_over_batch_sizes(size):
+    rng = random.Random(size)
+    m, words = lane_stress(rng, 3, 12, 12, max(size, 2))
+    words = words[:size]
+    assert batch_product(m, words) == [mat_vec(m, w) for w in words]
+
+
+def test_batch_product_rejects_what_mat_vec_rejects():
+    m = MatrixOverGfp(2, ((1, 0),))
+    for x in (_Batch.of(2, [(1, 0, 1)]), _Batch.of(3, [(1, 0)])):
+        with pytest.raises(ValueError) as batch_error:
+            _mat_batch(m, x)
+        with pytest.raises(ValueError) as word_error:
+            mat_vec(m, x.word(0))
+        assert str(batch_error.value) == str(word_error.value)
+
+
+def test_batch_first_difference():
+    words = [(0, 1, 2), (1, 1, 1), (2, 0, 1), (0, 0, 0)]
+    a = _Batch.of(3, words)
+    assert a.size == 4 and len(a) == 3
+    assert a.first_difference(_Batch.of(3, words)) is None
+    changed = list(words)
+    changed[3] = (0, 0, 1)
+    assert a.first_difference(_Batch.of(3, changed)) == 3
+    changed[2] = (2, 1, 1)
+    assert a.first_difference(_Batch.of(3, changed)) == 2
+    assert a.word(2) == Word(3, (2, 0, 1))
 
 
 def test_same_row_space_invariant_under_row_operations():

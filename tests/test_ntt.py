@@ -9,6 +9,7 @@ import pytest
 from fieldflower.gfield import Word, format_word, parse_word
 from fieldflower.modlinalg import (
     MatrixOverGfp,
+    _Batch,
     format_matrix,
     identity,
     mat_vec,
@@ -17,9 +18,11 @@ from fieldflower.modlinalg import (
     same_row_space,
 )
 from fieldflower.ntt import (
+    _OFFSET,
     BUILTIN_TRANSFORMS,
     GOLAY,
     HAMMING,
+    _addition_only_batch,
     apply,
     apply_addition_only,
     eigen_spectrum,
@@ -29,6 +32,7 @@ from fieldflower.ntt import (
     hamming_ntt_matrix,
 )
 import reference_constants as ref
+from reference_paths import reference_addition_only
 
 
 def test_builtin_matrices_match_reference_transcription():
@@ -107,7 +111,45 @@ def test_addition_only_agrees_with_matrix_product():
     rng = random.Random(99)
     for _ in range(2000):
         x = Word(3, tuple(rng.randrange(3) for _ in range(12)))
+        assert apply_addition_only(x) == reference_addition_only(x)
         assert apply_addition_only(x) == apply(GOLAY, x)
+
+
+def batched_addition_only(words):
+    out = _addition_only_batch(_Batch.of(3, [w.symbols for w in words]))
+    return [out.word(b) for b in range(out.size)]
+
+
+ALL_TWO = Word(3, (2,) * 12)  # every lane at its largest symbol
+
+
+@pytest.mark.parametrize("size", [1, 2, 729, 10729])
+def test_addition_only_batch_matches_reference_loop(size):
+    rng = random.Random(size)
+    words = [ALL_TWO] + [Word(3, tuple(rng.randrange(3) for _ in range(12)))
+                         for _ in range(size - 1)]
+    assert batched_addition_only(words) == [reference_addition_only(w)
+                                            for w in words]
+
+
+def test_addition_only_batch_at_each_rows_extremes():
+    # per row: 2 under every -1 entry and 0 elsewhere puts that lane at its
+    # least sum (-2 * #(-1)), 2 under every +1 entry at its largest
+    words = [ALL_TWO]
+    for row in ref.GOLAY_SIGNED_ROWS:
+        for sign in (-1, 1):
+            words.append(Word(3, tuple(2 if e == sign else 0 for e in row)))
+    expected = [reference_addition_only(w) for w in words]
+    assert batched_addition_only(words) == expected
+    assert [apply_addition_only(w) for w in words] == expected
+
+
+def test_addition_only_offset_rule():
+    most_negative = max(row.count(-1) for row in ref.GOLAY_SIGNED_ROWS)
+    most_positive = max(row.count(1) for row in ref.GOLAY_SIGNED_ROWS)
+    assert _OFFSET % 3 == 0
+    assert 2 * most_negative <= _OFFSET < 2 * most_negative + 3
+    assert _OFFSET + 2 * most_positive <= 255
 
 
 def test_addition_only_worked_pair_and_zero():
@@ -119,9 +161,12 @@ def test_addition_only_worked_pair_and_zero():
 
 def test_addition_only_exhaustive_over_padded_prefixes():
     # every ternary word whose last six symbols are zero
-    for prefix in itertools.product(range(3), repeat=6):
-        x = Word(3, prefix + (0,) * 6)
-        assert apply_addition_only(x) == apply(GOLAY, x)
+    words = [Word(3, prefix + (0,) * 6)
+             for prefix in itertools.product(range(3), repeat=6)]
+    expected = [reference_addition_only(x) for x in words]
+    assert [apply_addition_only(x) for x in words] == expected
+    assert batched_addition_only(words) == expected
+    assert expected == [apply(GOLAY, x) for x in words]
 
 
 def test_addition_only_rejects_wrong_shape():
@@ -129,6 +174,9 @@ def test_addition_only_rejects_wrong_shape():
         apply_addition_only(Word(3, (0, 1, 2)))
     with pytest.raises(ValueError):
         apply_addition_only(Word(2, (0,) * 12))
+    for p, n in ((3, 3), (2, 12), (3, 13)):
+        with pytest.raises(ValueError, match="ternary word of length 12"):
+            _addition_only_batch(_Batch.of(p, [(0,) * n] * 2))
 
 
 def test_fixed_space_hamming():

@@ -5,7 +5,8 @@ from itertools import chain
 
 import pytest
 
-from fieldflower.modlinalg import MatrixOverGfp, identity
+from fieldflower import modlinalg
+from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.verify import _random_words, format_report, run_checks
 
@@ -180,6 +181,12 @@ GF7_RESULTS = [
 ]
 
 
-def test_golay_matrix_over_gf7():
+def test_golay_matrix_over_gf7(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modlinalg, "mat_vec",
+                        lambda *a: calls.append(a) or mat_vec(*a))
     results = run_checks(golay_matrix=GF7_MATRIX)
     assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
+    # the isomorphism check takes the 49 fixed words of GF7_MATRIX word by
+    # word; the 16 Hamming codewords stay packed
+    assert len(calls) == 49
