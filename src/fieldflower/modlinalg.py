@@ -79,7 +79,7 @@ class RrefResult:
     pivot_columns: tuple[int, ...]
 
 
-def _require_operand(m: MatrixOverGfp, x: "Word | _Batch") -> None:
+def _require_operand(m: MatrixOverGfp, x: Word | _Batch) -> None:
     """Require x to be over the field of m, with one symbol per column."""
     _same_field(m, x)
     if m.cols != len(x):
@@ -115,7 +115,7 @@ class _Batch:
     rows: tuple
 
     @classmethod
-    def of(cls, p: int, vectors: Iterable[Sequence[int]]) -> "_Batch":
+    def of(cls, p: int, vectors: Iterable[Sequence[int]]) -> _Batch:
         row = bytes if p <= 256 else tuple
         return cls(p, tuple(row(column) for column in zip(*vectors)))
 
@@ -134,7 +134,7 @@ class _Batch:
     def word(self, b: int) -> Word:
         return Word(self.modulus, tuple(row[b] for row in self.rows))
 
-    def first_difference(self, other: "_Batch") -> int | None:
+    def first_difference(self, other: _Batch) -> int | None:
         """The index of the first vector on which two batches of one shape
         differ, or None where they agree."""
         if self.rows == other.rows:
