@@ -21,10 +21,11 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from struct import calcsize
 from typing import Iterator
 
-from .gfield import Word, _same_field
+from .gfield import Word, _reduced_word, _require_prime, _same_field
 from .modlinalg import MatrixOverGfp, matrix_from_words, rref
 from .ntt import Transform, fixed_space, hamming_ntt_matrix
 
@@ -133,13 +134,26 @@ def _span(p: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[int]:
 
 
 def enumerate_codewords(code: LinearCode) -> list[Word]:
-    """All p**k codewords u*G, ordered by the message word u lexicographically."""
+    """All p**k codewords u*G, ordered by the message word u lexicographically;
+    the modulus is checked once and each packed word by one lane test."""
     _check_enumerable(code)
-    p = code.modulus
-    fmt, w, _, _ = _lanes(p, code.length)
-    size = code.length * w // 8
-    return [Word(p, tuple(memoryview(s.to_bytes(size, sys.byteorder)).cast(fmt)))
-            for s in _span(p, code.generator.entries)]
+    p, n = code.modulus, code.length
+    _require_prime(p)
+    fmt, w, one, top = _lanes(p, n)
+    size = n * w // 8
+    bias = ((1 << w - 1) - p) * one
+    span, words = _span(p, code.generator.entries), []
+    # Unpacked 4096 words at a time: one buffer for all would raise the peak.
+    while chunk := list(islice(span, 4096)):
+        packed = bytearray()
+        for s in chunk:
+            if (s | s + bias) & top:  # a lane with its top bit set or biased to it
+                k = len(words) + len(packed) // size
+                raise ValueError(f"codeword {k} has a symbol >= {p}")
+            packed += s.to_bytes(size, sys.byteorder)
+        symbols = iter(memoryview(packed).cast(fmt))
+        words += [_reduced_word(p, t) for t in zip(*[symbols] * n)]
+    return words
 
 
 def minimum_distance(code: LinearCode) -> int:

@@ -5,7 +5,8 @@ shared freely across threads, and every operation returns a new value.
 
 `_residues` alone decides what a value of GF(p) is (a prime `int` modulus,
 `int` residues in 0..p-1) for elements, words and matrices alike, and
-`_same_field` alone checks that two operands share a modulus.
+`_same_field` alone checks that two operands share a modulus.  Only the
+codebook walk skips `_residues`, through `_reduced_word`, checking its own.
 """
 
 from __future__ import annotations
@@ -159,6 +160,14 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r} over GF({self.modulus}))"
+
+
+def _reduced_word(p: int, symbols: tuple[int, ...]) -> Word:
+    """A Word built without `_residues`: p is a checked prime, symbols ints < p."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "modulus", p)
+    object.__setattr__(word, "symbols", symbols)
+    return word
 
 
 def _is_decimal(text: str) -> bool:

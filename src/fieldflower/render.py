@@ -24,6 +24,9 @@ _ARROW_COLOR = "808080"
 _OUTLINE_COLOR = "404040"
 _LABEL_COLOR = "333333"
 
+# A cell over GF(p) has p-1 grid rings; a larger p is refused before drawing.
+MAX_RINGS = 1000
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -178,6 +181,9 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int,
     label.  With shape None only the grid is drawn, whatever spec.grid says.
     Each point is formatted once and reused by every primitive through it.
     """
+    if p - 1 > MAX_RINGS:
+        raise ValueError(f"GF({p}) would draw {p - 1} grid rings, "
+                         f"past the bound of {MAX_RINGS}")
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
     o = at(c, 0.0, 0.0)
     out = []

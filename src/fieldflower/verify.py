@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
     hamming_generator, minimum_distance
@@ -127,7 +129,9 @@ def _random_words() -> list[tuple[int, ...]]:
     """The 10,000 seeded ternary 12-symbol words the addition-only check
     runs after the codewords."""
     rng = random.Random(_RNG_SEED)
-    return [tuple(rng.randrange(3) for _ in range(12)) for _ in range(10000)]
+    # The draws of rng.randrange(3): getrandbits(2), drawn again on 3.
+    symbols = filter((3).__gt__, iter(partial(rng.getrandbits, 2), None))
+    return list(islice(zip(*[symbols] * 12), 10000))
 
 
 def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import fieldflower
 from fieldflower.cli import main
 from fieldflower.gfield import parse_word_list
+from fieldflower.render import MAX_RINGS
 import reference_constants as ref
 
 
@@ -212,6 +214,31 @@ def test_integer_options_take_ascii_digits_only(capsys, tmp_path, argv):
     # the value int() read from that text, written in ASCII digits, still works
     assert run_cli(capsys, *argv[:-1], str(int(argv[-1])), "--out", str(good))[0] == 0
     assert good.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "0,1"),
+    ("render", "0,1", "--format", "tikz"),
+    ("render", "0,1", "--no-grid"),
+    ("panel", "words.txt"),
+])
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_modulus_past_the_ring_bound_refused(capsys, tmp_path, argv, p):
+    # GF(p) draws p-1 grid rings; past the bound the command exits 2 naming
+    # it, before any ring is drawn or any file written.
+    (tmp_path / "words.txt").write_text("0,1\n1,0\n")
+    argv = [str(tmp_path / a) if a == "words.txt" else a for a in argv]
+    out_file = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv, "--p", str(p), "--out", str(out_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert f"GF({p}) would draw {p - 1} grid rings, past the bound of {MAX_RINGS}" in err
+    assert not out_file.exists()
+    assert peak < 256 * 1024
 
 
 def test_panel_all_binary_7(capsys, tmp_path):

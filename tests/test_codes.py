@@ -1,8 +1,10 @@
 """Linear code machinery over the two built-in codes."""
 
+import ast
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +248,11 @@ def test_split_walk_matches_reference_walk(code):
     got = enumerate_codewords(code)
     assert got == expected
     assert all(type(w) is Word for w in got)
+    # The walk builds its Words without _residues: each must round-trip
+    # through it (int symbols in 0..p-1) to an equal, hash-equal Word.
+    for w in got:
+        rebuilt = Word(w.modulus, w.symbols)
+        assert w == rebuilt and hash(w) == hash(rebuilt)
     weights = [sum(1 for s in w.symbols if s) for w in expected]
     assert minimum_distance(code) == min(filter(None, weights), default=code.length + 1)
 
@@ -255,3 +262,49 @@ def test_every_codeword_is_a_fixed_point(name, transform):
     code = builtin_code(name)
     for w in enumerate_codewords(code):
         assert apply(transform, w) == w
+
+
+def loads_of(name, node, scope="<module>"):
+    """The enclosing function (or '<module>') of each read of `name`, as a
+    bare name or as an attribute, in the syntax tree under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(getattr(node, "ctx", None), ast.Load) and \
+            name in (getattr(node, "id", None), getattr(node, "attr", None)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from loads_of(name, child, scope)
+
+
+def test_reduced_word_is_used_only_by_enumerate_codewords():
+    # Every use of the unchecked Word constructor is pinned here: widening
+    # that trusted path means editing this set on purpose.
+    users = {
+        (path.stem, scope)
+        for path in Path(codes.__file__).parent.glob("*.py")
+        for scope in loads_of("_reduced_word", ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert users == {("codes", "enumerate_codewords")}
+
+
+@pytest.mark.parametrize("p", [2, 3, 131, 32771])
+def test_enumeration_refuses_an_unreduced_packed_word(monkeypatch, p):
+    # One lane per lane width (8 bits for 2 and 3, 16 for 131, 32 for 32771)
+    # holding p, 2p-2 (the largest unreduced hi + lo) or all ones (which the
+    # bias carries out of), once in the first and once in the last lane; no
+    # Word may be built from any.
+    code = LinearCode(MatrixOverGfp(p, ((1, 0, 1),)))
+    _, w, _, _ = codes._lanes(p, code.length)
+    built = []
+    monkeypatch.setattr(codes, "_reduced_word",
+                        lambda *args: built.append(args) or Word(*args))
+    for lane in (p, 2 * p - 2, (1 << w) - 1):
+        for at in (0, code.length - 1):
+            monkeypatch.setattr(codes, "_span", lambda *_: iter((0, lane << w * at)))
+            with pytest.raises(ValueError, match=f"codeword 1 has a symbol >= {p}$"):
+                enumerate_codewords(code)
+    assert built == []
+    # the middle lane holding p - 1 passes, in either native byte order
+    monkeypatch.setattr(codes, "_span", lambda *_: iter((0, (p - 1) << w)))
+    assert enumerate_codewords(code)[1] == Word(p, (0, p - 1, 0))
+    assert len(built) == 2

@@ -9,7 +9,8 @@ import pytest
 
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
-from fieldflower.render import RenderSpec, panel, render_grid, to_svg, to_tikz
+from fieldflower.render import MAX_RINGS, RenderSpec, panel, render_grid, to_svg, \
+    to_tikz
 import reference_constants as ref
 
 
@@ -161,6 +162,15 @@ def test_render_grid_preconditions():
         render_grid(1, 2)
     with pytest.raises(ValueError):
         render_grid(7, 6)
+
+
+def test_moduli_past_the_ring_bound_refused():
+    assert svg_count(render_grid(3, 997), "ring") == 996 <= MAX_RINGS
+    shape = features(Word(1009, (0, 1)))
+    for draw in (lambda: render_grid(3, 1009), lambda: to_svg(shape),
+                 lambda: to_tikz(shape), lambda: panel([shape.word], columns=1)):
+        with pytest.raises(ValueError, match=f"past the bound of {MAX_RINGS}"):
+            draw()
 
 
 def test_panel_cell_count_and_layout():
