@@ -6,7 +6,7 @@ shared freely across threads, and every operation returns a new value.
 `_residues` alone decides what a value of GF(p) is (a prime `int` modulus,
 `int` residues in 0..p-1) for elements, words and matrices alike, and
 `_same_field` alone checks that two operands share a modulus.  Only the
-codebook walk skips `_residues`, through `_reduced_word`, checking its own.
+codebook walk skips `_residues` (through `_reduced_word`): it checks its words.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ class Word:
 
 
 def _reduced_word(p: int, symbols: tuple[int, ...]) -> Word:
-    """A Word built without `_residues`: p is a checked prime, symbols ints < p."""
+    """A Word built without `_residues`: the caller has checked that p is
+    prime and that the symbols are ints in 0..p-1."""
     word = object.__new__(Word)
     object.__setattr__(word, "modulus", p)
     object.__setattr__(word, "symbols", symbols)
