@@ -63,22 +63,39 @@ def constellation(word: Word) -> tuple[ConstellationPoint, ...]:
     return tuple(points)
 
 
+def _petals_and_thorns(x: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Petal start indices and thorn indices of the symbols x, ascending."""
+    n = len(x)
+    # x[k - 1] and x[k + 1 - n] are the cyclic neighbours of x[k], 0 <= k < n.
+    starts = [k for k in range(n) if x[k] and x[k + 1 - n]]
+    thorns = [k for k in range(n) if x[k] and not x[k - 1] and not x[k + 1 - n]]
+    return starts, thorns
+
+
+def _shade_parities(starts: list[int], n: int) -> list[int]:
+    """petal_shades' rule on ascending petal starts: 0 is light, 1 dark.
+
+    A run through N-1 that goes on at 0 has its lowest start at 0, so its
+    part from N-1 down alternates back from N.
+    """
+    seam = 0 < len(starts) < n and starts[0] == 0
+    out, head, prev = [], 0, None
+    for i, k in enumerate(starts):
+        if k - 1 != prev:
+            head = n if seam and len(starts) - i == n - k else k
+        out.append((k - head) % 2)
+        prev = k
+    return out
+
+
 def features(word: Word) -> FlowerShape:
     """Derive petals, thorns, and the outline for a word."""
     n = len(word)
-    x = word.symbols
     points = constellation(word)
-    petals = tuple(
-        (k, (k + 1) % n)
-        for k in range(n)
-        if x[k] != 0 and x[(k + 1) % n] != 0
-    )
-    thorns = tuple(
-        k for k in range(n)
-        if x[k] != 0 and x[(k - 1) % n] == 0 and x[(k + 1) % n] == 0
-    )
-    return FlowerShape(word=word, points=points, petals=petals,
-                       thorns=thorns, outline=points)
+    starts, thorns = _petals_and_thorns(word.symbols)
+    return FlowerShape(word=word, points=points,
+                       petals=tuple([(k, (k + 1) % n) for k in starts]),
+                       thorns=tuple(thorns), outline=points)
 
 
 def petal_shades(shape: FlowerShape) -> list[str]:
@@ -90,21 +107,5 @@ def petal_shades(shape: FlowerShape) -> list[str]:
     whole cycle, and an odd petal count then forces one same-shade pair at
     the wrap seam; the anchor rule above still fixes the assignment.
     """
-    if not shape.petals:
-        return []
-    n = len(shape.word)
-    starts = {k for k, _ in shape.petals}
-    shade_of = {}
-    if len(starts) == n:
-        for k in starts:
-            shade_of[k] = "light" if k % 2 == 0 else "dark"
-    else:
-        heads = [s for s in starts if (s - 1) % n not in starts]
-        for head in heads:
-            chain = [head]
-            while (chain[-1] + 1) % n in starts:
-                chain.append((chain[-1] + 1) % n)
-            anchor = chain.index(min(chain))
-            for i, s in enumerate(chain):
-                shade_of[s] = "light" if (i - anchor) % 2 == 0 else "dark"
-    return [shade_of[k] for k, _ in shape.petals]
+    starts = [k for k, _ in shape.petals]
+    return [("light", "dark")[d] for d in _shade_parities(starts, len(shape.word))]

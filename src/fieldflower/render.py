@@ -7,6 +7,8 @@ twice must produce identical bytes; golden-file tests depend on it.
 
 One walk, _draw, decides which primitives a cell has and in what order; SVG
 and TikZ differ only in the format table that turns each primitive into text.
+A panel sets the walk up once per call, so its cells share the grid lines and
+each placed point.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from string import hexdigits
 
-from .flowergeom import FlowerShape, features, petal_shades
+from .flowergeom import FlowerShape, _petals_and_thorns, _shade_parities
 from .gfield import Word, _require_prime, format_word
 
 _AXIS_COLOR = "B0B0B0"
@@ -24,7 +26,9 @@ _ARROW_COLOR = "808080"
 _OUTLINE_COLOR = "404040"
 _LABEL_COLOR = "333333"
 
-# A cell over GF(p) has p-1 grid rings; a larger p is refused before drawing.
+# A cell of n symbols over GF(p) has n axes and p-1 grid rings; a longer word
+# or a larger p is refused before drawing.
+MAX_AXES = 256
 MAX_RINGS = 1000
 
 
@@ -173,53 +177,68 @@ _TIKZ = {
 }
 
 
-def _draw(f: dict, spec: RenderSpec, n: int, p: int,
-          shape: FlowerShape | None = None) -> list[str]:
-    """One line per primitive of a cell, in the fixed drawing order.
+def _draw(f: dict, spec: RenderSpec, n: int, p: int, grid: bool):
+    """The drawing walk for cells of n symbols over GF(p), in format f.
 
-    The order is grid (axes, rings, arrow), petals, outline, thorns, markers,
-    label.  With shape None only the grid is drawn, whatever spec.grid says.
-    Each point is formatted once and reused by every primitive through it.
+    Checks the bounds before any primitive and draws the grid lines (axes,
+    rings, arrow) if grid, once.  Returns (grid lines, place, cell): place(x,
+    y) formats a point in field units, and cell(word, pts) gives one line per
+    primitive of the word's cell, pts[k] being its placed point k, in the
+    fixed order grid, petals, outline, thorns, markers, label.
     """
+    if n > MAX_AXES:
+        raise ValueError(f"a word of {n} symbols would draw {n} axes, "
+                         f"past the bound of {MAX_AXES}")
     if p - 1 > MAX_RINGS:
         raise ValueError(f"GF({p}) would draw {p - 1} grid rings, "
                          f"past the bound of {MAX_RINGS}")
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
     o = at(c, 0.0, 0.0)
-    out = []
-    if shape is None or spec.grid:
+    lines = []
+    if grid:
         w = _fmt(spec.stroke_width * 0.5)
         r_outer = (p - 1) * s
         axis = f["axis"]
         for k in range(n):
             angle = math.tau * k / n
             q = at(c, r_outer * math.cos(angle), r_outer * math.sin(angle))
-            out.append(axis(o, q, w, k))
+            lines.append(axis(o, q, w, k))
         ring = f["ring"]
-        out.extend(ring(o, _fmt(i * s), w, i) for i in range(1, p))
+        lines.extend(ring(o, _fmt(i * s), w, i) for i in range(1, p))
         start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
-        out.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
-                              [at(c, *wing) for wing in wings], w))
-        if shape is None:
-            return out
-    pts = [at(c, s * pt.x, s * pt.y) for pt in shape.points]
-    light, dark = f["color"](spec.light_color), f["color"](spec.dark_color)
-    petal = f["petal"]
-    for i, ((a, b), shade) in enumerate(zip(shape.petals, petal_shades(shape))):
-        out.append(petal(o, pts[a], pts[b], light if shade == "light" else dark, i))
-    w = _fmt(spec.stroke_width)
-    # The all-zero word has every point on the origin; its outline would be a
-    # degenerate dot, so it is omitted entirely.
-    if shape.word.weight() > 0:
-        out.append(f["outline"](pts, w))
-    thorn = f["thorn"]
-    out.extend(thorn(o, pts[k], dark, w, i) for i, k in enumerate(shape.thorns))
-    marker, mr = f["marker"], _fmt(spec.marker_radius)
-    out.extend(marker(pts[pt.index], mr, dark, pt.index)
-               for pt in shape.points if pt.radius != 0)
-    if spec.label:
-        out.append(f["label"](o, spec, p, format_word(shape.word)))
-    return out
+        lines.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
+                                [at(c, *wing) for wing in wings], w))
+    shades = (f["color"](spec.light_color), f["color"](spec.dark_color))
+    dark = shades[1]
+    petal, outline, thorn, marker = f["petal"], f["outline"], f["thorn"], f["marker"]
+    w, mr = _fmt(spec.stroke_width), _fmt(spec.marker_radius)
+
+    def place(x, y):
+        return at(c, s * x, s * y)
+
+    def cell(word, pts):
+        x = word.symbols
+        out = lines.copy()
+        starts, thorns = _petals_and_thorns(x)
+        for i, (k, d) in enumerate(zip(starts, _shade_parities(starts, n))):
+            out.append(petal(o, pts[k], pts[(k + 1) % n], shades[d], i))
+        # The all-zero word has every point on the origin; its outline would
+        # be a degenerate dot, so it is omitted entirely.
+        if any(x):
+            out.append(outline(pts, w))
+        out.extend(thorn(o, pts[k], dark, w, i) for i, k in enumerate(thorns))
+        out.extend(marker(pts[k], mr, dark, k) for k, v in enumerate(x) if v)
+        if spec.label:
+            out.append(f["label"](o, spec, p, format_word(word)))
+        return out
+
+    return lines, place, cell
+
+
+def _one_cell(f: dict, spec: RenderSpec, shape: FlowerShape) -> list[str]:
+    word = shape.word
+    _, place, cell = _draw(f, spec, len(word), word.modulus, spec.grid)
+    return cell(word, [place(pt.x, pt.y) for pt in shape.points])
 
 
 def _svg_document(width: float, height: float, body: list[str]) -> bytes:
@@ -235,8 +254,7 @@ def _svg_document(width: float, height: float, body: list[str]) -> bytes:
 def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
     """Standalone SVG document for one flower shape."""
     spec = spec or RenderSpec()
-    body = _draw(_SVG, spec, len(shape.word), shape.word.modulus, shape)
-    return _svg_document(spec.canvas, spec.canvas, body)
+    return _svg_document(spec.canvas, spec.canvas, _one_cell(_SVG, spec, shape))
 
 
 def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
@@ -245,7 +263,7 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
     spec = spec or RenderSpec()
-    return _svg_document(spec.canvas, spec.canvas, _draw(_SVG, spec, n, p))
+    return _svg_document(spec.canvas, spec.canvas, _draw(_SVG, spec, n, p, True)[0])
 
 
 def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
@@ -267,12 +285,23 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"panel words must share length and modulus; "
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
+    _, place, cell = _draw(_SVG, spec, n, p, spec.grid)
+    # Every cell shares n and p, so each (k, x_k) is placed once per call, by
+    # flowergeom.constellation's rule.
+    points = {}
+
+    def point(kv):
+        k, v = kv
+        angle = math.tau * k / n
+        points[kv] = q = place(v * math.cos(angle), v * math.sin(angle))
+        return q
+
     rows = -(-len(words) // columns)
     body = []
     for i, w in enumerate(words):
         tx, ty = (i % columns) * spec.canvas, (i // columns) * spec.canvas
         body.append(f'<g class="cell" transform="translate({_fmt(tx)} {_fmt(ty)})">')
-        body.extend(_draw(_SVG, spec, n, p, features(w)))
+        body.extend(cell(w, [points.get(kv) or point(kv) for kv in enumerate(w.symbols)]))
         body.append("</g>")
     return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
 
@@ -285,6 +314,6 @@ def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:
     stay checkable on the text.
     """
     spec = spec or RenderSpec()
-    body = _draw(_TIKZ, spec, len(shape.word), shape.word.modulus, shape)
+    body = _one_cell(_TIKZ, spec, shape)
     return "\n".join(["\\begin{tikzpicture}[x=1pt,y=1pt]", *body,
                       "\\end{tikzpicture}"]) + "\n"

@@ -1,4 +1,4 @@
-"""Per-word reference evaluators: the oracles for the package's batched paths.
+"""Per-word reference evaluators: the oracles for the package's fast paths.
 
 They read the independent transcription in reference_constants and share no
 code with src/.
@@ -21,3 +21,31 @@ def reference_addition_only(x: Word) -> Word:
                 acc -= v
         out.append(acc % 3)
     return Word(3, tuple(out))
+
+
+def reference_petals_and_thorns(x: tuple[int, ...]):
+    """Petal (k, k+1 mod N) pairs and thorn indices, by their definitions."""
+    n = len(x)
+    petals = [(k, (k + 1) % n) for k in range(n) if x[k] and x[(k + 1) % n]]
+    thorns = [k for k in range(n)
+              if x[k] and not x[(k - 1) % n] and not x[(k + 1) % n]]
+    return petals, thorns
+
+
+def reference_shades(petals, n: int) -> list[str]:
+    """Shade each run of cyclically consecutive petal starts by walking its
+    chain: alternate from the chain's lowest start, which is light."""
+    starts = {k for k, _ in petals}
+    shade_of = {}
+    if len(starts) == n:
+        heads = [0]
+    else:
+        heads = [k for k in starts if (k - 1) % n not in starts]
+    for head in heads:
+        chain = [head]
+        while (chain[-1] + 1) % n in starts and (chain[-1] + 1) % n != head:
+            chain.append((chain[-1] + 1) % n)
+        anchor = chain.index(min(chain))
+        for i, k in enumerate(chain):
+            shade_of[k] = "light" if (i - anchor) % 2 == 0 else "dark"
+    return [shade_of[k] for k, _ in petals]

@@ -12,7 +12,7 @@ import pytest
 import fieldflower
 from fieldflower.cli import main
 from fieldflower.gfield import parse_word_list
-from fieldflower.render import MAX_RINGS
+from fieldflower.render import MAX_AXES, MAX_RINGS
 import reference_constants as ref
 
 
@@ -239,6 +239,37 @@ def test_modulus_past_the_ring_bound_refused(capsys, tmp_path, argv, p):
     assert f"GF({p}) would draw {p - 1} grid rings, past the bound of {MAX_RINGS}" in err
     assert not out_file.exists()
     assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "WORD"),
+    ("render", "WORD", "--format", "tikz"),
+    ("render", "WORD", "--no-grid"),
+    ("panel", "words.txt"),
+])
+def test_word_past_the_axis_bound_refused(capsys, tmp_path, argv):
+    # a word of n symbols draws n axes; past the bound the command exits 2
+    # naming it, before any primitive is drawn or any file written
+    def run(n, out_file):
+        (tmp_path / "words.txt").write_text(f"{'1' * n}\n{'0' * n}\n")
+        args = [str(tmp_path / a) if a == "words.txt" else "1" * n if a == "WORD" else a
+                for a in argv]
+        return run_cli(capsys, *args, "--p", "2", "--out", str(out_file))
+
+    out_file = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code, out, err = run(MAX_AXES + 1, out_file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    n = MAX_AXES + 1
+    assert f"a word of {n} symbols would draw {n} axes, past the bound of {MAX_AXES}" in err
+    assert not out_file.exists()
+    assert peak < 256 * 1024
+    assert run(MAX_AXES, out_file)[0] == 0
+    assert out_file.exists()
 
 
 def test_panel_all_binary_7(capsys, tmp_path):

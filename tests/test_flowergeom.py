@@ -6,6 +6,7 @@ import math
 from fieldflower.flowergeom import constellation, features, petal_shades
 from fieldflower.gfield import Word, parse_word
 import reference_constants as ref
+from reference_paths import reference_petals_and_thorns, reference_shades
 
 
 def test_constellation_angles_and_radii():
@@ -149,3 +150,14 @@ def test_shades_alternate_within_every_run():
             assert collisions == 1
         else:
             assert collisions == 0
+
+
+def test_features_and_shades_match_the_reference_rules():
+    # every zero pattern up to N = 12, which is all that petals, thorns and
+    # shades depend on
+    for n in range(1, 13):
+        for bits in itertools.product(range(2), repeat=n):
+            shape = features(Word(2, bits))
+            petals, thorns = reference_petals_and_thorns(bits)
+            assert (list(shape.petals), list(shape.thorns)) == (petals, thorns)
+            assert petal_shades(shape) == reference_shades(petals, n), bits

@@ -9,8 +9,8 @@ import pytest
 
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
-from fieldflower.render import MAX_RINGS, RenderSpec, panel, render_grid, to_svg, \
-    to_tikz
+from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, panel, render_grid, \
+    to_svg, to_tikz
 import reference_constants as ref
 
 
@@ -167,10 +167,33 @@ def test_render_grid_preconditions():
 def test_moduli_past_the_ring_bound_refused():
     assert svg_count(render_grid(3, 997), "ring") == 996 <= MAX_RINGS
     shape = features(Word(1009, (0, 1)))
-    for draw in (lambda: render_grid(3, 1009), lambda: to_svg(shape),
-                 lambda: to_tikz(shape), lambda: panel([shape.word], columns=1)):
-        with pytest.raises(ValueError, match=f"past the bound of {MAX_RINGS}"):
-            draw()
+    assert svg_count(to_svg(features(Word(997, (0, 1)))), "ring") == 996
+    with pytest.raises(ValueError, match=f"past the bound of {MAX_RINGS}"):
+        render_grid(3, 1009)
+    # without the grid no ring is drawn, but the bound holds all the same
+    for spec in (RenderSpec(), RenderSpec(grid=False)):
+        for draw in (lambda: to_svg(shape, spec), lambda: to_tikz(shape, spec),
+                     lambda: panel([shape.word], columns=1, spec=spec)):
+            with pytest.raises(ValueError, match=f"past the bound of {MAX_RINGS}"):
+                draw()
+
+
+def test_words_past_the_axis_bound_refused():
+    assert MAX_AXES >= 64
+    at_bound = Word(2, (1, 0) * (MAX_AXES // 2))
+    assert svg_count(render_grid(MAX_AXES, 2), "axis") == MAX_AXES
+    assert svg_count(to_svg(features(at_bound)), "axis") == MAX_AXES
+    assert tikz_count(to_tikz(features(at_bound)), "axis") == MAX_AXES
+    assert svg_count(panel([at_bound] * 2, columns=2), "axis") == 2 * MAX_AXES
+    shape = features(Word(2, (1,) * (MAX_AXES + 1)))
+    with pytest.raises(ValueError, match=f"past the bound of {MAX_AXES}"):
+        render_grid(MAX_AXES + 1, 2)
+    # without the grid no axis is drawn, but the bound holds all the same
+    for spec in (RenderSpec(), RenderSpec(grid=False)):
+        for draw in (lambda: to_svg(shape, spec), lambda: to_tikz(shape, spec),
+                     lambda: panel([shape.word], columns=1, spec=spec)):
+            with pytest.raises(ValueError, match=f"past the bound of {MAX_AXES}"):
+                draw()
 
 
 def test_panel_cell_count_and_layout():
@@ -274,3 +297,45 @@ GOLDEN_SHA256 = {
 def test_golden_bytes(group):
     digest = hashlib.sha256(b"\0".join(golden_outputs(group))).hexdigest()
     assert digest == GOLDEN_SHA256[group]
+
+
+def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
+    """A panel built cell by cell: each cell wraps the body of its to_svg."""
+    canvas = spec.canvas
+    rows = -(-len(words) // columns)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{columns * canvas:.6f}" '
+             f'height="{rows * canvas:.6f}" viewBox="0 0 {columns * canvas:.6f} '
+             f'{rows * canvas:.6f}">']
+    for i, w in enumerate(words):
+        tx, ty = (i % columns) * canvas, (i // columns) * canvas
+        lines.append(f'<g class="cell" transform="translate({tx:.6f} {ty:.6f})">')
+        lines.extend(to_svg(features(w), spec).decode("ascii").splitlines()[1:-1])
+        lines.append("</g>")
+    return ("\n".join(lines + ["</svg>"]) + "\n").encode("ascii")
+
+
+def golden_groups() -> dict[tuple[int, int], list[Word]]:
+    groups = {}
+    for w in golden_words():
+        groups.setdefault((len(w), w.modulus), []).append(w)
+    return groups
+
+
+def test_golden_groups_cover_the_edge_words():
+    groups = golden_groups()
+    assert len(groups) == 5 * 16
+    assert all((1, p) in groups for p in (2, 3, 5, 7, 11))
+    assert all(Word(p, (0,) * 7) in groups[7, p] for p in (2, 3, 5, 7, 11))
+    # all-nonzero at odd n: a full cycle of petals with a same-shade seam
+    assert all(all(groups[7, p][-1]) for p in (2, 3, 5, 7, 11))
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=["default", "no-grid", "label", "custom"])
+def test_panel_matches_cells_drawn_one_by_one(spec):
+    # panel reuses the grid lines and placed points of one walk over all its
+    # cells; drawing each cell alone through to_svg is the oracle
+    for (n, p), words in golden_groups().items():
+        words = words + words[::-1] + [Word(p, (0,) * n)]
+        for columns in (1, 2):
+            assert panel(words, columns, spec) == reference_panel(words, columns, spec), \
+                (n, p, columns)
