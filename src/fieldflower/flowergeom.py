@@ -75,8 +75,8 @@ def _petals_and_thorns(x: tuple[int, ...]) -> tuple[list[int], list[int]]:
 def _shade_parities(starts: list[int], n: int) -> list[int]:
     """petal_shades' rule on ascending petal starts: 0 is light, 1 dark.
 
-    A run through N-1 that goes on at 0 has its lowest start at 0, so its
-    part from N-1 down alternates back from N.
+    A run through N-1 that goes on at 0, short of the whole cycle, has its
+    lowest start at 0: its starts before the wrap count from N.
     """
     seam = 0 < len(starts) < n and starts[0] == 0
     out, head, prev = [], 0, None
