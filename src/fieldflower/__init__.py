@@ -38,8 +38,6 @@ from .modlinalg import (
     RrefResult,
     format_matrix,
     identity,
-    mat_mul,
-    mat_sub,
     mat_vec,
     matrix_from_words,
     null_space,
@@ -103,8 +101,6 @@ __all__ = [
     "identity",
     "is_codeword",
     "is_prime",
-    "mat_mul",
-    "mat_sub",
     "mat_vec",
     "matrix_from_words",
     "minimum_distance",

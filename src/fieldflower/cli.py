@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from .codes import builtin_code, enumerate_codewords, minimum_distance
@@ -18,16 +18,8 @@ from .gfield import Word, _is_decimal, format_word, format_word_list, \
     parse_word, parse_word_list
 from .modlinalg import MatrixOverGfp, mat_vec, parse_matrix
 from .ntt import BUILTIN_TRANSFORMS, eigen_spectrum, fixed_space
-from .render import RenderSpec, panel, to_svg, to_tikz
+from .render import RenderSpec, _require_drawable, panel, to_svg, to_tikz
 from .verify import format_report, run_checks
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    """Exit code plus the text the command wants on stdout."""
-
-    exit_code: int
-    report: str = ""
 
 
 def _decimal(text: str) -> int:
@@ -38,19 +30,11 @@ def _decimal(text: str) -> int:
 
 
 def _render_spec_from(args: argparse.Namespace) -> RenderSpec:
-    return RenderSpec(
-        canvas=args.canvas,
-        radius_scale=args.radius_scale,
-        stroke_width=args.stroke_width,
-        light_color=args.light_color,
-        dark_color=args.dark_color,
-        marker_radius=args.marker_radius,
-        grid=not args.no_grid,
-        label=args.label,
-    )
+    return RenderSpec(**{f.name: getattr(args, f.name) for f in fields(RenderSpec)})
 
 
 def _add_render_options(sub: argparse.ArgumentParser) -> None:
+    """One option per RenderSpec field, its dest the field name."""
     d = RenderSpec()
     sub.add_argument("--canvas", type=float, default=d.canvas,
                      help="cell side length in abstract units")
@@ -62,7 +46,7 @@ def _add_render_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dark-color", default=d.dark_color,
                      help="6-hex-digit RGB for dark petals, thorns, markers")
     sub.add_argument("--marker-radius", type=float, default=d.marker_radius)
-    sub.add_argument("--no-grid", action="store_true",
+    sub.add_argument("--no-grid", dest="grid", action="store_false",
                      help="omit the polar grid behind each flower")
     sub.add_argument("--label", action="store_true",
                      help="print the word under each flower")
@@ -89,21 +73,21 @@ def _resolve_code_name(positional: str | None, flag: str | None) -> str:
     return positional if positional is not None else flag
 
 
-def cmd_transform(args: argparse.Namespace) -> CommandOutcome:
+def cmd_transform(args: argparse.Namespace) -> tuple[int, str]:
     m = _resolve_matrix(args.name, args.matrix_file)
     word = parse_word(args.word, m.modulus)
-    return CommandOutcome(0, format_word(mat_vec(m, word)))
+    return 0, format_word(mat_vec(m, word))
 
 
-def cmd_invariants(args: argparse.Namespace) -> CommandOutcome:
+def cmd_invariants(args: argparse.Namespace) -> tuple[int, str]:
     m = _resolve_matrix(args.name, args.matrix_file)
     space = fixed_space(m)
     lines = [f"dim={space.dimension}"]
     lines.extend(format_word(w) for w in space.basis)
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> CommandOutcome:
+def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     m = _resolve_matrix(args.name, args.matrix_file)
     lines = []
     for space in eigen_spectrum(m):
@@ -111,21 +95,20 @@ def cmd_spectrum(args: argparse.Namespace) -> CommandOutcome:
         lines.extend(format_word(w) for w in space.basis)
     if not lines:
         lines.append("no eigenvalues in the base field")
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def cmd_render(args: argparse.Namespace) -> CommandOutcome:
+def cmd_render(args: argparse.Namespace) -> tuple[int, str]:
     spec = _render_spec_from(args)
     word = parse_word(args.word, args.p)
+    _require_drawable(len(word), word.modulus)
     shape = features(word)
     out = args.out or f"{args.word}.{args.format}"
     if args.format == "svg":
         Path(out).write_bytes(to_svg(shape, spec))
     else:
         Path(out).write_text(to_tikz(shape, spec), encoding="utf-8")
-    return CommandOutcome(
-        0, f"petals={len(shape.petals)} thorns={len(shape.thorns)}"
-    )
+    return 0, f"petals={len(shape.petals)} thorns={len(shape.thorns)}"
 
 
 def _panel_words(source: str, p: int) -> list[Word]:
@@ -135,33 +118,33 @@ def _panel_words(source: str, p: int) -> list[Word]:
     return parse_word_list(Path(source).read_text(encoding="utf-8"), p)
 
 
-def cmd_panel(args: argparse.Namespace) -> CommandOutcome:
+def cmd_panel(args: argparse.Namespace) -> tuple[int, str]:
     spec = _render_spec_from(args)
     words = _panel_words(args.source, args.p)
     data = panel(words, columns=args.columns, spec=spec, workers=args.workers)
     Path(args.out).write_bytes(data)
-    return CommandOutcome(0, f"cells={len(words)}")
+    return 0, f"cells={len(words)}"
 
 
-def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     results = run_checks()
     code = 0 if all(r.passed for r in results) else 1
-    return CommandOutcome(code, format_report(results))
+    return code, format_report(results)
 
 
-def cmd_mindist(args: argparse.Namespace) -> CommandOutcome:
+def cmd_mindist(args: argparse.Namespace) -> tuple[int, str]:
     code = builtin_code(_resolve_code_name(args.code_name, args.code))
     d = minimum_distance(code)
-    return CommandOutcome(0, f"n={code.length} k={code.dimension} d={d}")
+    return 0, f"n={code.length} k={code.dimension} d={d}"
 
 
-def cmd_codewords(args: argparse.Namespace) -> CommandOutcome:
+def cmd_codewords(args: argparse.Namespace) -> tuple[int, str]:
     code = builtin_code(_resolve_code_name(args.code_name, args.code))
     listing = format_word_list(enumerate_codewords(code))
     if args.out:
         Path(args.out).write_text(listing, encoding="utf-8")
-        return CommandOutcome(0, f"words={code.size}")
-    return CommandOutcome(0, listing.rstrip("\n"))
+        return 0, f"words={code.size}"
+    return 0, listing.rstrip("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,13 +220,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        outcome = args.handler(args)
+        code, report = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if outcome.report:
-        print(outcome.report.rstrip("\n"))
-    return outcome.exit_code
+    if report:
+        print(report.rstrip("\n"))
+    return code
 
 
 def entrypoint() -> None:

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .gfield import Word, _reduced_word, _require_prime, _same_field
 from .modlinalg import MatrixOverGfp, matrix_from_words, rref
-from .ntt import Transform, fixed_space, hamming_ntt_matrix
+from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
 ENUMERATION_LIMIT = 10**7
@@ -92,7 +92,6 @@ def builtin_code(name: str) -> LinearCode:
     if name == "hamming":
         return hamming_code()
     if name == "golay":
-        from .ntt import GOLAY
         return code_from_fixed_space(GOLAY)
     raise ValueError(f"unknown code {name!r}, expected 'hamming' or 'golay'")
 

@@ -43,6 +43,12 @@ class FlowerShape:
     outline: tuple[ConstellationPoint, ...]
 
 
+def _placement(k: int, v: float, n: int) -> tuple[float, float, float]:
+    """Angle, x and y of z_k = v * exp(j*2*pi*k/N): value v on axis k of n."""
+    angle = math.tau * k / n
+    return angle, v * math.cos(angle), v * math.sin(angle)
+
+
 def constellation(word: Word) -> tuple[ConstellationPoint, ...]:
     """Map a word to its constellation points.
 
@@ -50,17 +56,8 @@ def constellation(word: Word) -> tuple[ConstellationPoint, ...]:
     counterclockwise.  Zero symbols land on the origin.
     """
     n = len(word)
-    points = []
-    for k, v in enumerate(word):
-        angle = math.tau * k / n
-        points.append(ConstellationPoint(
-            index=k,
-            radius=v,
-            angle=angle,
-            x=v * math.cos(angle),
-            y=v * math.sin(angle),
-        ))
-    return tuple(points)
+    return tuple([ConstellationPoint(k, v, *_placement(k, v, n))
+                  for k, v in enumerate(word)])
 
 
 def _petals_and_thorns(x: tuple[int, ...]) -> tuple[list[int], list[int]]:

@@ -57,9 +57,6 @@ class MatrixOverGfp:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __repr__(self) -> str:
         return f"MatrixOverGfp({self.rows}x{self.cols} over GF({self.modulus}))"
 
@@ -166,29 +163,6 @@ def _mat_batch(m: MatrixOverGfp, x: _Batch) -> _Batch:
     xs = x.lanes()
     sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
     return _Batch(p, _reduce_lanes(p, sums, x.size))
-
-
-def mat_mul(a: MatrixOverGfp, b: MatrixOverGfp) -> MatrixOverGfp:
-    _same_field(a, b)
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    p = a.modulus
-    bt = tuple(zip(*b.entries))
-    return MatrixOverGfp(p, tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-        for row in a.entries
-    ))
-
-
-def mat_sub(a: MatrixOverGfp, b: MatrixOverGfp) -> MatrixOverGfp:
-    _same_field(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    p = a.modulus
-    return MatrixOverGfp(p, tuple(
-        tuple((x - y) % p for x, y in zip(ra, rb))
-        for ra, rb in zip(a.entries, b.entries)
-    ))
 
 
 def rref(m: MatrixOverGfp) -> RrefResult:

@@ -142,6 +142,12 @@ def _addition_only_batch(x: _Batch) -> _Batch:
     return _Batch(3, _signed_sums(x.lanes(), x.size))
 
 
+# eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each
+# for a 12x12 matrix (Python 3.11, one core of a 2-vCPU host), so p <= 4096
+# keeps that sweep near 2 s.
+MAX_SPECTRUM_MODULUS = 4096
+
+
 @dataclass(frozen=True)
 class EigenSpace:
     """An eigenvalue in GF(p) together with a canonical eigenvector basis."""
@@ -169,12 +175,17 @@ def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
 def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
     """All nonempty eigenspaces, found by sweeping every lambda in GF(p).
 
-    The sweep is exhaustive rather than clever: p is tiny, and trying each
-    candidate eigenvalue against a null-space computation is trivially
-    correct.  Spaces are returned in ascending eigenvalue order.
+    The sweep is exhaustive rather than clever: trying each candidate
+    eigenvalue against a null-space computation is trivially correct, and p
+    past MAX_SPECTRUM_MODULUS is refused before any of them.  Spaces are
+    returned in ascending eigenvalue order.
     """
     m = _matrix_of(transform)
-    spaces = (_eigen_space_for(m, lam) for lam in range(m.modulus))
+    p = m.modulus
+    if p > MAX_SPECTRUM_MODULUS:
+        raise ValueError(f"the spectrum would try all {p} values of GF({p}), "
+                         f"past the bound of p <= {MAX_SPECTRUM_MODULUS}")
+    spaces = (_eigen_space_for(m, lam) for lam in range(p))
     return [space for space in spaces if space.dimension >= 1]
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from string import hexdigits
 
-from .flowergeom import FlowerShape, _petals_and_thorns, _shade_parities
+from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
 from .gfield import Word, _require_prime, format_word
 
 _AXIS_COLOR = "B0B0B0"
@@ -177,6 +177,16 @@ _TIKZ = {
 }
 
 
+def _require_drawable(n: int, p: int) -> None:
+    """Refuse cells of n symbols over GF(p) past MAX_AXES or MAX_RINGS."""
+    if n > MAX_AXES:
+        raise ValueError(f"a word of {n} symbols would draw {n} axes, "
+                         f"past the bound of {MAX_AXES}")
+    if p - 1 > MAX_RINGS:
+        raise ValueError(f"GF({p}) would draw {p - 1} grid rings, "
+                         f"past the bound of {MAX_RINGS}")
+
+
 def _draw(f: dict, spec: RenderSpec, n: int, p: int, grid: bool):
     """The drawing walk for cells of n symbols over GF(p), in format f.
 
@@ -186,12 +196,7 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int, grid: bool):
     primitive of the word's cell, pts[k] being its placed point k, in the
     fixed order grid, petals, outline, thorns, markers, label.
     """
-    if n > MAX_AXES:
-        raise ValueError(f"a word of {n} symbols would draw {n} axes, "
-                         f"past the bound of {MAX_AXES}")
-    if p - 1 > MAX_RINGS:
-        raise ValueError(f"GF({p}) would draw {p - 1} grid rings, "
-                         f"past the bound of {MAX_RINGS}")
+    _require_drawable(n, p)
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
     o = at(c, 0.0, 0.0)
     lines = []
@@ -200,9 +205,8 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int, grid: bool):
         r_outer = (p - 1) * s
         axis = f["axis"]
         for k in range(n):
-            angle = math.tau * k / n
-            q = at(c, r_outer * math.cos(angle), r_outer * math.sin(angle))
-            lines.append(axis(o, q, w, k))
+            _, x, y = _placement(k, r_outer, n)
+            lines.append(axis(o, at(c, x, y), w, k))
         ring = f["ring"]
         lines.extend(ring(o, _fmt(i * s), w, i) for i in range(1, p))
         start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
@@ -286,14 +290,12 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
     _, place, cell = _draw(_SVG, spec, n, p, spec.grid)
-    # Every cell shares n and p, so each (k, x_k) is placed once per call, by
-    # flowergeom.constellation's rule.
+    # Every cell shares n and p, so each (k, x_k) is placed once per call.
     points = {}
 
     def point(kv):
-        k, v = kv
-        angle = math.tau * k / n
-        points[kv] = q = place(v * math.cos(angle), v * math.sin(angle))
+        _, x, y = _placement(*kv, n)
+        points[kv] = q = place(x, y)
         return q
 
     rows = -(-len(words) // columns)

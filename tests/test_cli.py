@@ -4,15 +4,19 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fieldflower
 from fieldflower.cli import main
-from fieldflower.gfield import parse_word_list
-from fieldflower.render import MAX_AXES, MAX_RINGS
+from fieldflower.flowergeom import features
+from fieldflower.gfield import parse_word, parse_word_list
+from fieldflower.ntt import MAX_SPECTRUM_MODULUS
+from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, panel, to_svg, to_tikz
 import reference_constants as ref
 
 
@@ -117,6 +121,19 @@ def test_spectrum_hamming(capsys):
     assert lines[1:] == list(ref.HAMMING_FIXED_BASIS)
 
 
+def test_spectrum_modulus_past_the_bound_refused(capsys, tmp_path):
+    # the spectrum tries every lambda in GF(p); past the bound it exits 2
+    # before the first null space
+    p = 2**61 - 1
+    f = tmp_path / "big.txt"
+    f.write_text(f"p={p}\n1 2;\n3 4\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", "--matrix-file", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"past the bound of p <= {MAX_SPECTRUM_MODULUS}" in err
+
+
 def test_render_svg(capsys, tmp_path):
     out_file = tmp_path / "flower.svg"
     code, out, _ = run_cli(
@@ -178,6 +195,36 @@ def test_render_spec_flags(capsys, tmp_path):
     assert "#ABCDEF" in text
     assert 'class="axis"' not in text
     assert ">1110000</text>" in text
+
+
+# Every render flag, each set away from its RenderSpec default.
+ALL_RENDER_FLAGS = ("--canvas", "300", "--radius-scale", "30", "--stroke-width", "2.5",
+                    "--light-color", "#abcdef", "--dark-color", "123456",
+                    "--marker-radius", "3", "--no-grid", "--label")
+ALL_RENDER_SPEC = RenderSpec(canvas=300.0, radius_scale=30.0, stroke_width=2.5,
+                             light_color="ABCDEF", dark_color="123456",
+                             marker_radius=3.0, grid=False, label=True)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("render", "2012", "--format", "svg"),
+     lambda: to_svg(features(parse_word("2012", 3)), ALL_RENDER_SPEC)),
+    (("render", "2012", "--format", "tikz"),
+     lambda: to_tikz(features(parse_word("2012", 3)), ALL_RENDER_SPEC).encode()),
+    (("panel", "words.txt", "--columns", "2"),
+     lambda: panel(parse_word_list("2012\n0110\n1000\n", 3), 2, ALL_RENDER_SPEC)),
+], ids=["render-svg", "render-tikz", "panel"])
+def test_every_render_flag_reaches_its_field(capsys, tmp_path, argv, expected):
+    default = RenderSpec()
+    assert all(getattr(ALL_RENDER_SPEC, f.name) != getattr(default, f.name)
+               for f in fields(RenderSpec))
+    (tmp_path / "words.txt").write_text("2012\n0110\n1000\n")
+    argv = [str(tmp_path / a) if a == "words.txt" else a for a in argv]
+    out_file = tmp_path / "out"
+    code, _, _ = run_cli(capsys, *argv, "--p", "3", "--out", str(out_file),
+                         *ALL_RENDER_FLAGS)
+    assert code == 0
+    assert out_file.read_bytes() == expected()
 
 
 @pytest.mark.parametrize("flags", [
@@ -249,7 +296,8 @@ def test_modulus_past_the_ring_bound_refused(capsys, tmp_path, argv, p):
 ])
 def test_word_past_the_axis_bound_refused(capsys, tmp_path, argv):
     # a word of n symbols draws n axes; past the bound the command exits 2
-    # naming it, before any primitive is drawn or any file written
+    # naming it, before any point is placed or any file written.  Parsing a
+    # 100,000-symbol word alone peaks at about 1.9 MiB.
     def run(n, out_file):
         (tmp_path / "words.txt").write_text(f"{'1' * n}\n{'0' * n}\n")
         args = [str(tmp_path / a) if a == "words.txt" else "1" * n if a == "WORD" else a
@@ -257,17 +305,17 @@ def test_word_past_the_axis_bound_refused(capsys, tmp_path, argv):
         return run_cli(capsys, *args, "--p", "2", "--out", str(out_file))
 
     out_file = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        code, out, err = run(MAX_AXES + 1, out_file)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (2, "")
-    n = MAX_AXES + 1
-    assert f"a word of {n} symbols would draw {n} axes, past the bound of {MAX_AXES}" in err
-    assert not out_file.exists()
-    assert peak < 256 * 1024
+    for n, most in ((MAX_AXES + 1, 256 * 1024), (100_000, 4 * 1024 * 1024)):
+        tracemalloc.start()
+        try:
+            code, out, err = run(n, out_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert f"a word of {n} symbols would draw {n} axes, past the bound of {MAX_AXES}" in err
+        assert not out_file.exists()
+        assert peak < most
     assert run(MAX_AXES, out_file)[0] == 0
     assert out_file.exists()
 

@@ -17,9 +17,11 @@ from fieldflower.modlinalg import (
     rref,
     same_row_space,
 )
+from fieldflower import ntt
 from fieldflower.ntt import (
     _OFFSET,
     BUILTIN_TRANSFORMS,
+    MAX_SPECTRUM_MODULUS,
     GOLAY,
     HAMMING,
     _addition_only_batch,
@@ -236,6 +238,23 @@ def test_eigen_spectrum_rejects_non_square():
         eigen_spectrum(MatrixOverGfp(2, ((1, 0, 1),)))
     with pytest.raises(ValueError):
         fixed_space(MatrixOverGfp(2, ((1, 0, 1),)))
+
+
+def test_eigen_spectrum_modulus_past_the_bound_refused(monkeypatch):
+    # 4093 is the largest prime at or below the bound, 4099 the next one
+    assert MAX_SPECTRUM_MODULUS == 4096
+    assert [s.eigenvalue.value for s in eigen_spectrum(identity(1, 4093))] == [1]
+
+    def no_null_space(m):
+        raise AssertionError("null space taken past the bound")
+
+    monkeypatch.setattr(ntt, "null_space", no_null_space)
+    for p in (4099, 2**61 - 1):
+        with pytest.raises(ValueError, match=f"GF\\({p}\\), past the bound of p <= 4096"):
+            eigen_spectrum(identity(12, p))
+    # fixed_space tries lambda = 1 only and takes no bound
+    with pytest.raises(AssertionError, match="null space taken"):
+        fixed_space(identity(1, 4099))
 
 
 def test_builtin_transform_registry():
