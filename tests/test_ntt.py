@@ -21,9 +21,9 @@ from fieldflower import ntt
 from fieldflower.ntt import (
     _OFFSET,
     BUILTIN_TRANSFORMS,
-    MAX_SPECTRUM_MODULUS,
     GOLAY,
     HAMMING,
+    MAX_SPECTRUM_MODULUS,
     _addition_only_batch,
     apply,
     apply_addition_only,
