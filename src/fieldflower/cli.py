@@ -156,20 +156,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("transform", help="apply a transform to a word")
-    tr.add_argument("name", nargs="?", help="built-in transform: hamming | golay")
+    tr.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
     tr.add_argument("word", help="input word, digit string with x_0 leftmost")
     tr.add_argument("--matrix-file", help="matrix text file instead of a name")
     tr.set_defaults(handler=cmd_transform)
 
     inv = sub.add_parser("invariants",
                          help="canonical basis of the fixed space of a transform")
-    inv.add_argument("name", nargs="?", help="built-in transform: hamming | golay")
+    inv.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
     inv.add_argument("--matrix-file", help="matrix text file instead of a name")
     inv.set_defaults(handler=cmd_invariants)
 
     sp = sub.add_parser("spectrum",
                         help="all eigenspaces of a transform over its base field")
-    sp.add_argument("name", nargs="?", help="built-in transform: hamming | golay")
+    sp.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
     sp.add_argument("--matrix-file", help="matrix text file instead of a name")
     sp.set_defaults(handler=cmd_spectrum)
 

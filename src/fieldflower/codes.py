@@ -47,10 +47,7 @@ class LinearCode:
     generator: MatrixOverGfp
 
     def __post_init__(self) -> None:
-        k = self.generator.rows
-        if k < 1:
-            raise ValueError("generator matrix has no rows")
-        if rref(self.generator).rank != k:
+        if rref(self.generator).rank != self.generator.rows:
             raise ValueError("generator rows are linearly dependent")
 
     @property
@@ -159,14 +156,15 @@ def minimum_distance(code: LinearCode) -> int:
     """Minimum Hamming distance, by exhaustive weight enumeration.
 
     For a linear code the minimum distance equals the minimum weight over
-    nonzero codewords, so one streamed pass over the codebook suffices.
+    nonzero codewords (the full-rank generator's rows are some), so one
+    streamed pass over the codebook suffices.
     """
     _check_enumerable(code)
     _, _, one, top = _lanes(code.modulus, code.length)
     nonzero = top - one
     weights = (((s + nonzero) & top).bit_count()
                for s in _span(code.modulus, code.generator.entries))
-    return min(filter(None, weights), default=code.length + 1)
+    return min(filter(None, weights))
 
 
 def is_codeword(code: LinearCode, word: Word) -> bool:

@@ -32,15 +32,13 @@ class FlowerShape:
     """A word together with its derived geometry.
 
     petals are (k, (k+1) mod N) pairs in ascending k order; thorns are bare
-    indices in ascending order; outline is the cyclic polyline through all
-    points in index order, the closing segment back to z_0 implied.
+    indices in ascending order.  The outline runs through points in order.
     """
 
     word: Word
     points: tuple[ConstellationPoint, ...]
     petals: tuple[tuple[int, int], ...]
     thorns: tuple[int, ...]
-    outline: tuple[ConstellationPoint, ...]
 
 
 def _placement(k: int, v: float, n: int) -> tuple[float, float, float]:
@@ -86,13 +84,13 @@ def _shade_parities(starts: list[int], n: int) -> list[int]:
 
 
 def features(word: Word) -> FlowerShape:
-    """Derive petals, thorns, and the outline for a word."""
+    """Derive the points, petals and thorns of a word."""
     n = len(word)
     points = constellation(word)
     starts, thorns = _petals_and_thorns(word.symbols)
     return FlowerShape(word=word, points=points,
                        petals=tuple([(k, (k + 1) % n) for k in starts]),
-                       thorns=tuple(thorns), outline=points)
+                       thorns=tuple(thorns))
 
 
 def petal_shades(shape: FlowerShape) -> list[str]:

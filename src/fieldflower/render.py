@@ -14,7 +14,7 @@ each placed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from string import hexdigits
 
 from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
@@ -187,20 +187,20 @@ def _require_drawable(n: int, p: int) -> None:
                          f"past the bound of {MAX_RINGS}")
 
 
-def _draw(f: dict, spec: RenderSpec, n: int, p: int, grid: bool):
+def _draw(f: dict, spec: RenderSpec, n: int, p: int):
     """The drawing walk for cells of n symbols over GF(p), in format f.
 
     Checks the bounds before any primitive and draws the grid lines (axes,
-    rings, arrow) if grid, once.  Returns (grid lines, place, cell): place(x,
-    y) formats a point in field units, and cell(word, pts) gives one line per
-    primitive of the word's cell, pts[k] being its placed point k, in the
-    fixed order grid, petals, outline, thorns, markers, label.
+    rings, arrow) if spec.grid, once.  Returns (grid lines, place, cell):
+    place(x, y) formats a point in field units, and cell(word, pts) gives
+    one line per primitive of the word's cell, pts[k] being its placed point
+    k, in the fixed order grid, petals, outline, thorns, markers, label.
     """
     _require_drawable(n, p)
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
     o = at(c, 0.0, 0.0)
     lines = []
-    if grid:
+    if spec.grid:
         w = _fmt(spec.stroke_width * 0.5)
         r_outer = (p - 1) * s
         axis = f["axis"]
@@ -241,7 +241,7 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int, grid: bool):
 
 def _one_cell(f: dict, spec: RenderSpec, shape: FlowerShape) -> list[str]:
     word = shape.word
-    _, place, cell = _draw(f, spec, len(word), word.modulus, spec.grid)
+    _, place, cell = _draw(f, spec, len(word), word.modulus)
     return cell(word, [place(pt.x, pt.y) for pt in shape.points])
 
 
@@ -266,8 +266,8 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
     if n < 2:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
-    spec = spec or RenderSpec()
-    return _svg_document(spec.canvas, spec.canvas, _draw(_SVG, spec, n, p, True)[0])
+    spec = replace(spec or RenderSpec(), grid=True)
+    return _svg_document(spec.canvas, spec.canvas, _draw(_SVG, spec, n, p)[0])
 
 
 def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
@@ -289,7 +289,7 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"panel words must share length and modulus; "
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
-    _, place, cell = _draw(_SVG, spec, n, p, spec.grid)
+    _, place, cell = _draw(_SVG, spec, n, p)
     # Every cell shares n and p, so each (k, x_k) is placed once per call.
     points = {}
 

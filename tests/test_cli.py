@@ -57,6 +57,18 @@ def test_transform_usage_errors(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("argv", [("transform", "walsh", "0011000"),
+                                  ("invariants", "walsh"), ("spectrum", "walsh")])
+def test_transform_names_come_from_the_registry(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    assert "hamming" in err and "golay" in err
+    code, out, _ = run_cli(capsys, argv[0], "--help")
+    assert code == 0
+    assert "{hamming,golay}" in out
+
+
 @pytest.mark.parametrize("word", ["001\u0661000", "00\u00b21000"])
 def test_transform_rejects_non_ascii_digits(capsys, word):
     code, out, err = run_cli(capsys, "transform", "hamming", word)
@@ -355,12 +367,24 @@ def test_panel_from_word_list_file(capsys, tmp_path):
 
 def test_panel_mixed_lengths_exit_2(capsys, tmp_path):
     listing = tmp_path / "bad.txt"
-    listing.write_text("0011000\n000000111221\n")
+    listing.write_text("0011000\n00110\n")
     code, _, err = run_cli(
         capsys, "panel", str(listing), "--out", str(tmp_path / "x.svg")
     )
     assert code == 2
-    assert "error:" in err
+    assert "panel words must share length and modulus" in err
+
+
+@pytest.mark.parametrize("bad", ["01x1010", "0121010"])
+def test_panel_bad_word_names_its_line(capsys, tmp_path, bad):
+    # line 5 counts the comment and the blank line before it
+    listing = tmp_path / "words.txt"
+    listing.write_text(f"# words\n0011000\n\n1111000\n{bad}\n0000000\n")
+    out_file = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, "panel", str(listing), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert "line 5:" in err
+    assert not out_file.exists()
 
 
 def test_panel_missing_file_exit_2(capsys, tmp_path):

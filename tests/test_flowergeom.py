@@ -84,12 +84,6 @@ def test_features_commute_with_rotation():
         assert set(shape.thorns) == {(t + r) % n for t in base.thorns}
 
 
-def test_outline_is_the_point_cycle():
-    shape = features(parse_word("1010110", 2))
-    assert shape.outline == shape.points
-    assert [pt.index for pt in shape.outline] == list(range(7))
-
-
 def test_ternary_features_and_shades():
     shape = features(parse_word("102010022101", 3))
     assert shape.petals == ((7, 8), (8, 9), (11, 0))
