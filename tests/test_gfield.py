@@ -201,13 +201,6 @@ def test_parse_word_list_skips_comments_and_blanks():
     assert [format_word(w) for w in words] == ["0011000", "1100001"]
 
 
-def test_parse_word_list_error_names_its_line():
-    with pytest.raises(ValueError, match="^line 4: invalid symbol 'x'"):
-        parse_word_list("# c\n\n0110\n01x0\n", 2)
-    with pytest.raises(ValueError, match="^line 2: value 2 at position 1"):
-        parse_word_list("0110\n0210\n", 2)
-
-
 def test_word_list_round_trip():
     words = [parse_word(t, 3) for t in ("000000111221", "102010022101")]
     assert parse_word_list(format_word_list(words), 3) == words

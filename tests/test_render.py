@@ -157,6 +157,10 @@ def test_render_grid_counts():
         assert svg_count(data, "arrow") == 1
 
 
+def test_render_grid_ignores_the_grid_switch():
+    assert render_grid(7, 2, RenderSpec(grid=False)) == render_grid(7, 2)
+
+
 def test_render_grid_preconditions():
     with pytest.raises(ValueError):
         render_grid(1, 2)
