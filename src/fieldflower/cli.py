@@ -59,11 +59,6 @@ def _resolve_matrix(name: str | None, matrix_file: str | None) -> MatrixOverGfp:
         )
     if matrix_file is not None:
         return parse_matrix(Path(matrix_file).read_text(encoding="utf-8"))
-    if name not in BUILTIN_TRANSFORMS:
-        raise ValueError(
-            f"unknown transform {name!r}, expected one of: "
-            + ", ".join(sorted(BUILTIN_TRANSFORMS))
-        )
     return BUILTIN_TRANSFORMS[name].matrix
 
 

@@ -210,6 +210,7 @@ def parse_word_list(text: str, p: int) -> list[Word]:
             try:
                 words.append(parse_word(line, p))
             except ValueError as exc:
+                _require_prime(p)  # a bad modulus is no line's fault
                 raise ValueError(f"line {number}: {exc}") from None
     return words
 

@@ -387,6 +387,18 @@ def test_panel_bad_word_names_its_line(capsys, tmp_path, bad):
     assert not out_file.exists()
 
 
+def test_panel_bad_modulus_names_no_line(capsys, tmp_path):
+    listing = tmp_path / "words.txt"
+    listing.write_text("0011000\n")
+    code, out, err = run_cli(
+        capsys, "panel", str(listing), "--p", "4",
+        "--out", str(tmp_path / "x.svg"),
+    )
+    assert (code, out) == (2, "")
+    assert "modulus must be a prime int, got 4" in err
+    assert "line" not in err
+
+
 def test_panel_missing_file_exit_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "panel", str(tmp_path / "absent.txt"),
