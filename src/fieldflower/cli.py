@@ -12,7 +12,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .codes import builtin_code, enumerate_codewords, minimum_distance
+from .codes import BUILTIN_CODES, builtin_code, enumerate_codewords, \
+    minimum_distance
 from .flowergeom import features
 from .gfield import Word, _is_decimal, format_word, format_word_list, \
     parse_word, parse_word_list
@@ -193,15 +194,17 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.set_defaults(handler=cmd_verify)
 
     md = sub.add_parser("mindist", help="code parameters n, k, d of a built-in code")
-    md.add_argument("code_name", nargs="?", metavar="code",
-                    help="built-in code: hamming | golay")
-    md.add_argument("--code", help="alternative to the positional name")
+    md.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
+                    help="built-in code: %(choices)s")
+    md.add_argument("--code", choices=BUILTIN_CODES,
+                    help="alternative to the positional name")
     md.set_defaults(handler=cmd_mindist)
 
     cw = sub.add_parser("codewords", help="enumerate all codewords of a built-in code")
-    cw.add_argument("code_name", nargs="?", metavar="code",
-                    help="built-in code: hamming | golay")
-    cw.add_argument("--code", help="alternative to the positional name")
+    cw.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
+                    help="built-in code: %(choices)s")
+    cw.add_argument("--code", choices=BUILTIN_CODES,
+                    help="alternative to the positional name")
     cw.add_argument("--out", help="write the word-list here instead of stdout")
     cw.set_defaults(handler=cmd_codewords)
 

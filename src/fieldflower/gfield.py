@@ -6,7 +6,7 @@ shared freely across threads, and every operation returns a new value.
 `_residues` alone decides what a value of GF(p) is (a prime `int` modulus,
 `int` residues in 0..p-1) for elements, words and matrices alike, and
 `_same_field` alone checks that two operands share a modulus.  Only the
-codebook walk skips `_residues` (through `_reduced_word`): it checks its words.
+codebook walk skips `_residues` (through `_reduced_words`): it checks its words.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class FieldElement:
         return f"FieldElement({self.value} mod {self.modulus})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """An immutable length-N sequence of residues over GF(p)."""
 
@@ -153,13 +153,18 @@ class Word:
         return f"Word({format_word(self)!r} over GF({self.modulus}))"
 
 
-def _reduced_word(p: int, symbols: tuple[int, ...]) -> Word:
-    """A Word built without `_residues`: the caller has checked that p is
-    prime and that the symbols are ints in 0..p-1."""
-    word = object.__new__(Word)
-    object.__setattr__(word, "modulus", p)
-    object.__setattr__(word, "symbols", symbols)
-    return word
+def _reduced_words(p: int, symbol_rows: Iterable[tuple[int, ...]]) -> list[Word]:
+    """Words built without `_residues`, one per tuple: the caller has checked
+    that p is prime and that the symbols are ints in 0..p-1."""
+    new = object.__new__
+    set_modulus, set_symbols = Word.modulus.__set__, Word.symbols.__set__
+    words = []
+    for symbols in symbol_rows:
+        word = new(Word)
+        set_modulus(word, p)
+        set_symbols(word, symbols)
+        words.append(word)
+    return words
 
 
 def _is_decimal(text: str) -> bool:
@@ -193,11 +198,15 @@ def parse_word(text: str, p: int) -> Word:
     return Word(p, tuple(map(int, symbols)))
 
 
+# Symbol value -> its ASCII digit, for words over GF(p) with p <= 10.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_word(word: Word) -> str:
     """Canonical text form: base-p digits for p <= 10, else comma-separated."""
     if word.modulus <= 10:
-        return "".join(str(s) for s in word.symbols)
-    return ",".join(str(s) for s in word.symbols)
+        return bytes(word.symbols).translate(_DIGITS).decode("ascii")
+    return ",".join(map(str, word.symbols))
 
 
 def parse_word_list(text: str, p: int) -> list[Word]:

@@ -23,6 +23,14 @@ def reference_addition_only(x: Word) -> Word:
     return Word(3, tuple(out))
 
 
+def reference_format_word(word: Word) -> str:
+    """A word's canonical text, one symbol at a time: base-p digits for
+    p <= 10, else comma-separated decimals."""
+    if word.modulus <= 10:
+        return "".join(str(s) for s in word.symbols)
+    return ",".join(str(s) for s in word.symbols)
+
+
 def reference_petals_and_thorns(x: tuple[int, ...]):
     """Petal (k, k+1 mod N) pairs and thorn indices, by their definitions."""
     n = len(x)

@@ -450,6 +450,20 @@ def test_mindist_usage_errors(capsys):
     assert run_cli(capsys, "mindist", "simplex")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("mindist", "simplex"), ("mindist", "--code", "simplex"),
+                                  ("codewords", "simplex"),
+                                  ("codewords", "--code", "simplex")])
+def test_code_names_come_from_the_registry(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    where = "--code" if "--code" in argv else "code"
+    assert f"argument {where}: invalid choice: 'simplex'" in err
+    assert "'hamming', 'golay'" in err
+    code, out, _ = run_cli(capsys, argv[0], "--help")
+    assert code == 0
+    assert "--code {hamming,golay}" in out and "built-in code: hamming, golay" in out
+
+
 def test_codewords_stdout(capsys):
     code, out, _ = run_cli(capsys, "codewords", "hamming")
     assert code == 0

@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fieldflower import codes
 from fieldflower.codes import (
@@ -20,10 +21,11 @@ from fieldflower.codes import (
     is_codeword,
     minimum_distance,
 )
-from fieldflower.gfield import Word, format_word, parse_word
+from fieldflower.gfield import Word, format_word, format_word_list, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, rref, same_row_space
 from fieldflower.ntt import GOLAY, HAMMING, apply
 import reference_constants as ref
+from reference_paths import reference_format_word
 
 
 def test_hamming_generator_matches_reference():
@@ -158,7 +160,8 @@ def test_minimum_distance_of_full_space():
 def test_builtin_code_lookup():
     assert builtin_code("hamming").generator == hamming_generator()
     assert builtin_code("golay").dimension == 6
-    with pytest.raises(ValueError):
+    assert list(codes.BUILTIN_CODES) == ["hamming", "golay"]
+    with pytest.raises(ValueError, match="expected 'hamming' or 'golay'"):
         builtin_code("reed-muller")
 
 
@@ -167,6 +170,7 @@ def test_enumeration_guard(monkeypatch):
         raise AssertionError("span built before the enumeration cap was checked")
 
     monkeypatch.setattr(codes, "_span", no_span)
+    monkeypatch.setattr(codes, "_blocks", no_span)
     # p=2 and p=3 fit 8-bit lanes; no lane width holds a prime past 2**31
     for p, k in ((2, 24), (3, 15), (2147483659, 1)):
         big = LinearCode(identity(k, p))
@@ -189,6 +193,11 @@ def reference_codewords(code):
                 acc[j] = (acc[j] + coeff * row[j]) % p
         words.append(Word(p, tuple(acc)))
     return words
+
+
+def reference_min_weight(words):
+    """The least count of nonzero symbols over the nonzero words."""
+    return min(sum(1 for s in w.symbols if s) for w in words if any(w.symbols))
 
 
 # Largest k per p that keeps a differential case at most 729 codewords.
@@ -223,6 +232,9 @@ def differential_code(seed):
 # Moduli on each side of the 8/16-bit and the 16/32-bit lane-width switch, at
 # the largest k that keeps p**k under ENUMERATION_LIMIT.
 _LANE_BOUNDARY_K = {127: 2, 131: 2, 32749: 1, 32771: 1}
+# Binary word lengths on each side of the 8/16-bit switch: a weight of n
+# needs n < 2**W.
+_LANE_BOUNDARY_N = (255, 256)
 
 
 def test_differential_codes_cover_the_edge_shapes():
@@ -242,19 +254,64 @@ def test_differential_codes_cover_the_edge_shapes():
     *(pytest.param(differential_code(s), id=str(s)) for s in range(208)),
     *(pytest.param(random_full_rank_code(random.Random(p), p, k, k + 3), id=f"p={p}")
       for p, k in _LANE_BOUNDARY_K.items()),
+    *(pytest.param(random_full_rank_code(random.Random(n), 2, 4, n), id=f"n={n}")
+      for n in _LANE_BOUNDARY_N),
+    *(pytest.param(LinearCode(MatrixOverGfp(2, ((1,) * n,))), id=f"ones n={n}")
+      for n in _LANE_BOUNDARY_N),
+    # d = 150: the two halves and their sum weigh 150, 150 and 300
+    pytest.param(LinearCode(MatrixOverGfp(2, ((1,) * 150 + (0,) * 150,
+                                              (0,) * 150 + (1,) * 150))), id="[300,2]"),
 ])
 def test_split_walk_matches_reference_walk(code):
     expected = reference_codewords(code)
     got = enumerate_codewords(code)
     assert got == expected
+    assert format_word_list(got) == "".join(reference_format_word(w) + "\n" for w in expected)
     assert all(type(w) is Word for w in got)
     # The walk builds its Words without _residues: each must round-trip
     # through it (int symbols in 0..p-1) to an equal, hash-equal Word.
     for w in got:
         rebuilt = Word(w.modulus, w.symbols)
         assert w == rebuilt and hash(w) == hash(rebuilt)
-    weights = [sum(1 for s in w.symbols if s) for w in expected]
-    assert minimum_distance(code) == min(filter(None, weights), default=code.length + 1)
+    assert minimum_distance(code) == reference_min_weight(expected)
+
+
+@pytest.mark.parametrize("lanes", [1, 13, 64])
+def test_walk_in_blocks_smaller_than_the_inner_span(monkeypatch, lanes):
+    # Capped this small, a block holds a few words (at least one), so the
+    # inner span is cut into several blocks, the last of them short.
+    monkeypatch.setattr(codes, "_BLOCK_LANES", lanes)
+    for seed in range(0, 208, 7):
+        code = differential_code(seed)
+        expected = reference_codewords(code)
+        assert enumerate_codewords(code) == expected
+        assert minimum_distance(code) == reference_min_weight(expected)
+
+
+def test_lane_boundary_cases_straddle_the_switches():
+    widths = [codes._lanes(p, 4)[1] for p in _LANE_BOUNDARY_K]
+    assert widths == [8, 16, 16, 32]
+    assert [codes._lanes(2, n)[1] for n in _LANE_BOUNDARY_N + (300,)] == [8, 16, 16]
+
+
+@st.composite
+def small_codes(draw):
+    """A full-rank code over GF(p) of at most 729 codewords (131 words at
+    p = 131, in 16-bit lanes), with up to 6 columns past k."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 131)))
+    k = draw(st.integers(1, _MAX_K.get(p, 1)))
+    n = draw(st.integers(k, k + 6))
+    rows = tuple(draw(st.tuples(*[st.integers(0, p - 1)] * n)) for _ in range(k))
+    assume(rref(MatrixOverGfp(p, rows)).rank == k)
+    return LinearCode(MatrixOverGfp(p, rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_codes())
+def test_walks_match_the_reference_walk_on_random_codes(code):
+    expected = reference_codewords(code)
+    assert enumerate_codewords(code) == expected
+    assert minimum_distance(code) == reference_min_weight(expected)
 
 
 @pytest.mark.parametrize("name,transform", [("hamming", HAMMING), ("golay", GOLAY)])
@@ -277,34 +334,49 @@ def loads_of(name, node, scope="<module>"):
 
 
 def test_reduced_word_is_used_only_by_enumerate_codewords():
-    # Every use of the unchecked Word constructor is pinned here: widening
+    # Every use of the unchecked bulk Word builder is pinned here: widening
     # that trusted path means editing this set on purpose.
     users = {
         (path.stem, scope)
         for path in Path(codes.__file__).parent.glob("*.py")
-        for scope in loads_of("_reduced_word", ast.parse(path.read_text(encoding="utf-8")))
+        for scope in loads_of("_reduced_words", ast.parse(path.read_text(encoding="utf-8")))
     }
     assert users == {("codes", "enumerate_codewords")}
 
 
 @pytest.mark.parametrize("p", [2, 3, 131, 32771])
 def test_enumeration_refuses_an_unreduced_packed_word(monkeypatch, p):
-    # One lane per lane width (8 bits for 2 and 3, 16 for 131, 32 for 32771)
-    # holding p, 2p-2 (the largest unreduced hi + lo) or all ones (which the
-    # bias carries out of), once in the first and once in the last lane; no
-    # Word may be built from any.
-    code = LinearCode(MatrixOverGfp(p, ((1, 0, 1),)))
-    _, w, _, _ = codes._lanes(p, code.length)
-    built = []
-    monkeypatch.setattr(codes, "_reduced_word",
-                        lambda *args: built.append(args) or Word(*args))
-    for lane in (p, 2 * p - 2, (1 << w) - 1):
-        for at in (0, code.length - 1):
-            monkeypatch.setattr(codes, "_span", lambda *_: iter((0, lane << w * at)))
-            with pytest.raises(ValueError, match=f"codeword 1 has a symbol >= {p}$"):
-                enumerate_codewords(code)
-    assert built == []
-    # the middle lane holding p - 1 passes, in either native byte order
-    monkeypatch.setattr(codes, "_span", lambda *_: iter((0, (p - 1) << w)))
-    assert enumerate_codewords(code)[1] == Word(p, (0, p - 1, 0))
-    assert len(built) == 2
+    # Blocks of m words of 3 symbols, in lanes of 8 bits (p = 2, 3), 16 (131)
+    # or 32 (32771).  A clean one-word block comes first, so the message must
+    # count the words before the block.  A lane holding p, 2p-2 (the largest
+    # unreduced hi + lo) or all ones (which the bias carries out of), in the
+    # first or last lane of the first, middle or last word of a block, must
+    # be refused, and no Word built from that block.
+    k = 3 if p == 2 else 1
+    code = LinearCode(MatrixOverGfp(p, identity(3, p).entries[:k]))
+    _, m = codes._shape(p, 3, k)
+    _, w, _, _ = codes._lanes(p, 3, m)
+    assert m >= 3 and w == {2: 8, 3: 8, 131: 16, 32771: 32}[p]
+    built, reduced_words = [], codes._reduced_words
+
+    def counted(p, rows):
+        rows = list(rows)
+        built.append(len(rows))
+        return reduced_words(p, rows)
+
+    monkeypatch.setattr(codes, "_reduced_words", counted)
+    cases = [(lane, i, j) for lane in (p, 2 * p - 2, (1 << w) - 1)
+             for i in (0, m // 2, m - 1) for j in (0, 2)]
+    for lane, i, j in cases:
+        blocks = ((1, 0), (m, lane << (3 * i + j) * w))
+        monkeypatch.setattr(codes, "_blocks", lambda *_: iter(blocks))
+        with pytest.raises(ValueError, match=f"^codeword {1 + i} has a symbol >= {p}$"):
+            enumerate_codewords(code)
+    assert built == [1] * len(cases)
+    # the middle lane of the middle word holding p - 1 passes
+    blocks = ((1, 0), (m, (p - 1) << (3 * (m // 2) + 1) * w))
+    monkeypatch.setattr(codes, "_blocks", lambda *_: iter(blocks))
+    words = enumerate_codewords(code)
+    assert len(words) == 1 + m and built[-1] == m
+    assert words[1 + m // 2] == Word(p, (0, p - 1, 0))
+    assert sum(map(Word.weight, words)) == 1

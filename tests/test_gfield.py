@@ -1,7 +1,9 @@
 """Field arithmetic and word parsing."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -17,6 +19,8 @@ from fieldflower.gfield import (
     parse_word_list,
 )
 from fieldflower.modlinalg import MatrixOverGfp
+from reference_paths import reference_format_word
+from test_render import golden_words
 
 PRIMES = (2, 3, 5, 7)
 
@@ -156,6 +160,55 @@ def test_word_symbol_range_enforced():
         Word(3, (1.5, 2))
     with pytest.raises(ValueError):
         Word(2, (True, False))
+
+
+def test_word_is_slotted_and_frozen():
+    w = Word(3, (0, 2, 1))
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.symbols = (1, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.modulus = 5
+    # No slot to take a new attribute.  CPython 3.11's frozen __setattr__
+    # raises TypeError here, from super() on the pre-slots class.
+    with pytest.raises((AttributeError, TypeError)):
+        w.extra = 1
+    assert w == Word(3, (0, 2, 1))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_word_pickle_round_trip(protocol):
+    for w in (Word(2, (1, 0, 1)), Word(13, (0, 11, 3)), Word(3, (2,) * 12)):
+        back = pickle.loads(pickle.dumps(w, protocol=protocol))
+        assert type(back) is Word
+        assert back == w and hash(back) == hash(w)
+        assert (back.modulus, back.symbols) == (w.modulus, w.symbols)
+
+
+def test_word_equality_and_hash_follow_the_fields():
+    a, b = Word(3, (0, 2, 1)), Word(3, [0, 2, 1])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Word(5, (0, 2, 1)) and a != Word(3, (0, 2, 2))
+    assert a != (0, 2, 1)
+
+
+def test_word_replace_validates_again():
+    w = Word(3, (0, 2, 1))
+    assert dataclasses.replace(w, symbols=(1, 1, 1)) == Word(3, (1, 1, 1))
+    with pytest.raises(ValueError, match="value 3 at position 1"):
+        dataclasses.replace(w, symbols=(0, 3, 1))
+    with pytest.raises(ValueError, match="value 2 at position 1 .* GF\\(2\\)"):
+        dataclasses.replace(w, modulus=2)
+    with pytest.raises(ValueError, match="modulus must be a prime"):
+        dataclasses.replace(w, modulus=4)
+
+
+def test_format_word_matches_the_per_symbol_oracle():
+    words = golden_words() + [Word(p, tuple(range(p))) for p in (2, 3, 5, 7, 11, 13)]
+    words += [Word(p, (p - 1,) * 40) for p in PRIMES]
+    for w in words:
+        assert format_word(w) == reference_format_word(w)
+    assert format_word_list(words) == "".join(reference_format_word(w) + "\n" for w in words)
 
 
 def test_parse_word_digit_form():
