@@ -15,8 +15,8 @@ from pathlib import Path
 from .codes import BUILTIN_CODES, builtin_code, enumerate_codewords, \
     minimum_distance
 from .flowergeom import features
-from .gfield import Word, _is_decimal, format_word, format_word_list, \
-    parse_word, parse_word_list
+from .gfield import Word, _all_binary_7, _is_decimal, format_word, \
+    format_word_list, parse_word, parse_word_list
 from .modlinalg import MatrixOverGfp, mat_vec, parse_matrix
 from .ntt import BUILTIN_TRANSFORMS, eigen_spectrum, fixed_space
 from .render import RenderSpec, _require_drawable, panel, to_svg, to_tikz
@@ -53,40 +53,27 @@ def _add_render_options(sub: argparse.ArgumentParser) -> None:
                      help="print the word under each flower")
 
 
-def _resolve_matrix(name: str | None, matrix_file: str | None) -> MatrixOverGfp:
-    if (name is None) == (matrix_file is None):
-        raise ValueError(
-            "give exactly one transform: a built-in name or --matrix-file"
-        )
-    if matrix_file is not None:
-        return parse_matrix(Path(matrix_file).read_text(encoding="utf-8"))
-    return BUILTIN_TRANSFORMS[name].matrix
-
-
-def _resolve_code_name(positional: str | None, flag: str | None) -> str:
-    if (positional is None) == (flag is None):
-        raise ValueError("give exactly one code: positional name or --code")
-    return positional if positional is not None else flag
+def _matrix(args: argparse.Namespace) -> MatrixOverGfp:
+    if args.matrix_file is not None:
+        return parse_matrix(Path(args.matrix_file).read_text(encoding="utf-8"))
+    return BUILTIN_TRANSFORMS[args.name].matrix
 
 
 def cmd_transform(args: argparse.Namespace) -> tuple[int, str]:
-    m = _resolve_matrix(args.name, args.matrix_file)
-    word = parse_word(args.word, m.modulus)
-    return 0, format_word(mat_vec(m, word))
+    m = _matrix(args)
+    return 0, format_word(mat_vec(m, parse_word(args.word, m.modulus)))
 
 
 def cmd_invariants(args: argparse.Namespace) -> tuple[int, str]:
-    m = _resolve_matrix(args.name, args.matrix_file)
-    space = fixed_space(m)
+    space = fixed_space(_matrix(args))
     lines = [f"dim={space.dimension}"]
     lines.extend(format_word(w) for w in space.basis)
     return 0, "\n".join(lines)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
-    m = _resolve_matrix(args.name, args.matrix_file)
     lines = []
-    for space in eigen_spectrum(m):
+    for space in eigen_spectrum(_matrix(args)):
         lines.append(f"lambda={space.eigenvalue.value} dim={space.dimension}")
         lines.extend(format_word(w) for w in space.basis)
     if not lines:
@@ -109,8 +96,7 @@ def cmd_render(args: argparse.Namespace) -> tuple[int, str]:
 
 def _panel_words(source: str, p: int) -> list[Word]:
     if source == "all-binary-7":
-        return [Word(2, tuple((i >> (6 - k)) & 1 for k in range(7)))
-                for i in range(128)]
+        return _all_binary_7()
     return parse_word_list(Path(source).read_text(encoding="utf-8"), p)
 
 
@@ -129,13 +115,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_mindist(args: argparse.Namespace) -> tuple[int, str]:
-    code = builtin_code(_resolve_code_name(args.code_name, args.code))
+    code = builtin_code(args.code_name or args.code)
     d = minimum_distance(code)
     return 0, f"n={code.length} k={code.dimension} d={d}"
 
 
 def cmd_codewords(args: argparse.Namespace) -> tuple[int, str]:
-    code = builtin_code(_resolve_code_name(args.code_name, args.code))
+    code = builtin_code(args.code_name or args.code)
     listing = format_word_list(enumerate_codewords(code))
     if args.out:
         Path(args.out).write_text(listing, encoding="utf-8")
@@ -149,24 +135,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-field transforms, linear block codes, and "
                     "flower renderings of GF(p) words.",
     )
+    # One transform (name or --matrix-file), one code (name or --code).
+    transform = argparse.ArgumentParser(add_help=False)
+    one = transform.add_mutually_exclusive_group(required=True)
+    one.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
+    one.add_argument("--matrix-file", help="matrix text file instead of a name")
+    code = argparse.ArgumentParser(add_help=False)
+    one = code.add_mutually_exclusive_group(required=True)
+    one.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
+                     help="built-in code: %(choices)s")
+    one.add_argument("--code", choices=BUILTIN_CODES,
+                     help="alternative to the positional name")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("transform", help="apply a transform to a word")
-    tr.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
+    tr = sub.add_parser("transform", parents=[transform],
+                        help="apply a transform to a word")
     tr.add_argument("word", help="input word, digit string with x_0 leftmost")
-    tr.add_argument("--matrix-file", help="matrix text file instead of a name")
     tr.set_defaults(handler=cmd_transform)
 
-    inv = sub.add_parser("invariants",
+    inv = sub.add_parser("invariants", parents=[transform],
                          help="canonical basis of the fixed space of a transform")
-    inv.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
-    inv.add_argument("--matrix-file", help="matrix text file instead of a name")
     inv.set_defaults(handler=cmd_invariants)
 
-    sp = sub.add_parser("spectrum",
+    sp = sub.add_parser("spectrum", parents=[transform],
                         help="all eigenspaces of a transform over its base field")
-    sp.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
-    sp.add_argument("--matrix-file", help="matrix text file instead of a name")
     sp.set_defaults(handler=cmd_spectrum)
 
     rd = sub.add_parser("render", help="draw one word as a flower")
@@ -193,18 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run every built-in reference check")
     vf.set_defaults(handler=cmd_verify)
 
-    md = sub.add_parser("mindist", help="code parameters n, k, d of a built-in code")
-    md.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
-                    help="built-in code: %(choices)s")
-    md.add_argument("--code", choices=BUILTIN_CODES,
-                    help="alternative to the positional name")
+    md = sub.add_parser("mindist", parents=[code],
+                        help="code parameters n, k, d of a built-in code")
     md.set_defaults(handler=cmd_mindist)
 
-    cw = sub.add_parser("codewords", help="enumerate all codewords of a built-in code")
-    cw.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
-                    help="built-in code: %(choices)s")
-    cw.add_argument("--code", choices=BUILTIN_CODES,
-                    help="alternative to the positional name")
+    cw = sub.add_parser("codewords", parents=[code],
+                        help="enumerate all codewords of a built-in code")
     cw.add_argument("--out", help="write the word-list here instead of stdout")
     cw.set_defaults(handler=cmd_codewords)
 

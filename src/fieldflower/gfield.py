@@ -167,6 +167,11 @@ def _reduced_words(p: int, symbol_rows: Iterable[tuple[int, ...]]) -> list[Word]
     return words
 
 
+def _all_binary_7() -> list[Word]:
+    """The 128 binary 7-words: word i is i in binary, x_0 its top bit."""
+    return [Word(2, tuple((i >> (6 - k)) & 1 for k in range(7))) for i in range(128)]
+
+
 def _is_decimal(text: str) -> bool:
     """True for an ASCII numeral [0-9]+: no sign, underscore, space or other
     script's digits, all of which `int` would take."""

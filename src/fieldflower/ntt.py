@@ -144,8 +144,10 @@ def _addition_only_batch(x: _Batch) -> _Batch:
 
 # eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each
 # for a 12x12 matrix (Python 3.11, one core of a 2-vCPU host), so p <= 4096
-# keeps that sweep near 2 s.
+# keeps that sweep near 2 s.  Elimination grows as n**3, so a larger matrix
+# may take no more work than that: p*n**3 <= 4096*12**3.
 MAX_SPECTRUM_MODULUS = 4096
+MAX_SPECTRUM_WORK = MAX_SPECTRUM_MODULUS * 12**3
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,14 @@ class EigenSpace:
         return len(self.basis)
 
 
-def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
-    """The eigenspace of lam: the null space of M - lam*I."""
+def _require_square(m: MatrixOverGfp) -> None:
     if m.rows != m.cols:
         raise ValueError(f"eigen-analysis needs a square matrix, got {m.rows}x{m.cols}")
+
+
+def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
+    """The eigenspace of lam: the null space of M - lam*I."""
+    _require_square(m)
     p = m.modulus
     shifted = MatrixOverGfp(p, tuple(
         tuple((e - lam) % p if i == j else e for j, e in enumerate(row))
@@ -176,15 +182,19 @@ def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
     """All nonempty eigenspaces, found by sweeping every lambda in GF(p).
 
     The sweep is exhaustive rather than clever: trying each candidate
-    eigenvalue against a null-space computation is trivially correct, and p
-    past MAX_SPECTRUM_MODULUS is refused before any of them.  Spaces are
-    returned in ascending eigenvalue order.
+    eigenvalue against a null-space computation is trivially correct.  A
+    sweep past MAX_SPECTRUM_MODULUS or MAX_SPECTRUM_WORK is refused before
+    any of them.  Spaces are returned in ascending eigenvalue order.
     """
     m = _matrix_of(transform)
-    p = m.modulus
+    p, n = m.modulus, m.rows
     if p > MAX_SPECTRUM_MODULUS:
         raise ValueError(f"the spectrum would try all {p} values of GF({p}), "
                          f"past the bound of p <= {MAX_SPECTRUM_MODULUS}")
+    _require_square(m)
+    if p * n**3 > MAX_SPECTRUM_WORK:
+        raise ValueError(f"the spectrum of a {n}x{n} matrix over GF({p}) is "
+                         f"past the bound of p*n**3 <= {MAX_SPECTRUM_WORK}")
     spaces = (_eigen_space_for(m, lam) for lam in range(p))
     return [space for space in spaces if space.dimension >= 1]
 

@@ -31,7 +31,7 @@ from itertools import islice
 from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
     hamming_generator, minimum_distance
 from .flowergeom import features
-from .gfield import Word, format_word, parse_word
+from .gfield import Word, _all_binary_7, format_word, parse_word
 from .modlinalg import MatrixOverGfp, _Batch, _mat_batch, format_matrix, \
     mat_vec, matrix_from_words, same_row_space
 from .ntt import _addition_only_batch, fixed_space, golay_ntt_matrix, \
@@ -147,9 +147,9 @@ def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:
 
 
 def _check_flower_features() -> tuple[bool, str]:
-    for i in range(128):
-        bits = tuple((i >> (6 - k)) & 1 for k in range(7))
-        shape = features(Word(2, bits))
+    for i, word in enumerate(_all_binary_7()):
+        bits = word.symbols
+        shape = features(word)
         petals = sum(1 for k in range(7) if bits[k] and bits[(k + 1) % 7])
         thorns = sum(1 for k in range(7)
                      if bits[k] and not bits[(k - 1) % 7] and not bits[(k + 1) % 7])
@@ -168,8 +168,7 @@ def _check_render_determinism() -> tuple[bool, str]:
     shape = features(parse_word("1010110", 2))
     if to_svg(shape, spec) != to_svg(shape, spec):
         return False, "repeated to_svg runs differ"
-    words = [Word(2, tuple((i >> (6 - k)) & 1 for k in range(7)))
-             for i in range(8)]
+    words = _all_binary_7()[:8]
     serial = panel(words, columns=4, spec=spec, workers=1)
     parallel = panel(words, columns=4, spec=spec, workers=4)
     if serial != parallel:
@@ -209,10 +208,8 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
          lambda: _check_isomorphism(th, tg)),
         ("golay-addition-only",
          lambda: _check_addition_only(tg)),
-        ("flower-features",
-         lambda: _check_flower_features()),
-        ("render-determinism",
-         lambda: _check_render_determinism()),
+        ("flower-features", _check_flower_features),
+        ("render-determinism", _check_render_determinism),
     ]
     results = []
     for name, fn in checks:

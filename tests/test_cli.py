@@ -15,7 +15,7 @@ import fieldflower
 from fieldflower.cli import main
 from fieldflower.flowergeom import features
 from fieldflower.gfield import parse_word, parse_word_list
-from fieldflower.ntt import MAX_SPECTRUM_MODULUS
+from fieldflower.ntt import MAX_SPECTRUM_MODULUS, MAX_SPECTRUM_WORK
 from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, panel, to_svg, to_tikz
 import reference_constants as ref
 
@@ -54,7 +54,40 @@ def test_transform_usage_errors(capsys):
     # no transform at all
     code, _, err = run_cli(capsys, "transform", "0011000")
     assert code == 2
-    assert "exactly one" in err
+    assert "one of the arguments name --matrix-file is required" in err
+
+
+ABSENT = "absent-matrix.txt"
+TRANSFORM_MISSING = "one of the arguments name --matrix-file is required"
+TRANSFORM_BOTH = "argument --matrix-file: not allowed with argument name"
+CODE_MISSING = "one of the arguments code --code is required"
+CODE_BOTH = "argument --code: not allowed with argument code"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("transform", "0011000"), TRANSFORM_MISSING),
+    (("invariants",), TRANSFORM_MISSING),
+    (("spectrum",), TRANSFORM_MISSING),
+    # the one positional given is taken as the word, so no transform is left
+    (("transform", "golay"), TRANSFORM_MISSING),
+    (("transform", "hamming", "0011000", "--matrix-file", ABSENT), TRANSFORM_BOTH),
+    (("invariants", "hamming", "--matrix-file", ABSENT), TRANSFORM_BOTH),
+    (("spectrum", "golay", "--matrix-file", ABSENT), TRANSFORM_BOTH),
+    (("mindist",), CODE_MISSING),
+    (("codewords",), CODE_MISSING),
+    (("mindist", "hamming", "--code", "golay"), CODE_BOTH),
+    (("codewords", "golay", "--code", "hamming"), CODE_BOTH),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_one_of_misuse_is_refused_while_parsing(capsys, tmp_path, argv, message):
+    # exactly one transform (name or --matrix-file) and exactly one code
+    # (name or --code); argparse refuses any other count before a file is read
+    absent = str(tmp_path / ABSENT)
+    argv = [absent if a == ABSENT else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: fieldflower {argv[0]} [-h] ")
+    assert err.endswith(f"fieldflower {argv[0]}: error: {message}\n")
+    assert ABSENT not in err
 
 
 @pytest.mark.parametrize("argv", [("transform", "walsh", "0011000"),
@@ -144,6 +177,20 @@ def test_spectrum_modulus_past_the_bound_refused(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert f"past the bound of p <= {MAX_SPECTRUM_MODULUS}" in err
+
+
+def test_spectrum_work_past_the_bound_refused(capsys, tmp_path):
+    # a 100x100 matrix over GF(4093) would sweep for minutes; p*n**3 is
+    # past the bound, so it exits 2 before the first null space
+    n, p = 100, 4093
+    f = tmp_path / "wide.txt"
+    f.write_text(f"p={p}\n" + ";\n".join(
+        " ".join("1" if i == j else "0" for j in range(n)) for i in range(n)) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", "--matrix-file", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"past the bound of p*n**3 <= {MAX_SPECTRUM_WORK}" in err
 
 
 def test_render_svg(capsys, tmp_path):

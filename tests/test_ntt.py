@@ -24,6 +24,7 @@ from fieldflower.ntt import (
     GOLAY,
     HAMMING,
     MAX_SPECTRUM_MODULUS,
+    MAX_SPECTRUM_WORK,
     _addition_only_batch,
     apply,
     apply_addition_only,
@@ -255,6 +256,41 @@ def test_eigen_spectrum_modulus_past_the_bound_refused(monkeypatch):
     # fixed_space tries lambda = 1 only and takes no bound
     with pytest.raises(AssertionError, match="null space taken"):
         fixed_space(identity(1, 4099))
+
+
+@pytest.mark.parametrize("n, admitted, refused", [
+    (12, 4093, 4099), (13, 3221, 3229), (20, 883, 887), (100, 7, 11), (150, 2, 3),
+])
+def test_eigen_spectrum_work_past_the_bound_refused(monkeypatch, n, admitted, refused):
+    # a sweep may do no more elimination than a 12x12 one at p = 4096:
+    # p*n**3 <= 4096*12**3; `admitted` and `refused` are the primes either side
+    assert MAX_SPECTRUM_WORK == 4096 * 12**3
+    taken = []
+
+    def counted_null_space(m):
+        taken.append(m)
+        return []
+
+    monkeypatch.setattr(ntt, "null_space", counted_null_space)
+    assert eigen_spectrum(identity(n, admitted)) == []
+    assert len(taken) == admitted
+    taken.clear()
+    message = (f"{n}x{n} matrix over GF\\({refused}\\) is "
+               f"past the bound of p\\*n\\*\\*3 <= 7077888")
+    if refused > MAX_SPECTRUM_MODULUS:
+        message = f"GF\\({refused}\\), past the bound of p <= 4096"
+    with pytest.raises(ValueError, match=message):
+        eigen_spectrum(identity(n, refused))
+    assert taken == []
+
+
+def test_eigen_spectrum_checks_squareness_before_any_null_space(monkeypatch):
+    def no_null_space(m):
+        raise AssertionError("null space taken before the shape check")
+
+    monkeypatch.setattr(ntt, "null_space", no_null_space)
+    with pytest.raises(ValueError, match="needs a square matrix, got 1x3"):
+        eigen_spectrum(MatrixOverGfp(5, ((1, 0, 1),)))
 
 
 def test_builtin_transform_registry():
