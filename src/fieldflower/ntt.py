@@ -168,8 +168,7 @@ def _require_square(m: MatrixOverGfp) -> None:
 
 
 def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
-    """The eigenspace of lam: the null space of M - lam*I."""
-    _require_square(m)
+    """The eigenspace of lam: the null space of M - lam*I (M square)."""
     p = m.modulus
     shifted = MatrixOverGfp(p, tuple(
         tuple((e - lam) % p if i == j else e for j, e in enumerate(row))
@@ -205,4 +204,5 @@ def fixed_space(transform: Transform | MatrixOverGfp) -> EigenSpace:
     May have dimension 0, in which case the basis is empty.
     """
     m = _matrix_of(transform)
+    _require_square(m)
     return _eigen_space_for(m, 1 % m.modulus)
