@@ -15,7 +15,7 @@ from pathlib import Path
 from .codes import BUILTIN_CODES, builtin_code, enumerate_codewords, \
     minimum_distance
 from .flowergeom import features
-from .gfield import Word, _all_binary_7, _is_decimal, format_word, \
+from .gfield import _all_binary_7, _is_decimal, format_word, \
     format_word_list, parse_word, parse_word_list
 from .modlinalg import MatrixOverGfp, mat_vec, parse_matrix
 from .ntt import BUILTIN_TRANSFORMS, eigen_spectrum, fixed_space
@@ -51,6 +51,22 @@ def _add_render_options(sub: argparse.ArgumentParser) -> None:
                      help="omit the polar grid behind each flower")
     sub.add_argument("--label", action="store_true",
                      help="print the word under each flower")
+
+
+def _add_transform_choice(sub: argparse.ArgumentParser) -> None:
+    """argparse takes exactly one transform: a built-in name or --matrix-file."""
+    one = sub.add_mutually_exclusive_group(required=True)
+    one.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
+    one.add_argument("--matrix-file", help="matrix text file instead of a name")
+
+
+def _add_code_choice(sub: argparse.ArgumentParser) -> None:
+    """argparse takes exactly one code: a built-in name or --code."""
+    one = sub.add_mutually_exclusive_group(required=True)
+    one.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
+                     help="built-in code: %(choices)s")
+    one.add_argument("--code", choices=BUILTIN_CODES,
+                     help="alternative to the positional name")
 
 
 def _matrix(args: argparse.Namespace) -> MatrixOverGfp:
@@ -94,15 +110,10 @@ def cmd_render(args: argparse.Namespace) -> tuple[int, str]:
     return 0, f"petals={len(shape.petals)} thorns={len(shape.thorns)}"
 
 
-def _panel_words(source: str, p: int) -> list[Word]:
-    if source == "all-binary-7":
-        return _all_binary_7()
-    return parse_word_list(Path(source).read_text(encoding="utf-8"), p)
-
-
 def cmd_panel(args: argparse.Namespace) -> tuple[int, str]:
     spec = _render_spec_from(args)
-    words = _panel_words(args.source, args.p)
+    words = (_all_binary_7() if args.source == "all-binary-7" else
+             parse_word_list(Path(args.source).read_text(encoding="utf-8"), args.p))
     data = panel(words, columns=args.columns, spec=spec, workers=args.workers)
     Path(args.out).write_bytes(data)
     return 0, f"cells={len(words)}"
@@ -116,8 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_mindist(args: argparse.Namespace) -> tuple[int, str]:
     code = builtin_code(args.code_name or args.code)
-    d = minimum_distance(code)
-    return 0, f"n={code.length} k={code.dimension} d={d}"
+    return 0, f"n={code.length} k={code.dimension} d={minimum_distance(code)}"
 
 
 def cmd_codewords(args: argparse.Namespace) -> tuple[int, str]:
@@ -135,31 +145,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-field transforms, linear block codes, and "
                     "flower renderings of GF(p) words.",
     )
-    # One transform (name or --matrix-file), one code (name or --code).
-    transform = argparse.ArgumentParser(add_help=False)
-    one = transform.add_mutually_exclusive_group(required=True)
-    one.add_argument("name", nargs="?", choices=BUILTIN_TRANSFORMS)
-    one.add_argument("--matrix-file", help="matrix text file instead of a name")
-    code = argparse.ArgumentParser(add_help=False)
-    one = code.add_mutually_exclusive_group(required=True)
-    one.add_argument("code_name", nargs="?", metavar="code", choices=BUILTIN_CODES,
-                     help="built-in code: %(choices)s")
-    one.add_argument("--code", choices=BUILTIN_CODES,
-                     help="alternative to the positional name")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("transform", parents=[transform],
-                        help="apply a transform to a word")
+    tr = sub.add_parser("transform", help="apply a transform to a word")
+    _add_transform_choice(tr)
     tr.add_argument("word", help="input word, digit string with x_0 leftmost")
     tr.set_defaults(handler=cmd_transform)
 
-    inv = sub.add_parser("invariants", parents=[transform],
+    inv = sub.add_parser("invariants",
                          help="canonical basis of the fixed space of a transform")
+    _add_transform_choice(inv)
     inv.set_defaults(handler=cmd_invariants)
 
-    sp = sub.add_parser("spectrum", parents=[transform],
+    sp = sub.add_parser("spectrum",
                         help="all eigenspaces of a transform over its base field")
+    _add_transform_choice(sp)
     sp.set_defaults(handler=cmd_spectrum)
 
     rd = sub.add_parser("render", help="draw one word as a flower")
@@ -186,12 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run every built-in reference check")
     vf.set_defaults(handler=cmd_verify)
 
-    md = sub.add_parser("mindist", parents=[code],
-                        help="code parameters n, k, d of a built-in code")
+    md = sub.add_parser("mindist", help="code parameters n, k, d of a built-in code")
+    _add_code_choice(md)
     md.set_defaults(handler=cmd_mindist)
 
-    cw = sub.add_parser("codewords", parents=[code],
-                        help="enumerate all codewords of a built-in code")
+    cw = sub.add_parser("codewords", help="enumerate all codewords of a built-in code")
+    _add_code_choice(cw)
     cw.add_argument("--out", help="write the word-list here instead of stdout")
     cw.set_defaults(handler=cmd_codewords)
 

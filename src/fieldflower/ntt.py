@@ -143,9 +143,8 @@ def _addition_only_batch(x: _Batch) -> _Batch:
 
 
 # eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each
-# for a 12x12 matrix (Python 3.11, one core of a 2-vCPU host), so p <= 4096
-# keeps that sweep near 2 s.  Elimination grows as n**3, so a larger matrix
-# may take no more work than that: p*n**3 <= 4096*12**3.
+# for a 12x12 matrix (Python 3.11, one core of a 2-vCPU host), so p <= 4096 keeps
+# that sweep near 2 s; elimination is n**3, so p*n**3 <= 4096*12**3 bounds every n.
 MAX_SPECTRUM_MODULUS = 4096
 MAX_SPECTRUM_WORK = MAX_SPECTRUM_MODULUS * 12**3
 

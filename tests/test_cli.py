@@ -387,6 +387,9 @@ def test_panel_all_binary_7(capsys, tmp_path):
     )
     assert (code, out) == (0, "cells=128\n")
     assert out_file.read_text().count('class="cell"') == 128
+    # word i is i in binary, most significant bit first: x_0 is bit 6
+    words = [parse_word(f"{i:07b}", 2) for i in range(128)]
+    assert out_file.read_bytes() == panel(words, columns=16)
 
 
 def test_panel_worker_count_does_not_change_bytes(capsys, tmp_path):
