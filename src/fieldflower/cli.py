@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 from .codes import BUILTIN_CODES, builtin_code, enumerate_codewords, \
@@ -139,6 +140,7 @@ def cmd_codewords(args: argparse.Namespace) -> tuple[int, str]:
     return 0, listing.rstrip("\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fieldflower",
@@ -199,9 +201,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code.  The parser is built
+    on the first call in a process and reused by every later one."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -104,8 +104,8 @@ class _Batch:
     a tuple past that.
 
     Like a `Word`, it has a modulus and its len() is the symbol count.  The
-    values are residues by construction (codewords, seeded draws) and are
-    not checked again.
+    values are residues by construction (codewords, or seeded draws built
+    as packed rows) and are not checked again.
     """
 
     modulus: int

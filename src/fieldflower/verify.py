@@ -11,7 +11,9 @@ The transform/code isomorphism and the addition-only check evaluate their
 words as `modlinalg._Batch`es, one packed product per batch, rather than
 word by word; on a mismatch they still name the first word that differs,
 codewords before the seeded random words, and over a field or shape the
-per-word functions refuse they raise the same error.
+per-word functions refuse they raise the same error.  The seeded random
+words are drawn straight into the batch's packed rows, never built as
+tuples.
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -25,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 
 from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
     hamming_generator, minimum_distance
@@ -53,6 +53,8 @@ _GOLAY_PAIRS = (
 _GOLAY_INVARIANTS = ("100000011111", "010000101221", "001000110122")
 
 _RNG_SEED = 12345
+_TOP_TWO_BITS = bytes(b >> 6 for b in range(256))
+_DRAWN_AGAIN = bytes(range(0xC0, 0x100))  # the bytes whose top two bits are 3
 
 
 @dataclass(frozen=True)
@@ -125,18 +127,30 @@ def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp) -> tuple[bool, str]
     return True, f"all {total} codewords are fixed points"
 
 
-def _random_words() -> list[tuple[int, ...]]:
+def _random_rows() -> tuple[bytes, ...]:
     """The 10,000 seeded ternary 12-symbol words the addition-only check
-    runs after the codewords."""
+    runs after the codewords, packed: row j holds symbol j of every word.
+
+    They are the draws of rng.randrange(3), which takes getrandbits(2) and
+    draws again on 3.  getrandbits(2) is the top two bits of one 32-bit
+    output, and getrandbits(32 * m) is m outputs, the first least
+    significant; so byte 3 of each little-endian 4-byte group, shifted
+    right by 6, is one draw, and a byte whose top two bits are 3 is drawn
+    again.
+    """
     rng = random.Random(_RNG_SEED)
-    # The draws of rng.randrange(3): getrandbits(2), drawn again on 3.
-    symbols = filter((3).__gt__, iter(partial(rng.getrandbits, 2), None))
-    return list(islice(zip(*[symbols] * 12), 10000))
+    need = 12 * 10000
+    stream = b""
+    while len(stream) < need:
+        m = need - len(stream)
+        draws = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        stream += draws.translate(_TOP_TWO_BITS, _DRAWN_AGAIN)
+    return tuple(stream[j:need:12] for j in range(12))
 
 
 def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:
     words = _codeword_batch(code_from_fixed_space(tg))
-    randoms = _Batch.of(3, _random_words())
+    randoms = _Batch(3, _random_rows())
     # codewords first: over a field other than GF(3) they raise as
     # apply_addition_only would on the first of them
     for batch in (words, randoms):

@@ -4,6 +4,10 @@ They read the independent transcription in reference_constants and share no
 code with src/.
 """
 
+import random
+from functools import partial
+from itertools import islice
+
 from fieldflower.gfield import Word
 from reference_constants import GOLAY_SIGNED_ROWS
 
@@ -21,6 +25,15 @@ def reference_addition_only(x: Word) -> Word:
                 acc -= v
         out.append(acc % 3)
     return Word(3, tuple(out))
+
+
+def reference_random_words() -> list[tuple[int, ...]]:
+    """The addition-only check's 10,000 seeded ternary 12-symbol words, one
+    symbol at a time: the draws of rng.randrange(3), which takes
+    getrandbits(2) and draws again on 3."""
+    rng = random.Random(12345)
+    symbols = filter((3).__gt__, iter(partial(rng.getrandbits, 2), None))
+    return list(islice(zip(*[symbols] * 12), 10000))
 
 
 def reference_format_word(word: Word) -> str:

@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fieldflower
+from fieldflower import cli
 from fieldflower.cli import main
 from fieldflower.flowergeom import features
 from fieldflower.gfield import parse_word, parse_word_list
@@ -550,6 +552,55 @@ def test_codewords_to_file(capsys, tmp_path):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# One process's parser serves every call, so no parse may leak into the
+# next: a success, render flags then their defaults, each kind of refusal and
+# both --help forms, then the first success again.
+PARSER_REUSE_SESSION = [
+    ("transform", "hamming", "0011000"),
+    ("render", "0110101", "--format", "tikz", "--no-grid", "--label"),
+    ("render", "0110101", "--format", "tikz"),
+    ("transform", "walsh", "0011000"),
+    ("--help",),
+    ("mindist", "--help"),
+    ("mindist", "hamming", "--code", "golay"),
+    ("render", "0102", "--p", "+3"),
+    ("transform", "hamming", "0011000"),
+]
+
+
+def _reuse_session(capsys, out_file):
+    results = []
+    for argv in PARSER_REUSE_SESSION:
+        if argv[0] == "render":
+            argv += ("--out", str(out_file))
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        written = out_file.read_bytes() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        results.append((code, captured.out, captured.err, written))
+    return results
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, tmp_path,
+                                                          monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a: parsers.append(self) or parse_args(self, *a))
+    cached = _reuse_session(capsys, tmp_path / "out")
+    assert len(parsers) == len(PARSER_REUSE_SESSION)
+    assert all(parser is parsers[0] for parser in parsers)
+    assert [r[0] for r in cached] == [0, 0, 0, 2, 0, 0, 2, 2, 0]
+    assert cached[1][3] != cached[2][3]
+    assert cached[-1] == cached[0]
+
+    parsers.clear()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _reuse_session(capsys, tmp_path / "out")
+    assert len({id(parser) for parser in parsers}) == len(PARSER_REUSE_SESSION)
+    assert cached == fresh
 
 
 def test_console_script_entry_point():

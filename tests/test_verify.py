@@ -6,9 +6,10 @@ from itertools import chain
 import pytest
 
 from fieldflower import modlinalg
-from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
+from fieldflower.modlinalg import MatrixOverGfp, _Batch, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
-from fieldflower.verify import _random_words, format_report, run_checks
+from fieldflower.verify import _random_rows, format_report, run_checks
+from reference_paths import reference_random_words
 
 EXPECTED_CHECKS = [
     "hamming-matrix-checksum",
@@ -134,12 +135,17 @@ def test_injected_matrix_details(case):
 
 
 def test_random_words_are_the_seeded_draw():
-    words = _random_words()
-    assert len(words) == 10000
-    assert all(len(w) == 12 for w in words)
+    rows = _random_rows()
+    assert len(rows) == 12
+    assert all(len(row) == 10000 for row in rows)
+    words = list(zip(*rows))
     digest = hashlib.sha256(bytes(chain.from_iterable(words))).hexdigest()
     assert digest == \
         "ea27fbeeef6ce72996bada924ce25885c77f177c001d463d0f8f4f0bf5bece90"
+
+
+def test_random_rows_are_the_per_symbol_draw_packed():
+    assert _random_rows() == _Batch.of(3, reference_random_words()).rows
 
 
 # A 12x12 matrix over GF(7) fixing e_0 and e_1: n(p-1)**2 = 432 lies past the
