@@ -1,9 +1,12 @@
 """Linear block codes over GF(p): generators, enumeration, distance, membership.
 
 A code is represented by a generator matrix with independent rows.  Everything
-downstream (codeword enumeration, minimum distance, membership) is exact and
+downstream is exact.  Codeword enumeration and minimum distance are
 exhaustive; the dimensions in play are small enough that brute force is the
-honest implementation, guarded by an explicit enumeration cap.
+honest implementation, guarded by an explicit enumeration cap.  Membership is
+a syndrome test: a word w lies in the code exactly when H*w = 0, with H the
+canonical null space of the generator (MacWilliams & Sloane, ch. 1), built at
+the code's first membership test and kept on it.
 
 Codebook walks split the k generator rows into an outer part g[:k//2] and an
 inner part g[k//2:]: each codeword is hi + lo, one word from the span of each,
@@ -24,13 +27,13 @@ its weight, which cannot carry out of the lane because n < 2**W.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
 from struct import Struct
 from typing import Iterator
 
 from .gfield import Word, _reduced_words, _require_prime, _same_field
-from .modlinalg import MatrixOverGfp, matrix_from_words, rref
+from .modlinalg import MatrixOverGfp, mat_vec, matrix_from_words, null_space, rref
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -52,6 +55,9 @@ class LinearCode:
     """An [n, k] linear code over GF(p), given by a full-rank generator."""
 
     generator: MatrixOverGfp
+    # The parity-check matrix of `is_codeword`, built by its first call.
+    _parity_check: MatrixOverGfp | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if rref(self.generator).rank != self.generator.rows:
@@ -221,11 +227,15 @@ def minimum_distance(code: LinearCode) -> int:
 
 
 def is_codeword(code: LinearCode, word: Word) -> bool:
-    """Membership test: does the word lie in the row space of the generator?"""
+    """Membership test: is the syndrome H*w of the word zero?  H spans the
+    dual code; a code of k = n has no parity rows and holds every word."""
     _same_field(word, code)
     if len(word) != code.length:
         raise ValueError(f"word has length {len(word)}, code has length {code.length}")
-    stacked = MatrixOverGfp(
-        code.modulus, code.generator.entries + (word.symbols,)
-    )
-    return rref(stacked).rank == code.dimension
+    if code.dimension == code.length:
+        return True
+    h = code._parity_check
+    if h is None:
+        h = matrix_from_words(null_space(code.generator))
+        object.__setattr__(code, "_parity_check", h)
+    return not any(mat_vec(h, word).symbols)

@@ -178,6 +178,11 @@ def _is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+# Symbol value -> its ASCII digit, and back, for words over GF(p) with p <= 10.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def parse_word(text: str, p: int) -> Word:
     """Parse a word from its text form.
 
@@ -185,12 +190,16 @@ def parse_word(text: str, p: int) -> Word:
     leftmost character is x_0.  A comma-separated decimal form ("0,11,3")
     is accepted for any p and required for p > 10.  Symbols are ASCII
     digits only.  The modulus and the symbol range are checked by `Word`.
+    A digit string maps to its symbols in one pass, through `_VALUES`; any
+    other text is read symbol by symbol, so an error can name its position.
     """
     if text == "":
         raise ValueError("empty word")
     if "," in text:
         symbols = [part.strip() for part in text.split(",")]
     elif p <= 10:
+        if _is_decimal(text):
+            return Word(p, tuple(text.encode("ascii").translate(_VALUES)))
         symbols = list(text)
     else:
         raise ValueError(f"words over GF({p}) must use the comma-separated form")
@@ -201,10 +210,6 @@ def parse_word(text: str, p: int) -> Word:
                 f"over GF({p}): expected ASCII digits 0-9"
             )
     return Word(p, tuple(map(int, symbols)))
-
-
-# Symbol value -> its ASCII digit, for words over GF(p) with p <= 10.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def format_word(word: Word) -> str:

@@ -11,20 +11,30 @@ canonical null-space bases, is byte-reproducible.
 Entries are checked by `gfield._residues` and operands matched by
 `gfield._same_field`; this module has no value check of its own.
 
+Products are packed into lanes of big ints (Kronecker substitution).  A sum
+of n products of residues is at most n(p-1)**2, and `_lane_bytes` gives the
+fewest whole bytes that hold it, so a lane of that width never carries into
+the next.  `mat_vec` packs each column j of M once, entry i in lane i, and
+stores the packed columns on the matrix at its first product; the image is
+then sum_j x_j * column_j, one big-int sum whose lane i is y_i before its
+reduction mod p.  One-byte lanes (n(p-1)**2 <= 255: 7 for the 7-point
+transform, 48 for the 12-point one) are reduced by one `bytes.translate`
+through a v % p table, wider ones by shift, mask and % p.
+
 `_mat_batch` multiplies a whole `_Batch` of vectors at once.  A batch stores
 symbol j of every vector in row j; for the product each row becomes one int
-with an 8-bit lane per vector, so output row i is sum_j M[i][j] * X_j, lane
-by lane, reduced by one `bytes.translate` through a v % p table.  A lane
-then holds at most n(p-1)**2, which is exact while it is at most 255 (7 for
-the 7-point transform, 48 for the 12-point one).  Past that bound the
-product is taken with `mat_vec` vector by vector; lanes never wrap.
+with a one-byte lane per vector, so output row i is sum_j M[i][j] * X_j, lane
+by lane, reduced by the same `bytes.translate`.  That needs one-byte lanes;
+past them the product is taken with `mat_vec` vector by vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from operator import mul
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .gfield import Word, _is_decimal, _residues, _same_field
@@ -36,6 +46,10 @@ class MatrixOverGfp:
 
     modulus: int
     entries: tuple[tuple[int, ...], ...]
+    # The lane width in bytes and the packed columns of `mat_vec`, filled by
+    # the first product.
+    _packed: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -83,18 +97,38 @@ def _require_operand(m: MatrixOverGfp, x: Word | _Batch) -> None:
         raise ValueError(f"matrix has {m.cols} columns, word has {len(x)} symbols")
 
 
+def _lane_bytes(n: int, p: int) -> int:
+    """The fewest whole bytes in a lane that holds a sum of n products of
+    residues mod p, each at most (p-1)**2, without a carry."""
+    return -(-(n * (p - 1) ** 2).bit_length() // 8)
+
+
+def _packed_column(column: tuple[int, ...], size: int) -> int:
+    """The entries as one int, entry i in lane i of `size` bytes.  Each entry
+    is packed into 8 bytes (residues are below 2**64) and its low bytes are
+    copied into its lane; it fits there, as p - 1 <= n(p-1)**2."""
+    wide = Struct(f"<{len(column)}Q").pack(*column)
+    lanes = bytearray(size * len(column))
+    for k in range(min(size, 8)):
+        lanes[k::size] = wide[k::8]
+    return int.from_bytes(lanes, "little")
+
+
 def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
-    """y_i = sum_j M[i][j] * x_j mod p."""
+    """y_i = sum_j M[i][j] * x_j mod p, as one packed sum of M's columns."""
     _require_operand(m, x)
-    p = m.modulus
-    xs = x.symbols
-    return Word(p, tuple(
-        sum(e * v for e, v in zip(row, xs)) % p for row in m.entries
-    ))
-
-
-# The largest lane sum an 8-bit lane holds exactly.
-_LANE_MAX = 255
+    p, packed = m.modulus, m._packed
+    if packed is None:
+        size = _lane_bytes(m.cols, p)
+        packed = size, tuple(_packed_column(c, size) for c in zip(*m.entries))
+        object.__setattr__(m, "_packed", packed)
+    size, columns = packed
+    y = sum(map(mul, x.symbols, columns))
+    if size == 1:
+        return Word(p, tuple(y.to_bytes(m.rows, "little").translate(_residue_table(p))))
+    w = 8 * size
+    mask = (1 << w) - 1
+    return Word(p, tuple((y >> s & mask) % p for s in range(0, w * m.rows, w)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +192,7 @@ def _mat_batch(m: MatrixOverGfp, x: _Batch) -> _Batch:
     """mat_vec(m, w) for every vector w of the batch, as a batch."""
     _require_operand(m, x)
     p = m.modulus
-    if m.cols * (p - 1) ** 2 > _LANE_MAX:
+    if _lane_bytes(m.cols, p) > 1:
         return _Batch.of(p, (mat_vec(m, x.word(b)).symbols for b in range(x.size)))
     xs = x.lanes()
     sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)

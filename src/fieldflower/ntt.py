@@ -7,25 +7,31 @@ are fixed constants.  The 12-point matrix has entries in {0, +1, -1} (with
 multiplies; that path is kept separate from the generic matrix product on
 purpose, and the two are required to agree everywhere.
 
-There is one addition-only evaluator, `_signed_sums`, and it evaluates a
-batch: symbol j of every word packed into one int, an 8-bit lane per word.
-Each output row adds its +1 columns, subtracts its -1 columns and adds
-`_OFFSET` to every lane, then one `bytes.translate` reduces the lanes mod 3.
+`apply` is the generic product, `modlinalg.mat_vec`: one big-int sum of the
+matrix's packed columns.  Both built-in transforms fit its one-byte lanes,
+so each image is reduced by one `bytes.translate`.
+
+There is one addition-only evaluator, `_signed_sums`.  Each output row adds
+its +1 columns, subtracts its -1 columns and adds an offset.  A batch packs
+symbol j of every word into one int, an 8-bit lane per word, with `_OFFSET`
+in every lane; `apply_addition_only` gives it one word's symbols, one lane
+each, and `_OFFSET`.  One `bytes.translate` then reduces the lanes mod 3.
 The offset is a multiple of 3, so it leaves every residue alone, and at
 least 2 * (the most -1 entries in a row), so no lane goes below 0; a lane
 stays at most _OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255, so
-none carries into the next.  `apply_addition_only` is a batch of one word,
-whose symbols are already one-lane ints.
+none carries into the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .gfield import FieldElement, Word
-from .modlinalg import MatrixOverGfp, _Batch, _reduce_lanes, mat_vec, null_space
+from .modlinalg import (
+    MatrixOverGfp, _Batch, _reduce_lanes, _residue_table, mat_vec, null_space,
+)
 
 _HAMMING_ROWS = (
     (0, 1, 0, 1, 1, 0, 0),
@@ -109,15 +115,11 @@ def apply(transform: Transform | MatrixOverGfp, x: Word) -> Word:
     return mat_vec(_matrix_of(transform), x)
 
 
-def _signed_sums(xs: Sequence[int], size: int) -> tuple[bytes, ...]:
-    """The 12-point transform of `size` words by additions and subtractions
-    only: xs[j] packs symbol j of every word, one 8-bit lane per word, and
-    output row i holds symbol i of every image, as bytes."""
-    offset = _OFFSET * int.from_bytes(b"\x01" * size, "little")
-    return _reduce_lanes(3, (
-        sum(plus(xs)) - sum(minus(xs)) + offset
-        for plus, minus in _SIGNED_GETTERS
-    ), size)
+def _signed_sums(xs: Sequence[int], offset: int) -> Iterator[int]:
+    """The 12-point transform by additions and subtractions only: xs[j]
+    packs symbol j of every word, and output row i, plus the offset, packs
+    symbol i of every image before its reduction mod 3."""
+    return (sum(plus(xs)) - sum(minus(xs)) + offset for plus, minus in _SIGNED_GETTERS)
 
 
 def _require_golay_shape(x: Word | _Batch) -> None:
@@ -130,16 +132,18 @@ def apply_addition_only(x: Word) -> Word:
 
     Each output coordinate is a signed accumulation over the {-1, 0, +1}
     matrix: add x_j where the entry is +1, subtract where it is -1, skip
-    zeros, and reduce mod 3 once at the end.  The word is a batch of one.
+    zeros, and reduce mod 3 once at the end, all 12 sums by one translate.
     """
     _require_golay_shape(x)
-    return Word(3, tuple(b"".join(_signed_sums(x.symbols, 1))))
+    sums = bytes(_signed_sums(x.symbols, _OFFSET))
+    return Word(3, tuple(sums.translate(_residue_table(3))))
 
 
 def _addition_only_batch(x: _Batch) -> _Batch:
     """apply_addition_only of every word of the batch, as a batch."""
     _require_golay_shape(x)
-    return _Batch(3, _signed_sums(x.lanes(), x.size))
+    offset = _OFFSET * int.from_bytes(b"\x01" * x.size, "little")
+    return _Batch(3, _reduce_lanes(3, _signed_sums(x.lanes(), offset), x.size))
 
 
 # eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each

@@ -27,6 +27,58 @@ def reference_addition_only(x: Word) -> Word:
     return Word(3, tuple(out))
 
 
+def reference_mat_vec(m, x: Word) -> Word:
+    """y_i = sum_j M[i][j] * x_j mod p, one row at a time."""
+    p = m.modulus
+    return Word(p, tuple(
+        sum(e * v for e, v in zip(row, x.symbols)) % p for row in m.entries
+    ))
+
+
+def _rank(p: int, rows) -> int:
+    """The rank of the rows over GF(p), by forward elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_is_codeword(code, word: Word) -> bool:
+    """Membership by rank: the word lies in the code exactly when stacking
+    it under the generator's k independent rows leaves the rank at k."""
+    stacked = code.generator.entries + (word.symbols,)
+    return _rank(code.modulus, stacked) == code.dimension
+
+
+def reference_parse_word(text: str, p: int) -> Word:
+    """A word from its text form, one symbol at a time: base-p digits for
+    p <= 10, or comma-separated ASCII decimals for any p."""
+    if text == "":
+        raise ValueError("empty word")
+    if "," in text:
+        symbols = [part.strip() for part in text.split(",")]
+    elif p <= 10:
+        symbols = list(text)
+    else:
+        raise ValueError(f"words over GF({p}) must use the comma-separated form")
+    for k, symbol in enumerate(symbols):
+        if not (symbol.isascii() and symbol.isdigit()):
+            raise ValueError(
+                f"invalid symbol {symbol!r} at position {k} in word {text!r} "
+                f"over GF({p}): expected ASCII digits 0-9"
+            )
+    return Word(p, tuple(map(int, symbols)))
+
+
 def reference_random_words() -> list[tuple[int, ...]]:
     """The addition-only check's 10,000 seeded ternary 12-symbol words, one
     symbol at a time: the draws of rng.randrange(3), which takes

@@ -1,7 +1,9 @@
 """Linear code machinery over the two built-in codes."""
 
 import ast
+import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -25,7 +27,7 @@ from fieldflower.gfield import Word, format_word, format_word_list, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, rref, same_row_space
 from fieldflower.ntt import GOLAY, HAMMING, apply
 import reference_constants as ref
-from reference_paths import reference_format_word
+from reference_paths import reference_format_word, reference_is_codeword
 
 
 def test_hamming_generator_matches_reference():
@@ -127,6 +129,39 @@ def test_is_codeword_shape_checks():
         is_codeword(code, Word(3, (0,) * 7))
     with pytest.raises(ValueError):
         is_codeword(code, Word(2, (0,) * 6))
+
+
+@pytest.mark.parametrize("code", [hamming_code(), LinearCode(identity(7, 2))],
+                         ids=["hamming", "k=n"])
+def test_is_codeword_shape_errors_once_the_parity_check_is_built(code):
+    assert is_codeword(code, Word(2, (0,) * 7))
+    for word, message in ((Word(3, (0,) * 7), r"^modulus mismatch: GF\(3\) vs GF\(2\)$"),
+                          (Word(2, (0,) * 6), "^word has length 6, code has length 7$")):
+        with pytest.raises(ValueError, match=message):
+            is_codeword(code, word)
+
+
+def test_parity_check_does_not_leak():
+    fresh, filled = hamming_code(), hamming_code()
+    words = [Word(2, bits) for bits in itertools.product(range(2), repeat=7)]
+    expected = [reference_is_codeword(fresh, w) for w in words]
+    assert [is_codeword(filled, w) for w in words] == expected
+    assert filled._parity_check is not None and fresh._parity_check is None
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == \
+        "LinearCode(generator=MatrixOverGfp(4x7 over GF(2)))"
+    for code in (fresh, filled):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(code, protocol=protocol))
+            assert back == fresh and hash(back) == hash(fresh)
+            assert [is_codeword(back, w) for w in words] == expected
+        assert dataclasses.replace(code) == fresh
+        # a replaced code builds the parity check of its own generator
+        other = dataclasses.replace(
+            code, generator=MatrixOverGfp(2, identity(7, 2).entries[3:]))
+        assert other._parity_check is None
+        assert [is_codeword(other, w) for w in words] == \
+            [reference_is_codeword(other, w) for w in words] != expected
 
 
 def test_code_from_fixed_space_hamming_equals_generator_space():
@@ -312,6 +347,29 @@ def test_walks_match_the_reference_walk_on_random_codes(code):
     expected = reference_codewords(code)
     assert enumerate_codewords(code) == expected
     assert minimum_distance(code) == reference_min_weight(expected)
+
+
+def test_syndrome_membership_matches_the_rank_test():
+    # Every codeword of the 208 differential codes and of a k = n code is a
+    # member; a sample of them, each with one symbol moved, and random words
+    # are asked of both tests.
+    answers = Counter()
+    for seed in range(209):
+        code = differential_code(seed) if seed < 208 else LinearCode(identity(5, 7))
+        p, n = code.modulus, code.length
+        book = reference_codewords(code)
+        assert all(is_codeword(code, w) for w in book), seed
+        rng = random.Random(seed)
+        asked = []
+        for w in rng.sample(book, min(len(book), 8)):
+            j = rng.randrange(n)
+            moved = w.symbols[:j] + ((w[j] + rng.randrange(1, p)) % p,) + w.symbols[j + 1:]
+            asked += [w, Word(p, moved), Word(p, tuple(rng.randrange(p) for _ in range(n)))]
+        for w in asked:
+            answer = reference_is_codeword(code, w)
+            assert is_codeword(code, w) == answer, (seed, w)
+            answers[answer] += 1
+    assert min(answers.values()) > 1000
 
 
 @pytest.mark.parametrize("name,transform", [("hamming", HAMMING), ("golay", GOLAY)])

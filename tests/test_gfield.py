@@ -19,7 +19,7 @@ from fieldflower.gfield import (
     parse_word_list,
 )
 from fieldflower.modlinalg import MatrixOverGfp
-from reference_paths import reference_format_word
+from reference_paths import reference_format_word, reference_parse_word
 from test_render import golden_words
 
 PRIMES = (2, 3, 5, 7)
@@ -241,6 +241,31 @@ def test_parse_word_errors():
             parse_word(text, p)
     with pytest.raises(ValueError, match=r"'\u00b2' at position 2 .* GF\(2\)"):
         parse_word("00\u00b21000", 2)
+
+
+def parse_outcome(parse, text, p):
+    """What parsing returns (type and fields) or raises (type and text)."""
+    try:
+        w = parse(text, p)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(w), w.modulus, w.symbols
+
+
+def test_parse_word_matches_the_per_symbol_oracle():
+    cases = [(format_word(w), w.modulus) for w in golden_words()]
+    cases += [(text, 3) for text in ("201100010110", "021220022122", "0" * 40)]
+    cases += [(text, p) for p in (2, 3, 7) for text in (
+        "", "+1", "-1", "1 0", " 10", "10 ", "1\u0663", "\u0663", "\u00b2",
+        "1,0", "1,,0", ",", "1,0,", "1,+1", "1, ,0", "0123456789", "9", "10a")]
+    cases += [("101", 11), ("101", 13), ("1,0", 13), ("012", 4), ("1,0", 4),
+              ("012", 1), ("5", 10), ("11", 2.5), ("11", True)]
+    for text, p in cases:
+        assert parse_outcome(parse_word, text, p) == \
+            parse_outcome(reference_parse_word, text, p), (text, p)
+    # the digit form reaches Word's range check, and its error, unchanged
+    assert parse_outcome(parse_word, "0120", 2)[2] == \
+        "value 2 at position 2 out of range for GF(2): expected an int in 0..1"
 
 
 def test_format_word_round_trip():

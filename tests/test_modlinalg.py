@@ -1,9 +1,12 @@
 """Gauss-Jordan elimination, null spaces, and the matrix text format."""
 
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldflower import modlinalg
 from fieldflower.gfield import Word
@@ -21,6 +24,7 @@ from fieldflower.modlinalg import (
     same_row_space,
 )
 from reference_constants import HAMMING_GENERATOR_ROWS, HAMMING_ROWS
+from reference_paths import reference_mat_vec
 
 
 def test_matrix_validation():
@@ -176,13 +180,70 @@ def lane_stress(rng, p, rows, n, count):
 def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, packed):
     rng = random.Random(p * 1000 + n)
     m, words = lane_stress(rng, p, 6, n, 40)
-    expected = [mat_vec(m, w) for w in words]
+    expected = [reference_mat_vec(m, w) for w in words]
     calls = []
     monkeypatch.setattr(modlinalg, "mat_vec",
                         lambda *a: calls.append(a) or mat_vec(*a))
     assert batch_product(m, words) == expected
     # past the lane bound, and only there, the product is taken word by word
     assert len(calls) == (0 if packed else len(words))
+
+
+# (p, n, lane bytes): n*(p-1)**2 is 255 at (2, 255), (3, 63) is 252, (5, 15)
+# 240, (7, 7) 252 and (13, 1) 144, all in one byte; one more column, or
+# p = 17, passes 255.  Past p = 256 the lanes grow to 3, 5, 8 and 16 bytes.
+@pytest.mark.parametrize("p,n,width", [
+    (2, 255, 1), (2, 256, 2), (3, 63, 1), (3, 64, 2), (5, 15, 1), (5, 16, 2),
+    (7, 7, 1), (7, 8, 2), (13, 1, 1), (13, 2, 2), (17, 1, 2), (17, 3, 2),
+    (257, 3, 3), (65537, 3, 5), (2**31 - 1, 3, 8), (2**61 - 1, 3, 16),
+])
+@pytest.mark.parametrize("rows", [1, 5, "n"])
+def test_mat_vec_matches_reference_at_every_lane_width(p, n, width, rows):
+    assert modlinalg._lane_bytes(n, p) == width
+    rng = random.Random(p * 1000 + n)
+    m, words = lane_stress(rng, p, n if rows == "n" else rows, n, 12)
+    for w in words:
+        assert mat_vec(m, w) == reference_mat_vec(m, w)
+
+
+@st.composite
+def small_products(draw):
+    """A matrix of up to 6x6 over GF(p) and a word it multiplies."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13, 17, 257, 65537, 2**31 - 1, 2**61 - 1)))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    symbol = st.integers(0, p - 1)
+    entries = draw(st.tuples(*[st.tuples(*[symbol] * cols)] * rows))
+    return MatrixOverGfp(p, entries), Word(p, draw(st.tuples(*[symbol] * cols)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_products())
+def test_mat_vec_matches_reference_on_random_matrices(product):
+    m, x = product
+    assert mat_vec(m, x) == reference_mat_vec(m, x)
+    assert mat_vec(m, x) == reference_mat_vec(m, x)  # from the stored columns
+
+
+def test_packed_columns_do_not_leak():
+    fresh, filled = (MatrixOverGfp(3, ((1, 2, 0), (0, 1, 1))) for _ in range(2))
+    x = Word(3, (2, 1, 1))
+    expected = reference_mat_vec(fresh, x)
+    assert mat_vec(filled, x) == expected
+    assert filled._packed is not None and fresh._packed is None
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == "MatrixOverGfp(2x3 over GF(3))"
+    for m in (fresh, filled):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, protocol=protocol))
+            assert back == fresh and hash(back) == hash(fresh)
+            assert mat_vec(back, x) == expected
+        assert dataclasses.replace(m) == fresh
+        # a replaced matrix packs its own columns, at its own lane width
+        other = dataclasses.replace(m, entries=((2, 2, 1), (1, 0, 2)))
+        assert other._packed is None
+        assert mat_vec(other, x) == reference_mat_vec(other, x) != expected
+        wide, y = dataclasses.replace(m, modulus=257), Word(257, (256, 255, 7))
+        assert mat_vec(wide, y) == reference_mat_vec(wide, y)
 
 
 @pytest.mark.parametrize("size", [1, 2, 729, 10729])
