@@ -22,6 +22,15 @@ top bit is set reduces it.  A bias of 2**(W-1) - 1 instead sets the top bit of
 each nonzero lane.  Those bits, moved to the bottom of their lanes and
 multiplied by a 1 in each of n lanes, sum each word's bits into its last lane:
 its weight, which cannot carry out of the lane because n < 2**W.
+
+A listing is built with automatic cyclic garbage collection paused
+(`gfield._collector_paused`), and each block's Words are made by C-level maps
+in `gfield._reduced_words`.  A Word holds only an int and a tuple of ints, so
+a listing cannot form a reference cycle: no collection during the walk could
+free any of it, and each would only traverse the growing listing again.  The
+pause is process-wide, so another thread's cyclic garbage waits until the
+listing ends, at most ENUMERATION_LIMIT words.  The caller's collector state
+is restored when the walk ends or raises, and never turned on if it was off.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ from itertools import chain, islice, starmap
 from struct import Struct
 from typing import Iterator
 
-from .gfield import Word, _reduced_words, _require_prime, _same_field
+from .gfield import (
+    Word, _collector_paused, _reduced_words, _require_prime, _same_field)
 from .modlinalg import MatrixOverGfp, mat_vec, matrix_from_words, null_space, rref
 from .ntt import GOLAY, Transform, fixed_space
 
@@ -62,6 +72,13 @@ class LinearCode:
     def __post_init__(self) -> None:
         if rref(self.generator).rank != self.generator.rows:
             raise ValueError("generator rows are linearly dependent")
+
+    def __getstate__(self) -> dict:
+        """Pickle the value without its parity check: the loaded code builds
+        its own at its first membership test, as a fresh one does."""
+        state = self.__dict__.copy()
+        state.pop("_parity_check", None)
+        return state
 
     @property
     def modulus(self) -> int:
@@ -193,12 +210,13 @@ def enumerate_codewords(code: LinearCode) -> list[Word]:
     fmt, w, one, top = _lanes(p, n, _shape(p, n, code.dimension)[1])
     size, bias = n * w // 8, ((1 << w - 1) - p) * one
     unpack, words = Struct(f"<{n}{fmt}").iter_unpack, []
-    for m, s in _blocks(p, code.generator.entries):
-        # A lane with its top bit set, or biased to it, holds a symbol >= p.
-        if bad := (s | s + bias) & top:
-            k = len(words) + ((bad & -bad).bit_length() - 1) // (n * w)
-            raise ValueError(f"codeword {k} has a symbol >= {p}")
-        words += _reduced_words(p, unpack(s.to_bytes(m * size, "little")))
+    with _collector_paused():
+        for m, s in _blocks(p, code.generator.entries):
+            # A lane with its top bit set, or biased to it, holds a symbol >= p.
+            if bad := (s | s + bias) & top:
+                k = len(words) + ((bad & -bad).bit_length() - 1) // (n * w)
+                raise ValueError(f"codeword {k} has a symbol >= {p}")
+            words += _reduced_words(p, unpack(s.to_bytes(m * size, "little")))
     return words
 
 

@@ -7,12 +7,25 @@ shared freely across threads, and every operation returns a new value.
 `int` residues in 0..p-1) for elements, words and matrices alike, and
 `_same_field` alone checks that two operands share a modulus.  Only the
 codebook walk skips `_residues` (through `_reduced_words`): it checks its words.
+
+The walk builds its listing with automatic cyclic garbage collection paused
+(`_collector_paused`).  A listing's Words hold only an int and a tuple of
+ints, so they cannot form reference cycles: no collection during the walk
+could free any of them, and each would only traverse the growing listing
+again.  The pause is process-wide: another thread's cyclic garbage waits
+until the listing ends, at most `codes.ENUMERATION_LIMIT` words.  The first
+collection of the new objects is deferred, not skipped: it runs at the next
+allocation of a tracked object after the walk, or finds nothing left if the
+listing is freed first.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -155,16 +168,33 @@ class Word:
 
 def _reduced_words(p: int, symbol_rows: Iterable[tuple[int, ...]]) -> list[Word]:
     """Words built without `_residues`, one per tuple: the caller has checked
-    that p is prime and that the symbols are ints in 0..p-1."""
-    new = object.__new__
-    set_modulus, set_symbols = Word.modulus.__set__, Word.symbols.__set__
-    words = []
-    for symbols in symbol_rows:
-        word = new(Word)
-        set_modulus(word, p)
-        set_symbols(word, symbols)
-        words.append(word)
+    that p is prime and that the symbols are ints in 0..p-1.  The Words are
+    made and their two slots set by C-level `map`s, drained by `deque`."""
+    rows = list(symbol_rows)
+    words = list(map(object.__new__, repeat(Word, len(rows))))
+    deque(map(Word.modulus.__set__, words, repeat(p)), maxlen=0)
+    deque(map(Word.symbols.__set__, words, rows), maxlen=0)
     return words
+
+
+class _collector_paused:
+    """Pause automatic cyclic garbage collection for a `with` block, and
+    turn it back on after only if it was on before: a caller who disabled
+    it keeps it disabled.  The pause is process-wide.
+
+    A class, not a `contextmanager` generator, whose exit would allocate (its
+    StopIteration) while every object made in the block is still in the
+    youngest generation, and so start a collection of all of them there."""
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 def _all_binary_7() -> list[Word]:

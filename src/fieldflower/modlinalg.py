@@ -63,6 +63,13 @@ class MatrixOverGfp:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
         _residues(self.modulus, chain.from_iterable(self.entries), width)
 
+    def __getstate__(self) -> dict:
+        """Pickle the value without its packed columns: the loaded matrix
+        packs its own at its first product, as a fresh one does."""
+        state = self.__dict__.copy()
+        state.pop("_packed", None)
+        return state
+
     @property
     def rows(self) -> int:
         return len(self.entries)

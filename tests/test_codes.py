@@ -1,7 +1,9 @@
 """Linear code machinery over the two built-in codes."""
 
 import ast
+import contextlib
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fieldflower import codes
+from fieldflower import codes, gfield
 from fieldflower.codes import (
     ENUMERATION_LIMIT,
     LinearCode,
@@ -152,8 +154,12 @@ def test_parity_check_does_not_leak():
         "LinearCode(generator=MatrixOverGfp(4x7 over GF(2)))"
     for code in (fresh, filled):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(code, protocol=protocol))
+            # the pickle of a used code is that of a fresh one
+            data = pickle.dumps(code, protocol=protocol)
+            assert len(data) == len(pickle.dumps(fresh, protocol=protocol))
+            back = pickle.loads(data)
             assert back == fresh and hash(back) == hash(fresh)
+            assert back._parity_check is None
             assert [is_codeword(back, w) for w in words] == expected
         assert dataclasses.replace(code) == fresh
         # a replaced code builds the parity check of its own generator
@@ -162,6 +168,26 @@ def test_parity_check_does_not_leak():
         assert other._parity_check is None
         assert [is_codeword(other, w) for w in words] == \
             [reference_is_codeword(other, w) for w in words] != expected
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickles_of_used_golay_values_stay_fresh_sized(protocol):
+    # One membership test fills golay's parity check (and its packed
+    # columns); one product fills the GOLAY matrix's packed columns.
+    code, fresh_code = builtin_code("golay"), builtin_code("golay")
+    matrix, fresh_matrix = GOLAY.matrix, MatrixOverGfp(3, GOLAY.matrix.entries)
+    words = [parse_word(text, 3) for text in ("0" * 12, "1" * 12, "012012012012")]
+    members = [is_codeword(code, w) for w in words]
+    products = [apply(GOLAY, w) for w in words]
+    assert code._parity_check is not None and matrix._packed is not None
+    for used, fresh in ((code, fresh_code), (matrix, fresh_matrix)):
+        data = pickle.dumps(used, protocol=protocol)
+        assert len(data) == len(pickle.dumps(fresh, protocol=protocol))
+        assert pickle.loads(data) == used
+    back_code = pickle.loads(pickle.dumps(code, protocol=protocol))
+    back_matrix = pickle.loads(pickle.dumps(matrix, protocol=protocol))
+    assert [is_codeword(back_code, w) for w in words] == members
+    assert [apply(back_matrix, w) for w in words] == products
 
 
 def test_code_from_fixed_space_hamming_equals_generator_space():
@@ -400,6 +426,78 @@ def test_reduced_word_is_used_only_by_enumerate_codewords():
         for scope in loads_of("_reduced_words", ast.parse(path.read_text(encoding="utf-8")))
     }
     assert users == {("codes", "enumerate_codewords")}
+
+
+def test_reduced_words_match_checked_words():
+    # The mapped bulk builder against `Word(p, t)`, over the listing of
+    # every differential code, fed as an iterator as the walk feeds it.
+    assert gfield._reduced_words(5, iter(())) == []
+    for seed in range(208):
+        code = differential_code(seed)
+        p, rows = code.modulus, [w.symbols for w in reference_codewords(code)]
+        words = gfield._reduced_words(p, iter(rows))
+        assert type(words) is list and len(words) == len(rows), seed
+        for word, symbols in zip(words, rows):
+            assert type(word) is Word and word == Word(p, symbols), seed
+            assert word.modulus == p and word.symbols is symbols, seed
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with automatic cyclic collection on or off, and put
+    back the state it had before."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_enumeration_leaves_the_collector_as_the_caller_set_it(monkeypatch, enabled):
+    # Paused while each block's Words are built, and never turned on for a
+    # caller who turned it off.
+    states, reduced_words = [], codes._reduced_words
+
+    def watched(p, rows):
+        states.append(gc.isenabled())
+        return reduced_words(p, rows)
+
+    monkeypatch.setattr(codes, "_reduced_words", watched)
+    code = random_full_rank_code(random.Random(16), 2, 16, 32)
+    with collector(enabled):
+        assert len(enumerate_codewords(code)) == 2**16
+        assert gc.isenabled() is enabled
+    assert len(states) > 1 and not any(states)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_enumeration_restores_the_collector_when_a_block_is_refused(monkeypatch, enabled):
+    # The bad-block setup of the test below: a clean one-word block, then
+    # a block whose word 0 holds p in its middle lane.
+    p = 3
+    code = LinearCode(MatrixOverGfp(p, identity(3, p).entries[:1]))
+    _, m = codes._shape(p, 3, 1)
+    _, w, _, _ = codes._lanes(p, 3, m)
+    blocks = ((1, 0), (m, p << w))
+    monkeypatch.setattr(codes, "_blocks", lambda *_: iter(blocks))
+    with collector(enabled):
+        with pytest.raises(ValueError, match=f"^codeword 1 has a symbol >= {p}$"):
+            enumerate_codewords(code)
+        assert gc.isenabled() is enabled
+
+
+def test_listings_do_not_depend_on_the_collector():
+    listed = []
+    for enabled in (True, False):
+        with collector(enabled):
+            listed.append([enumerate_codewords(code) for code in (
+                hamming_code(), builtin_code("golay"),
+                random_full_rank_code(random.Random(20), 3, 10, 20),
+                random_full_rank_code(random.Random(32), 2, 16, 32))])
+    assert listed[0] == listed[1]
+    assert all(type(w) is Word for listing in listed[1] for w in listing)
 
 
 @pytest.mark.parametrize("p", [2, 3, 131, 32771])

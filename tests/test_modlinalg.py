@@ -234,8 +234,12 @@ def test_packed_columns_do_not_leak():
     assert repr(filled) == repr(fresh) == "MatrixOverGfp(2x3 over GF(3))"
     for m in (fresh, filled):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(m, protocol=protocol))
+            # the pickle of a used matrix is that of a fresh one
+            data = pickle.dumps(m, protocol=protocol)
+            assert len(data) == len(pickle.dumps(fresh, protocol=protocol))
+            back = pickle.loads(data)
             assert back == fresh and hash(back) == hash(fresh)
+            assert back._packed is None
             assert mat_vec(back, x) == expected
         assert dataclasses.replace(m) == fresh
         # a replaced matrix packs its own columns, at its own lane width
