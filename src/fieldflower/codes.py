@@ -24,26 +24,31 @@ multiplied by a 1 in each of n lanes, sum each word's bits into its last lane:
 its weight, which cannot carry out of the lane because n < 2**W.
 
 A listing is built with automatic cyclic garbage collection paused
-(`gfield._collector_paused`), and each block's Words are made by C-level maps
-in `gfield._reduced_words`.  A Word holds only an int and a tuple of ints, so
-a listing cannot form a reference cycle: no collection during the walk could
-free any of it, and each would only traverse the growing listing again.  The
-pause is process-wide, so another thread's cyclic garbage waits until the
-listing ends, at most ENUMERATION_LIMIT words.  The caller's collector state
-is restored when the walk ends or raises, and never turned on if it was off.
+(`gc.disable()` around the block loop of `enumerate_codewords`), and each
+block's Words are made by C-level maps in `gfield._reduced_words`.  A Word
+holds only an int and a tuple of ints, so a listing cannot form a reference
+cycle: no collection during the walk could free any of it, and each would
+only traverse the growing listing again.  The pause is process-wide, so
+another thread's cyclic garbage waits until the listing ends, at most
+ENUMERATION_LIMIT words.  A `finally` turns the collector back on when the
+walk ends or raises, and only if it was on at entry.  The listing's first
+collection is deferred, not skipped: it runs at the caller's next allocation
+of a tracked object, or finds nothing left if the listing is freed first.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, starmap
 from struct import Struct
 from typing import Iterator
 
-from .gfield import (
-    Word, _collector_paused, _reduced_words, _require_prime, _same_field)
-from .modlinalg import MatrixOverGfp, mat_vec, matrix_from_words, null_space, rref
+from .gfield import Word, _reduced_words, _require_prime, _same_field
+from .modlinalg import (
+    MatrixOverGfp, _fields_only, mat_vec, matrix_from_words, null_space, rref)
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -65,20 +70,18 @@ class LinearCode:
     """An [n, k] linear code over GF(p), given by a full-rank generator."""
 
     generator: MatrixOverGfp
-    # The parity-check matrix of `is_codeword`, built by its first call.
-    _parity_check: MatrixOverGfp | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if rref(self.generator).rank != self.generator.rows:
             raise ValueError("generator rows are linearly dependent")
 
-    def __getstate__(self) -> dict:
-        """Pickle the value without its parity check: the loaded code builds
-        its own at its first membership test, as a fresh one does."""
-        state = self.__dict__.copy()
-        state.pop("_parity_check", None)
-        return state
+    __getstate__ = _fields_only
+
+    @cached_property
+    def _parity_check(self) -> MatrixOverGfp:
+        """H of `is_codeword`: the canonical null space of the generator,
+        built at the first membership test."""
+        return matrix_from_words(null_space(self.generator))
 
     @property
     def modulus(self) -> int:
@@ -210,13 +213,18 @@ def enumerate_codewords(code: LinearCode) -> list[Word]:
     fmt, w, one, top = _lanes(p, n, _shape(p, n, code.dimension)[1])
     size, bias = n * w // 8, ((1 << w - 1) - p) * one
     unpack, words = Struct(f"<{n}{fmt}").iter_unpack, []
-    with _collector_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         for m, s in _blocks(p, code.generator.entries):
             # A lane with its top bit set, or biased to it, holds a symbol >= p.
             if bad := (s | s + bias) & top:
                 k = len(words) + ((bad & -bad).bit_length() - 1) // (n * w)
                 raise ValueError(f"codeword {k} has a symbol >= {p}")
             words += _reduced_words(p, unpack(s.to_bytes(m * size, "little")))
+    finally:
+        if enabled:
+            gc.enable()
     return words
 
 
@@ -252,8 +260,4 @@ def is_codeword(code: LinearCode, word: Word) -> bool:
         raise ValueError(f"word has length {len(word)}, code has length {code.length}")
     if code.dimension == code.length:
         return True
-    h = code._parity_check
-    if h is None:
-        h = matrix_from_words(null_space(code.generator))
-        object.__setattr__(code, "_parity_check", h)
-    return not any(mat_vec(h, word).symbols)
+    return not any(mat_vec(code._parity_check, word).symbols)

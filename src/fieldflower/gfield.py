@@ -7,21 +7,10 @@ shared freely across threads, and every operation returns a new value.
 `int` residues in 0..p-1) for elements, words and matrices alike, and
 `_same_field` alone checks that two operands share a modulus.  Only the
 codebook walk skips `_residues` (through `_reduced_words`): it checks its words.
-
-The walk builds its listing with automatic cyclic garbage collection paused
-(`_collector_paused`).  A listing's Words hold only an int and a tuple of
-ints, so they cannot form reference cycles: no collection during the walk
-could free any of them, and each would only traverse the growing listing
-again.  The pause is process-wide: another thread's cyclic garbage waits
-until the listing ends, at most `codes.ENUMERATION_LIMIT` words.  The first
-collection of the new objects is deferred, not skipped: it runs at the next
-allocation of a tracked object after the walk, or finds nothing left if the
-listing is freed first.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -177,26 +166,6 @@ def _reduced_words(p: int, symbol_rows: Iterable[tuple[int, ...]]) -> list[Word]
     return words
 
 
-class _collector_paused:
-    """Pause automatic cyclic garbage collection for a `with` block, and
-    turn it back on after only if it was on before: a caller who disabled
-    it keeps it disabled.  The pause is process-wide.
-
-    A class, not a `contextmanager` generator, whose exit would allocate (its
-    StopIteration) while every object made in the block is still in the
-    youngest generation, and so start a collection of all of them there."""
-
-    __slots__ = ("enabled",)
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self.enabled:
-            gc.enable()
-
-
 def _all_binary_7() -> list[Word]:
     """The 128 binary 7-words: word i is i in binary, x_0 its top bit."""
     return [Word(2, tuple((i >> (6 - k)) & 1 for k in range(7))) for i in range(128)]
@@ -218,21 +187,21 @@ def parse_word(text: str, p: int) -> Word:
 
     Canonical form for p <= 10 is a contiguous base-p digit string whose
     leftmost character is x_0.  A comma-separated decimal form ("0,11,3")
-    is accepted for any p and required for p > 10.  Symbols are ASCII
-    digits only.  The modulus and the symbol range are checked by `Word`.
-    A digit string maps to its symbols in one pass, through `_VALUES`; any
-    other text is read symbol by symbol, so an error can name its position.
+    is accepted for any p and required for p > 10, where text without a
+    comma is a word of one symbol ("12"), as `format_word` writes it.
+    Symbols are ASCII digits only.  The modulus and the symbol range are
+    checked by `Word`.  A digit string maps to its symbols in one pass,
+    through `_VALUES`; any other text is read symbol by symbol, so an error
+    can name its position.
     """
     if text == "":
         raise ValueError("empty word")
-    if "," in text:
+    if "," in text or p > 10:
         symbols = [part.strip() for part in text.split(",")]
-    elif p <= 10:
-        if _is_decimal(text):
-            return Word(p, tuple(text.encode("ascii").translate(_VALUES)))
-        symbols = list(text)
+    elif _is_decimal(text):
+        return Word(p, tuple(text.encode("ascii").translate(_VALUES)))
     else:
-        raise ValueError(f"words over GF({p}) must use the comma-separated form")
+        symbols = list(text)
     for k, symbol in enumerate(symbols):
         if not _is_decimal(symbol):
             raise ValueError(

@@ -14,8 +14,8 @@ Entries are checked by `gfield._residues` and operands matched by
 Products are packed into lanes of big ints (Kronecker substitution).  A sum
 of n products of residues is at most n(p-1)**2, and `_lane_bytes` gives the
 fewest whole bytes that hold it, so a lane of that width never carries into
-the next.  `mat_vec` packs each column j of M once, entry i in lane i, and
-stores the packed columns on the matrix at its first product; the image is
+the next.  `mat_vec` packs each column j of M once, entry i in lane i, into
+the matrix's cached `_packed` at its first product; the image is
 then sum_j x_j * column_j, one big-int sum whose lane i is y_i before its
 reduction mod p.  One-byte lanes (n(p-1)**2 <= 255: 7 for the 7-point
 transform, 48 for the 12-point one) are reduced by one `bytes.translate`
@@ -30,8 +30,8 @@ past them the product is taken with `mat_vec` vector by vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
 from struct import Struct
@@ -40,16 +40,18 @@ from typing import Iterable, Sequence
 from .gfield import Word, _is_decimal, _residues, _same_field
 
 
+def _fields_only(value) -> dict:
+    """The pickled state of a dataclass value: its fields, and none of the
+    caches kept in its `__dict__`, which the loaded value builds again."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
 @dataclass(frozen=True)
 class MatrixOverGfp:
     """A dense rows x cols matrix of residues over GF(p)."""
 
     modulus: int
     entries: tuple[tuple[int, ...], ...]
-    # The lane width in bytes and the packed columns of `mat_vec`, filled by
-    # the first product.
-    _packed: tuple[int, tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -63,12 +65,14 @@ class MatrixOverGfp:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
         _residues(self.modulus, chain.from_iterable(self.entries), width)
 
-    def __getstate__(self) -> dict:
-        """Pickle the value without its packed columns: the loaded matrix
-        packs its own at its first product, as a fresh one does."""
-        state = self.__dict__.copy()
-        state.pop("_packed", None)
-        return state
+    __getstate__ = _fields_only
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[int, ...]]:
+        """The lane width in bytes and the packed columns of `mat_vec`,
+        built at the first product."""
+        size = _lane_bytes(self.cols, self.modulus)
+        return size, tuple(_packed_column(c, size) for c in zip(*self.entries))
 
     @property
     def rows(self) -> int:
@@ -124,12 +128,7 @@ def _packed_column(column: tuple[int, ...], size: int) -> int:
 def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
     """y_i = sum_j M[i][j] * x_j mod p, as one packed sum of M's columns."""
     _require_operand(m, x)
-    p, packed = m.modulus, m._packed
-    if packed is None:
-        size = _lane_bytes(m.cols, p)
-        packed = size, tuple(_packed_column(c, size) for c in zip(*m.entries))
-        object.__setattr__(m, "_packed", packed)
-    size, columns = packed
+    p, (size, columns) = m.modulus, m._packed
     y = sum(map(mul, x.symbols, columns))
     if size == 1:
         return Word(p, tuple(y.to_bytes(m.rows, "little").translate(_residue_table(p))))

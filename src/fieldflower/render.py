@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from string import hexdigits
 
 from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
@@ -291,19 +292,17 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
             )
     _, place, cell = _draw(_SVG, spec, n, p)
     # Every cell shares n and p, so each (k, x_k) is placed once per call.
-    points = {}
-
+    @cache
     def point(kv):
         _, x, y = _placement(*kv, n)
-        points[kv] = q = place(x, y)
-        return q
+        return place(x, y)
 
     rows = -(-len(words) // columns)
     body = []
     for i, w in enumerate(words):
         tx, ty = (i % columns) * spec.canvas, (i // columns) * spec.canvas
         body.append(f'<g class="cell" transform="translate({_fmt(tx)} {_fmt(ty)})">')
-        body.extend(cell(w, [points.get(kv) or point(kv) for kv in enumerate(w.symbols)]))
+        body.extend(cell(w, [point(kv) for kv in enumerate(w.symbols)]))
         body.append("</g>")
     return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
 

@@ -61,15 +61,14 @@ def reference_is_codeword(code, word: Word) -> bool:
 
 def reference_parse_word(text: str, p: int) -> Word:
     """A word from its text form, one symbol at a time: base-p digits for
-    p <= 10, or comma-separated ASCII decimals for any p."""
+    p <= 10, or comma-separated ASCII decimals for any p (one decimal, no
+    comma, for a one-symbol word over p > 10)."""
     if text == "":
         raise ValueError("empty word")
-    if "," in text:
+    if "," in text or p > 10:
         symbols = [part.strip() for part in text.split(",")]
-    elif p <= 10:
-        symbols = list(text)
     else:
-        raise ValueError(f"words over GF({p}) must use the comma-separated form")
+        symbols = list(text)
     for k, symbol in enumerate(symbols):
         if not (symbol.isascii() and symbol.isdigit()):
             raise ValueError(

@@ -148,10 +148,13 @@ def test_parity_check_does_not_leak():
     words = [Word(2, bits) for bits in itertools.product(range(2), repeat=7)]
     expected = [reference_is_codeword(fresh, w) for w in words]
     assert [is_codeword(filled, w) for w in words] == expected
-    assert filled._parity_check is not None and fresh._parity_check is None
+    assert "_parity_check" in vars(filled) and "_parity_check" not in vars(fresh)
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh) == \
         "LinearCode(generator=MatrixOverGfp(4x7 over GF(2)))"
+    assert [f.name for f in dataclasses.fields(filled)] == ["generator"]
+    assert dataclasses.asdict(filled) == dataclasses.asdict(fresh)
+    assert dataclasses.astuple(filled) == dataclasses.astuple(fresh)
     for code in (fresh, filled):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             # the pickle of a used code is that of a fresh one
@@ -159,13 +162,13 @@ def test_parity_check_does_not_leak():
             assert len(data) == len(pickle.dumps(fresh, protocol=protocol))
             back = pickle.loads(data)
             assert back == fresh and hash(back) == hash(fresh)
-            assert back._parity_check is None
+            assert "_parity_check" not in vars(back)
             assert [is_codeword(back, w) for w in words] == expected
         assert dataclasses.replace(code) == fresh
         # a replaced code builds the parity check of its own generator
         other = dataclasses.replace(
             code, generator=MatrixOverGfp(2, identity(7, 2).entries[3:]))
-        assert other._parity_check is None
+        assert "_parity_check" not in vars(other)
         assert [is_codeword(other, w) for w in words] == \
             [reference_is_codeword(other, w) for w in words] != expected
 
@@ -179,11 +182,13 @@ def test_pickles_of_used_golay_values_stay_fresh_sized(protocol):
     words = [parse_word(text, 3) for text in ("0" * 12, "1" * 12, "012012012012")]
     members = [is_codeword(code, w) for w in words]
     products = [apply(GOLAY, w) for w in words]
-    assert code._parity_check is not None and matrix._packed is not None
+    assert "_parity_check" in vars(code) and "_packed" in vars(matrix)
     for used, fresh in ((code, fresh_code), (matrix, fresh_matrix)):
         data = pickle.dumps(used, protocol=protocol)
         assert len(data) == len(pickle.dumps(fresh, protocol=protocol))
         assert pickle.loads(data) == used
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+        assert dataclasses.astuple(used) == dataclasses.astuple(fresh)
     back_code = pickle.loads(pickle.dumps(code, protocol=protocol))
     back_matrix = pickle.loads(pickle.dumps(matrix, protocol=protocol))
     assert [is_codeword(back_code, w) for w in words] == members
@@ -426,6 +431,17 @@ def test_reduced_word_is_used_only_by_enumerate_codewords():
         for scope in loads_of("_reduced_words", ast.parse(path.read_text(encoding="utf-8")))
     }
     assert users == {("codes", "enumerate_codewords")}
+
+
+def test_frozen_values_are_written_only_in_post_init():
+    # A frozen value is set up by `object.__setattr__` in `__post_init__`
+    # and never written after: a derived cache is a `cached_property`.
+    users = {
+        (path.stem, scope)
+        for path in Path(codes.__file__).parent.glob("*.py")
+        for scope in loads_of("__setattr__", ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert users and {scope for _, scope in users} == {"__post_init__"}
 
 
 def test_reduced_words_match_checked_words():

@@ -7,6 +7,7 @@ import pickle
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldflower import gfield
 from fieldflower.gfield import (
@@ -23,6 +24,15 @@ from reference_paths import reference_format_word, reference_parse_word
 from test_render import golden_words
 
 PRIMES = (2, 3, 5, 7)
+
+# Moduli of the text round trips: digit form up to 7, comma form past 10.
+ROUND_TRIP_PRIMES = (2, 3, 5, 7, 11, 13, 257, 2**61 - 1)
+
+
+@st.composite
+def words_over(draw, p):
+    """A word of 1..40 symbols over GF(p)."""
+    return Word(p, tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40))))
 
 
 def test_is_prime_small_values():
@@ -221,6 +231,8 @@ def test_parse_word_comma_form():
     assert parse_word("0,11,3", 13).symbols == (0, 11, 3)
     # comma form is accepted under small p too
     assert parse_word("1,0,1", 2).symbols == (1, 0, 1)
+    # past p = 10, text without a comma is a word of one symbol
+    assert parse_word("12", 13).symbols == (12,)
 
 
 def test_parse_word_errors():
@@ -231,7 +243,7 @@ def test_parse_word_errors():
     with pytest.raises(ValueError):
         parse_word("012", 2)
     with pytest.raises(ValueError):
-        parse_word("101", 13)  # p > 10 requires commas
+        parse_word("101", 13)  # one symbol, 101, over GF(13)
     with pytest.raises(ValueError):
         parse_word("1,14,0", 13)
     # only ASCII digits, though str.isdigit and int() take the others
@@ -268,9 +280,13 @@ def test_parse_word_matches_the_per_symbol_oracle():
         "value 2 at position 2 out of range for GF(2): expected an int in 0..1"
 
 
-def test_format_word_round_trip():
-    for text, p in (("0011000", 2), ("201100010110", 3), ("0,11,3", 13)):
-        assert format_word(parse_word(text, p)) == text
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ROUND_TRIP_PRIMES).flatmap(words_over))
+def test_format_word_round_trip(word):
+    text = format_word(word)
+    assert ("," in text) == (word.modulus > 10 and len(word) > 1)
+    assert parse_word(text, word.modulus) == word
+    assert format_word(parse_word(text, word.modulus)) == text
 
 
 def test_parse_word_list_skips_comments_and_blanks():
@@ -279,6 +295,25 @@ def test_parse_word_list_skips_comments_and_blanks():
     assert [format_word(w) for w in words] == ["0011000", "1100001"]
 
 
-def test_word_list_round_trip():
-    words = [parse_word(t, 3) for t in ("000000111221", "102010022101")]
-    assert parse_word_list(format_word_list(words), 3) == words
+@st.composite
+def word_lists(draw):
+    """Words over one GF(p), and their list text with '#' comment lines and
+    blank lines mixed in."""
+    p = draw(st.sampled_from(ROUND_TRIP_PRIMES))
+    words = draw(st.lists(words_over(p), max_size=8))
+    comment = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+    other = st.one_of(comment.map(lambda c: "#" + c), st.sampled_from(["", "  ", "\t"]))
+    lines = []
+    for w in words:
+        lines += draw(st.lists(other, max_size=2)) + [format_word(w)]
+    lines += draw(st.lists(other, max_size=2))
+    return p, words, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(word_lists())
+def test_word_list_round_trip(case):
+    p, words, text = case
+    assert parse_word_list(text, p) == words
+    assert parse_word_list(format_word_list(words), p) == words
+    assert format_word_list(parse_word_list(text, p)) == format_word_list(words)

@@ -25,6 +25,7 @@ from fieldflower.modlinalg import (
 )
 from reference_constants import HAMMING_GENERATOR_ROWS, HAMMING_ROWS
 from reference_paths import reference_mat_vec
+from test_gfield import ROUND_TRIP_PRIMES
 
 
 def test_matrix_validation():
@@ -229,9 +230,12 @@ def test_packed_columns_do_not_leak():
     x = Word(3, (2, 1, 1))
     expected = reference_mat_vec(fresh, x)
     assert mat_vec(filled, x) == expected
-    assert filled._packed is not None and fresh._packed is None
+    assert "_packed" in vars(filled) and "_packed" not in vars(fresh)
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh) == "MatrixOverGfp(2x3 over GF(3))"
+    assert [f.name for f in dataclasses.fields(filled)] == ["modulus", "entries"]
+    assert dataclasses.asdict(filled) == dataclasses.asdict(fresh)
+    assert dataclasses.astuple(filled) == dataclasses.astuple(fresh)
     for m in (fresh, filled):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             # the pickle of a used matrix is that of a fresh one
@@ -239,12 +243,12 @@ def test_packed_columns_do_not_leak():
             assert len(data) == len(pickle.dumps(fresh, protocol=protocol))
             back = pickle.loads(data)
             assert back == fresh and hash(back) == hash(fresh)
-            assert back._packed is None
+            assert "_packed" not in vars(back)
             assert mat_vec(back, x) == expected
         assert dataclasses.replace(m) == fresh
         # a replaced matrix packs its own columns, at its own lane width
         other = dataclasses.replace(m, entries=((2, 2, 1), (1, 0, 2)))
-        assert other._packed is None
+        assert "_packed" not in vars(other)
         assert mat_vec(other, x) == reference_mat_vec(other, x) != expected
         wide, y = dataclasses.replace(m, modulus=257), Word(257, (256, 255, 7))
         assert mat_vec(wide, y) == reference_mat_vec(wide, y)
@@ -302,9 +306,21 @@ def test_same_row_space_handles_scaled_rows_over_gf3():
     assert same_row_space(a, b)
 
 
-def test_matrix_text_round_trip():
-    m = MatrixOverGfp(3, ((1, 2, 0), (0, 1, 1)))
-    assert parse_matrix(format_matrix(m)) == m
+@st.composite
+def text_matrices(draw):
+    """A matrix of up to 6x6 over one of the round-trip moduli."""
+    p = draw(st.sampled_from(ROUND_TRIP_PRIMES))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    symbol = st.integers(0, p - 1)
+    return MatrixOverGfp(p, draw(st.tuples(*[st.tuples(*[symbol] * cols)] * rows)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text_matrices())
+def test_matrix_text_round_trip(m):
+    text = format_matrix(m)
+    assert parse_matrix(text) == m
+    assert format_matrix(parse_matrix(text)) == text
 
 
 def test_parse_matrix_tolerates_layout():
