@@ -293,8 +293,8 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
     _, place, cell = _draw(_SVG, spec, n, p)
     # Every cell shares n and p, so each (k, x_k) is placed once per call.
     @cache
-    def point(kv):
-        _, x, y = _placement(*kv, n)
+    def point(k, v):
+        _, x, y = _placement(k, v, n)
         return place(x, y)
 
     rows = -(-len(words) // columns)
@@ -302,7 +302,7 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
     for i, w in enumerate(words):
         tx, ty = (i % columns) * spec.canvas, (i // columns) * spec.canvas
         body.append(f'<g class="cell" transform="translate({_fmt(tx)} {_fmt(ty)})">')
-        body.extend(cell(w, [point(kv) for kv in enumerate(w.symbols)]))
+        body.extend(cell(w, list(map(point, range(n), w.symbols))))
         body.append("</g>")
     return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
 
