@@ -31,10 +31,9 @@ past them the product is taken with `mat_vec` vector by vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import chain
 from operator import mul
-from struct import Struct
 from typing import Iterable, Sequence
 
 from .gfield import Word, _is_decimal, _residues, _same_field
@@ -70,9 +69,12 @@ class MatrixOverGfp:
     @cached_property
     def _packed(self) -> tuple[int, tuple[int, ...]]:
         """The lane width in bytes and the packed columns of `mat_vec`,
-        built at the first product."""
+        entry i in lane i, built at the first product."""
         size = _lane_bytes(self.cols, self.modulus)
-        return size, tuple(_packed_column(c, size) for c in zip(*self.entries))
+        return size, tuple(
+            int.from_bytes(b"".join([e.to_bytes(size, "little") for e in c]), "little")
+            for c in zip(*self.entries)
+        )
 
     @property
     def rows(self) -> int:
@@ -114,17 +116,6 @@ def _lane_bytes(n: int, p: int) -> int:
     return -(-(n * (p - 1) ** 2).bit_length() // 8)
 
 
-def _packed_column(column: tuple[int, ...], size: int) -> int:
-    """The entries as one int, entry i in lane i of `size` bytes.  Each entry
-    is packed into 8 bytes (residues are below 2**64) and its low bytes are
-    copied into its lane; it fits there, as p - 1 <= n(p-1)**2."""
-    wide = Struct(f"<{len(column)}Q").pack(*column)
-    lanes = bytearray(size * len(column))
-    for k in range(min(size, 8)):
-        lanes[k::size] = wide[k::8]
-    return int.from_bytes(lanes, "little")
-
-
 def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
     """y_i = sum_j M[i][j] * x_j mod p, as one packed sum of M's columns."""
     _require_operand(m, x)
@@ -145,7 +136,8 @@ class _Batch:
 
     Like a `Word`, it has a modulus and its len() is the symbol count.  The
     values are residues by construction (codewords, or seeded draws built
-    as packed rows) and are not checked again.
+    as packed rows) and are not checked again.  Batches only decide, by
+    comparing as wholes; the vectors are `zip(*rows)`.
     """
 
     modulus: int
@@ -168,21 +160,8 @@ class _Batch:
         """Each row as one int, vector b in bits 8b..8b+7."""
         return [int.from_bytes(row, "little") for row in self.rows]
 
-    def word(self, b: int) -> Word:
-        return Word(self.modulus, tuple(row[b] for row in self.rows))
 
-    def first_difference(self, other: _Batch) -> int | None:
-        """The index of the first vector on which two batches of one shape
-        differ, or None where they agree."""
-        if self.rows == other.rows:
-            return None
-        return min(
-            next(b for b, (u, v) in enumerate(zip(mine, theirs)) if u != v)
-            for mine, theirs in zip(self.rows, other.rows) if mine != theirs
-        )
-
-
-@lru_cache(maxsize=16)
+@cache
 def _residue_table(p: int) -> bytes:
     """v % p for every byte value v."""
     return bytes(v % p for v in range(256))
@@ -195,11 +174,12 @@ def _reduce_lanes(p: int, sums: Iterable[int], size: int) -> tuple[bytes, ...]:
 
 
 def _mat_batch(m: MatrixOverGfp, x: _Batch) -> _Batch:
-    """mat_vec(m, w) for every vector w of the batch, as a batch."""
+    """mat_vec(m, w) for every vector w of the batch, as a batch.  It only
+    decides: to name a vector whose image differs, call `mat_vec` on it."""
     _require_operand(m, x)
     p = m.modulus
     if _lane_bytes(m.cols, p) > 1:
-        return _Batch.of(p, (mat_vec(m, x.word(b)).symbols for b in range(x.size)))
+        return _Batch.of(p, (mat_vec(m, Word(p, v)).symbols for v in zip(*x.rows)))
     xs = x.lanes()
     sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
     return _Batch(p, _reduce_lanes(p, sums, x.size))

@@ -208,4 +208,4 @@ def fixed_space(transform: Transform | MatrixOverGfp) -> EigenSpace:
     """
     m = _matrix_of(transform)
     _require_square(m)
-    return _eigen_space_for(m, 1 % m.modulus)
+    return _eigen_space_for(m, 1)

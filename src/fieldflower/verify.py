@@ -7,13 +7,13 @@ transform/code isomorphism, the addition-only evaluation path, flower feature
 counts, and rendering determinism.  The matrices are injectable so tests can
 corrupt one and watch the right checks go red.
 
-The transform/code isomorphism and the addition-only check evaluate their
-words as `modlinalg._Batch`es, one packed product per batch, rather than
-word by word; on a mismatch they still name the first word that differs,
-codewords before the seeded random words, and over a field or shape the
-per-word functions refuse they raise the same error.  The seeded random
-words are drawn straight into the batch's packed rows, never built as
-tuples.
+The transform/code isomorphism and the addition-only check decide on
+`modlinalg._Batch`es, one packed product per batch and one comparison,
+rather than word by word.  Only a batch that differs is walked in order with
+the per-word functions (`mat_vec`, `apply_addition_only`), codewords before
+the seeded random words, and the first word that fails is named; over a
+field or shape the per-word functions refuse they raise the same error.
+The seeded random words are drawn straight into the batch's packed rows.
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -27,15 +27,16 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
-    hamming_generator, minimum_distance
+    hamming_code, hamming_generator, minimum_distance
 from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
 from .modlinalg import MatrixOverGfp, _Batch, _mat_batch, format_matrix, \
     mat_vec, matrix_from_words, same_row_space
-from .ntt import _addition_only_batch, fixed_space, golay_ntt_matrix, \
-    hamming_ntt_matrix
+from .ntt import _addition_only_batch, apply_addition_only, fixed_space, \
+    golay_ntt_matrix, hamming_ntt_matrix
 from .render import RenderSpec, panel, to_svg
 
 HAMMING_MATRIX_SHA256 = \
@@ -111,19 +112,20 @@ def _check_code_parameters(code: LinearCode,
     return False, f"{label}, expected {want}"
 
 
-def _codeword_batch(code: LinearCode) -> _Batch:
-    return _Batch.of(code.modulus, (w.symbols for w in enumerate_codewords(code)))
+def _codewords(code: LinearCode) -> tuple[list[Word], _Batch]:
+    """The code's listing and the same words as one batch."""
+    words = enumerate_codewords(code)
+    return words, _Batch.of(code.modulus, (w.symbols for w in words))
 
 
 def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp) -> tuple[bool, str]:
     total = 0
-    for m, code in ((th, LinearCode(hamming_generator())),
-                    (tg, code_from_fixed_space(tg))):
-        words = _codeword_batch(code)
-        k = _mat_batch(m, words).first_difference(words)
-        if k is not None:
-            return False, f"codeword {format_word(words.word(k))} is not fixed"
-        total += words.size
+    for m, code in ((th, hamming_code()), (tg, code_from_fixed_space(tg))):
+        words, batch = _codewords(code)
+        if _mat_batch(m, batch) != batch:
+            w = next(w for w in words if mat_vec(m, w) != w)
+            return False, f"codeword {format_word(w)} is not fixed"
+        total += batch.size
     return True, f"all {total} codewords are fixed points"
 
 
@@ -149,15 +151,17 @@ def _random_rows() -> tuple[bytes, ...]:
 
 
 def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:
-    words = _codeword_batch(code_from_fixed_space(tg))
+    words, batch = _codewords(code_from_fixed_space(tg))
     randoms = _Batch(3, _random_rows())
     # codewords first: over a field other than GF(3) they raise as
     # apply_addition_only would on the first of them
-    for batch in (words, randoms):
-        k = _addition_only_batch(batch).first_difference(_mat_batch(tg, batch))
-        if k is not None:
-            return False, f"paths disagree on {format_word(batch.word(k))}"
-    return True, f"paths agree on {words.size} codewords + {randoms.size} random words"
+    for b in (batch, randoms):
+        if _addition_only_batch(b) != _mat_batch(tg, b):
+            drawn = (Word(3, v) for v in zip(*randoms.rows))
+            w = next(w for w in chain(words, drawn)
+                     if apply_addition_only(w) != mat_vec(tg, w))
+            return False, f"paths disagree on {format_word(w)}"
+    return True, f"paths agree on {batch.size} codewords + {randoms.size} random words"
 
 
 def _check_flower_features() -> tuple[bool, str]:
@@ -215,7 +219,7 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
         ("hamming-eigenspace-generator",
          lambda: _check_eigen_generator(th)),
         ("hamming-code-parameters",
-         lambda: _check_code_parameters(LinearCode(hamming_generator()), (7, 4, 3))),
+         lambda: _check_code_parameters(hamming_code(), (7, 4, 3))),
         ("golay-code-parameters",
          lambda: _check_code_parameters(code_from_fixed_space(tg), (12, 6, 6))),
         ("transform-code-isomorphism",

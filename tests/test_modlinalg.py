@@ -153,8 +153,11 @@ def test_shape_and_modulus_mismatches_rejected():
 
 
 def batch_product(m, words):
-    out = _mat_batch(m, _Batch.of(m.modulus, [w.symbols for w in words]))
-    return [out.word(b) for b in range(out.size)]
+    batch = _Batch.of(m.modulus, [w.symbols for w in words])
+    assert batch.size == len(words) and len(batch) == m.cols
+    out = _mat_batch(m, batch)
+    assert out.size == len(words) and len(out) == m.rows
+    return [Word(m.modulus, v) for v in zip(*out.rows)]
 
 
 def lane_stress(rng, p, rows, n, count):
@@ -268,21 +271,8 @@ def test_batch_product_rejects_what_mat_vec_rejects():
         with pytest.raises(ValueError) as batch_error:
             _mat_batch(m, x)
         with pytest.raises(ValueError) as word_error:
-            mat_vec(m, x.word(0))
+            mat_vec(m, Word(x.modulus, next(zip(*x.rows))))
         assert str(batch_error.value) == str(word_error.value)
-
-
-def test_batch_first_difference():
-    words = [(0, 1, 2), (1, 1, 1), (2, 0, 1), (0, 0, 0)]
-    a = _Batch.of(3, words)
-    assert a.size == 4 and len(a) == 3
-    assert a.first_difference(_Batch.of(3, words)) is None
-    changed = list(words)
-    changed[3] = (0, 0, 1)
-    assert a.first_difference(_Batch.of(3, changed)) == 3
-    changed[2] = (2, 1, 1)
-    assert a.first_difference(_Batch.of(3, changed)) == 2
-    assert a.word(2) == Word(3, (2, 0, 1))
 
 
 def test_same_row_space_invariant_under_row_operations():

@@ -120,7 +120,7 @@ def test_addition_only_agrees_with_matrix_product():
 
 def batched_addition_only(words):
     out = _addition_only_batch(_Batch.of(3, [w.symbols for w in words]))
-    return [out.word(b) for b in range(out.size)]
+    return [Word(3, v) for v in zip(*out.rows)]
 
 
 ALL_TWO = Word(3, (2,) * 12)  # every lane at its largest symbol

@@ -89,9 +89,12 @@ def _flipped(m, i, j):
     return MatrixOverGfp(m.modulus, tuple(tuple(r) for r in entries))
 
 
+HAMMING_ROWS = hamming_ntt_matrix().entries
+
 # The detail strings of the two checks that walk every codeword, under
 # injected matrices, as the per-word implementation reported them: which
 # word is reported first, and which error a mismatched field or shape gives.
+# A non-square Hamming matrix maps 0000000 to a word of another length.
 INJECTED_DETAILS = {
     "corrupted-golay": (
         {"golay_matrix": _flipped(golay_ntt_matrix(), 0, 0)},
@@ -116,6 +119,16 @@ INJECTED_DETAILS = {
     "hamming-3x3": (
         {"hamming_matrix": identity(3, 2)},
         (False, "raised ValueError: matrix has 3 columns, word has 7 symbols"),
+        (True, "paths agree on 729 codewords + 10000 random words"),
+    ),
+    "hamming-9x7": (
+        {"hamming_matrix": MatrixOverGfp(2, HAMMING_ROWS + HAMMING_ROWS[:2])},
+        (False, "codeword 0000000 is not fixed"),
+        (True, "paths agree on 729 codewords + 10000 random words"),
+    ),
+    "hamming-5x7": (
+        {"hamming_matrix": MatrixOverGfp(2, HAMMING_ROWS[:5])},
+        (False, "codeword 0000000 is not fixed"),
         (True, "paths agree on 729 codewords + 10000 random words"),
     ),
     "golay-identity-3": (
