@@ -7,8 +7,8 @@ twice must produce identical bytes; golden-file tests depend on it.
 
 One walk, _draw, decides which primitives a cell has and in what order; SVG
 and TikZ differ only in the format table that turns each primitive into text.
-A panel sets the walk up once per call, so its cells share the grid lines and
-each placed point.
+A panel sets the walk up once per call, and its cells share the texts and
+plans that the walk keeps (see panel).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import compress
 from string import hexdigits
 
 from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
@@ -28,9 +29,11 @@ _OUTLINE_COLOR = "404040"
 _LABEL_COLOR = "333333"
 
 # A cell of n symbols over GF(p) has n axes and p-1 grid rings; a longer word
-# or a larger p is refused before drawing.
+# or a larger p is refused before drawing.  So is a panel whose cells could
+# draw more primitives in all; at the bound a panel peaks at 42-90 MB.
 MAX_AXES = 256
 MAX_RINGS = 1000
+MAX_PANEL_PRIMITIVES = 250_000
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,17 @@ def _svg_arrow(start, end, r, a0, a1, wings, w):
 
 
 def _tikz_color(color: str) -> str:
-    r, g, b = int(color[0:2], 16), int(color[2:4], 16), int(color[4:6], 16)
+    r, g, b = bytes.fromhex(color)
     return f"{{rgb,255:red,{r};green,{g};blue,{b}}}"
 
 
 # Format tables: one f-string formatter per primitive kind.  "at" maps a point
 # in math coordinates (y up, origin at the cell centre c) to the format's
 # (x, y) strings; "color" maps a 6-hex-digit RGB to the format's colour
-# syntax.  o is the cell centre, w a formatted line width, and the trailing
-# index argument numbers the primitive within its kind.
+# syntax; "vertex" formats a point of an outline or a petal.  o
+# is the cell centre, w a formatted line width, and the trailing index argument
+# numbers the primitive within its kind.  A petal takes its centre and points
+# as vertex text.
 _SVG = {
     "at": lambda c, x, y: (_fmt(c + x), _fmt(c - y)),
     "color": lambda color: color,
@@ -126,11 +131,10 @@ _SVG = {
         f'stroke="#{_RING_COLOR}" stroke-width="{w}" stroke-dasharray="3 3"/>'),
     "arrow": _svg_arrow,
     "petal": lambda o, a, b, color, i: (
-        f'<polygon class="petal" points="{o[0]},{o[1]} {a[0]},{a[1]} '
-        f'{b[0]},{b[1]}" fill="#{color}" stroke="none"/>'),
-    "outline": lambda pts, w: (
-        '<polygon class="outline" points="'
-        + " ".join([f"{x},{y}" for x, y in pts])
+        f'<polygon class="petal" points="{o} {a} {b}" fill="#{color}" stroke="none"/>'),
+    "vertex": lambda q: f"{q[0]},{q[1]}",
+    "outline": lambda vertices, w: (
+        '<polygon class="outline" points="' + " ".join(vertices)
         + f'" fill="none" stroke="#{_OUTLINE_COLOR}" stroke-width="{w}"/>'),
     "thorn": lambda o, q, color, w, i: (
         f'<line class="thorn" x1="{o[0]}" y1="{o[1]}" x2="{q[0]}" y2="{q[1]}" '
@@ -159,12 +163,10 @@ _TIKZ = {
         f"arc[start angle={_fmt(math.degrees(a0))}, "
         f"end angle={_fmt(math.degrees(a1))}, radius={r}]; % arrow"),
     "petal": lambda o, a, b, color, i: (
-        f"\\draw[fill={color}, draw=none] (0,0) -- ({a[0]},{a[1]}) -- "
-        f"({b[0]},{b[1]}) -- cycle; % petal {i}"),
-    "outline": lambda pts, w: (
-        f"\\draw[line width={w}pt] "
-        + " -- ".join([f"({x},{y})" for x, y in pts])
-        + " -- cycle; % outline"),
+        f"\\draw[fill={color}, draw=none] (0,0) -- {a} -- {b} -- cycle; % petal {i}"),
+    "vertex": lambda q: f"({q[0]},{q[1]})",
+    "outline": lambda vertices, w: (
+        f"\\draw[line width={w}pt] " + " -- ".join(vertices) + " -- cycle; % outline"),
     "thorn": lambda o, q, color, w, i: (
         f"\\draw[draw={color}, line width={w}pt] (0,0) -- ({q[0]},{q[1]}); "
         f"% thorn {i}"),
@@ -178,26 +180,43 @@ _TIKZ = {
 }
 
 
-def _require_drawable(n: int, p: int) -> None:
-    """Refuse cells of n symbols over GF(p) past MAX_AXES or MAX_RINGS."""
+def _require_drawable(n: int, p: int, cells: int = 1) -> None:
+    """Refuse cells of n symbols over GF(p) past MAX_AXES or MAX_RINGS, and
+    that many past MAX_PANEL_PRIMITIVES: a cell draws at most n + p grid
+    lines, n petals, an outline, n//2 thorns, n markers, a label, a group."""
     if n > MAX_AXES:
         raise ValueError(f"a word of {n} symbols would draw {n} axes, "
                          f"past the bound of {MAX_AXES}")
     if p - 1 > MAX_RINGS:
         raise ValueError(f"GF({p}) would draw {p - 1} grid rings, "
                          f"past the bound of {MAX_RINGS}")
+    most = cells * (3 * n + n // 2 + p + 3)
+    if most > MAX_PANEL_PRIMITIVES:
+        raise ValueError(f"a panel of {cells} cells of {n} symbols over GF({p}) "
+                         f"could draw {most} primitives, past the bound of "
+                         f"{MAX_PANEL_PRIMITIVES}")
 
 
-def _draw(f: dict, spec: RenderSpec, n: int, p: int):
+def _cell_plan(support: tuple[int, ...]):
+    """What a cell of these symbols draws, by the flowergeom rules, which read
+    only their nonzero pattern: its petal starts, their shade parities, its
+    thorns and its nonzero indices, which get markers."""
+    starts, thorns = _petals_and_thorns(support)
+    return (starts, _shade_parities(starts, len(support)), thorns,
+            list(compress(range(len(support)), support)))
+
+
+def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
     """The drawing walk for cells of n symbols over GF(p), in format f.
 
-    Checks the bounds before any primitive and draws the grid lines (axes,
-    rings, arrow) if spec.grid, once.  Returns (grid lines, place, cell):
-    place(x, y) formats a point in field units, and cell(word, pts) gives
-    one line per primitive of the word's cell, pts[k] being its placed point
-    k, in the fixed order grid, petals, outline, thorns, markers, label.
+    Checks the bounds for that many cells before any primitive and draws the
+    grid lines (axes, rings, arrow) if spec.grid, once.  Returns (grid lines,
+    place, cell): place(k, v, x, y) gives symbol v of axis k, at (x, y) in
+    field units, as its point, outline vertex and marker texts; cell(word,
+    pts, plan) the word's cell from pts[k] = place(k, ...) and its _cell_plan,
+    in the fixed order grid (one item), petals, outline, thorns, markers, label.
     """
-    _require_drawable(n, p)
+    _require_drawable(n, p, cells)
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
     o = at(c, 0.0, 0.0)
     lines = []
@@ -213,26 +232,31 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int):
         start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
         lines.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
                                 [at(c, *wing) for wing in wings], w))
+    head = ["\n".join(lines)] if lines else []
     shades = (f["color"](spec.light_color), f["color"](spec.dark_color))
     dark = shades[1]
-    petal, outline, thorn, marker = f["petal"], f["outline"], f["thorn"], f["marker"]
     w, mr = _fmt(spec.stroke_width), _fmt(spec.marker_radius)
+    petal, outline, vertex, thorn, marker = (
+        f["petal"], f["outline"], f["vertex"], f["thorn"], f["marker"])
+    o_vertex = vertex(o)
 
-    def place(x, y):
-        return at(c, s * x, s * y)
+    def place(k, v, x, y):
+        if not v:  # a zero symbol sits on the centre
+            return o, o_vertex, None
+        q = at(c, s * x, s * y)
+        return q, vertex(q), marker(q, mr, dark, k)
 
-    def cell(word, pts):
-        x = word.symbols
-        out = lines.copy()
-        starts, thorns = _petals_and_thorns(x)
-        for i, (k, d) in enumerate(zip(starts, _shade_parities(starts, n))):
-            out.append(petal(o, pts[k], pts[(k + 1) % n], shades[d], i))
+    def cell(word, pts, plan):
+        starts, parities, lone, nonzero = plan
+        out = head.copy()
+        out += [petal(o_vertex, pts[k][1], pts[(k + 1) % n][1], shades[d], i)
+                for i, (k, d) in enumerate(zip(starts, parities))]
         # The all-zero word has every point on the origin; its outline would
         # be a degenerate dot, so it is omitted entirely.
-        if any(x):
-            out.append(outline(pts, w))
-        out.extend(thorn(o, pts[k], dark, w, i) for i, k in enumerate(thorns))
-        out.extend(marker(pts[k], mr, dark, k) for k, v in enumerate(x) if v)
+        if nonzero:
+            out.append(outline([q[1] for q in pts], w))
+        out += [thorn(o, pts[k][0], dark, w, i) for i, k in enumerate(lone)]
+        out += [pts[k][2] for k in nonzero]
         if spec.label:
             out.append(f["label"](o, spec, p, format_word(word)))
         return out
@@ -243,17 +267,15 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int):
 def _one_cell(f: dict, spec: RenderSpec, shape: FlowerShape) -> list[str]:
     word = shape.word
     _, place, cell = _draw(f, spec, len(word), word.modulus)
-    return cell(word, [place(pt.x, pt.y) for pt in shape.points])
+    return cell(word, [place(pt.index, pt.radius, pt.x, pt.y) for pt in shape.points],
+                _cell_plan(word.symbols))
 
 
 def _svg_document(width: float, height: float, body: list[str]) -> bytes:
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    ]
-    lines.extend(body)
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    w, h = _fmt(width), _fmt(height)
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">', *body, "</svg>", ""]).encode("ascii")
 
 
 def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
@@ -276,7 +298,12 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
     """Row-major grid of flowers, one cell per word, in list order.
 
     Cells are rendered serially.  workers is accepted for compatibility and
-    ignored: threads only slowed this pure-Python string building down.
+    ignored: threads only slowed this pure-Python string building down.  The
+    bytes equal those of each cell drawn alone by to_svg.  Within one call the
+    grid text is formatted once, each nonzero pattern's plan (petal starts
+    and shades, thorns, markers) made once, and each (k, x_k) placed once,
+    with its outline vertex and marker text.  A panel whose cells could draw
+    more than MAX_PANEL_PRIMITIVES primitives is refused before drawing.
     """
     spec = spec or RenderSpec()
     if not words:
@@ -290,20 +317,25 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"panel words must share length and modulus; "
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
-    _, place, cell = _draw(_SVG, spec, n, p)
-    # Every cell shares n and p, so each (k, x_k) is placed once per call.
+    _, place, cell = _draw(_SVG, spec, n, p, len(words))
+
     @cache
     def point(k, v):
-        _, x, y = _placement(k, v, n)
-        return place(x, y)
+        return place(k, v, *_placement(k, v, n)[1:])
 
+    # Every cell of a column shares its x offset, and of a row its y offset;
+    # cells of one nonzero pattern share a plan.
+    xs = [_fmt(i * spec.canvas) for i in range(min(columns, len(words)))]
+    plans, body = {}, []
+    for r in range(0, len(words), columns):
+        y = _fmt(r // columns * spec.canvas)
+        for x, w in zip(xs, words[r:r + columns]):
+            support = tuple(map(bool, w.symbols))
+            plan = plans.get(support) or plans.setdefault(support, _cell_plan(support))
+            body.append(f'<g class="cell" transform="translate({x} {y})">')
+            body.extend(cell(w, list(map(point, range(n), w.symbols)), plan))
+            body.append("</g>")
     rows = -(-len(words) // columns)
-    body = []
-    for i, w in enumerate(words):
-        tx, ty = (i % columns) * spec.canvas, (i // columns) * spec.canvas
-        body.append(f'<g class="cell" transform="translate({_fmt(tx)} {_fmt(ty)})">')
-        body.extend(cell(w, list(map(point, range(n), w.symbols))))
-        body.append("</g>")
     return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
 
 
@@ -317,4 +349,4 @@ def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:
     spec = spec or RenderSpec()
     body = _one_cell(_TIKZ, spec, shape)
     return "\n".join(["\\begin{tikzpicture}[x=1pt,y=1pt]", *body,
-                      "\\end{tikzpicture}"]) + "\n"
+                      "\\end{tikzpicture}", ""])

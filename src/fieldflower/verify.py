@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
@@ -118,10 +119,11 @@ def _codewords(code: LinearCode) -> tuple[list[Word], _Batch]:
     return words, _Batch.of(code.modulus, (w.symbols for w in words))
 
 
-def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp) -> tuple[bool, str]:
+def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
+                       golay_listing) -> tuple[bool, str]:
     total = 0
-    for m, code in ((th, hamming_code()), (tg, code_from_fixed_space(tg))):
-        words, batch = _codewords(code)
+    for m, listing in ((th, lambda: _codewords(hamming_code())), (tg, golay_listing)):
+        words, batch = listing()
         if _mat_batch(m, batch) != batch:
             w = next(w for w in words if mat_vec(m, w) != w)
             return False, f"codeword {format_word(w)} is not fixed"
@@ -150,8 +152,8 @@ def _random_rows() -> tuple[bytes, ...]:
     return tuple(stream[j:need:12] for j in range(12))
 
 
-def _check_addition_only(tg: MatrixOverGfp) -> tuple[bool, str]:
-    words, batch = _codewords(code_from_fixed_space(tg))
+def _check_addition_only(tg: MatrixOverGfp, golay_listing) -> tuple[bool, str]:
+    words, batch = golay_listing()
     randoms = _Batch(3, _random_rows())
     # codewords first: over a field other than GF(3) they raise as
     # apply_addition_only would on the first of them
@@ -203,6 +205,11 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
     """
     th = hamming_matrix if hamming_matrix is not None else hamming_ntt_matrix()
     tg = golay_matrix if golay_matrix is not None else golay_ntt_matrix()
+    # Three checks share tg's fixed-space code and two its listing, each
+    # built on first use; cache keeps no exception, so a build that raises
+    # raises again in every check that needs it.
+    golay_code = cache(lambda: code_from_fixed_space(tg))
+    golay_listing = cache(lambda: _codewords(golay_code()))
     checks = [
         ("hamming-matrix-checksum",
          lambda: _check_checksum(th, HAMMING_MATRIX_SHA256)),
@@ -221,11 +228,11 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
         ("hamming-code-parameters",
          lambda: _check_code_parameters(hamming_code(), (7, 4, 3))),
         ("golay-code-parameters",
-         lambda: _check_code_parameters(code_from_fixed_space(tg), (12, 6, 6))),
+         lambda: _check_code_parameters(golay_code(), (12, 6, 6))),
         ("transform-code-isomorphism",
-         lambda: _check_isomorphism(th, tg)),
+         lambda: _check_isomorphism(th, tg, golay_listing)),
         ("golay-addition-only",
-         lambda: _check_addition_only(tg)),
+         lambda: _check_addition_only(tg, golay_listing)),
         ("flower-features", _check_flower_features),
         ("render-determinism", _check_render_determinism),
     ]

@@ -1,14 +1,17 @@
 """Per-word reference evaluators: the oracles for the package's fast paths.
 
 They read the independent transcription in reference_constants and share no
-code with src/.
+code with src/, except reference_panel, which puts together cells that
+to_svg draws one by one.
 """
 
 import random
 from functools import partial
 from itertools import islice
 
+from fieldflower.flowergeom import features
 from fieldflower.gfield import Word
+from fieldflower.render import RenderSpec, to_svg
 from reference_constants import GOLAY_SIGNED_ROWS
 
 
@@ -121,3 +124,18 @@ def reference_shades(petals, n: int) -> list[str]:
         for i, k in enumerate(chain):
             shade_of[k] = "light" if (i - anchor) % 2 == 0 else "dark"
     return [shade_of[k] for k, _ in petals]
+
+
+def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
+    """A panel built cell by cell: each cell wraps the body of its to_svg."""
+    canvas = spec.canvas
+    rows = -(-len(words) // columns)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{columns * canvas:.6f}" '
+             f'height="{rows * canvas:.6f}" viewBox="0 0 {columns * canvas:.6f} '
+             f'{rows * canvas:.6f}">']
+    for i, w in enumerate(words):
+        tx, ty = (i % columns) * canvas, (i // columns) * canvas
+        lines.append(f'<g class="cell" transform="translate({tx:.6f} {ty:.6f})">')
+        lines.extend(to_svg(features(w), spec).decode("ascii").splitlines()[1:-1])
+        lines.append("</g>")
+    return ("\n".join(lines + ["</svg>"]) + "\n").encode("ascii")

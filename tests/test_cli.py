@@ -18,7 +18,8 @@ from fieldflower.cli import main
 from fieldflower.flowergeom import features
 from fieldflower.gfield import parse_word, parse_word_list
 from fieldflower.ntt import MAX_SPECTRUM_MODULUS, MAX_SPECTRUM_WORK
-from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, panel, to_svg, to_tikz
+from fieldflower.render import MAX_AXES, MAX_PANEL_PRIMITIVES, MAX_RINGS, RenderSpec, \
+    panel, to_svg, to_tikz
 import reference_constants as ref
 
 
@@ -379,6 +380,27 @@ def test_word_past_the_axis_bound_refused(capsys, tmp_path, argv):
         assert peak < most
     assert run(MAX_AXES, out_file)[0] == 0
     assert out_file.exists()
+
+
+def test_panel_past_the_primitive_bound_refused(capsys, tmp_path):
+    # a cell of two symbols over GF(997) counts 3*2 + 1 + 997 + 3 = 1007
+    # primitives, most of them grid rings; one cell more than the bound
+    # admits exits 2 naming it, before any cell is drawn or file written
+    cells = MAX_PANEL_PRIMITIVES // 1007 + 1
+    (tmp_path / "words.txt").write_text("0,1\n" * cells)
+    out_file = tmp_path / "out.svg"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "panel", str(tmp_path / "words.txt"),
+                                 "--p", "997", "--out", str(out_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert (f"a panel of {cells} cells of 2 symbols over GF(997) could draw "
+            f"{cells * 1007} primitives, past the bound of {MAX_PANEL_PRIMITIVES}") in err
+    assert not out_file.exists()
+    assert peak < 256 * 1024
 
 
 def test_panel_all_binary_7(capsys, tmp_path):

@@ -5,6 +5,7 @@ import math
 
 from fieldflower.flowergeom import constellation, features, petal_shades
 from fieldflower.gfield import Word, parse_word
+from fieldflower.render import _cell_plan
 import reference_constants as ref
 from reference_paths import reference_petals_and_thorns, reference_shades
 
@@ -148,10 +149,14 @@ def test_shades_alternate_within_every_run():
 
 def test_features_and_shades_match_the_reference_rules():
     # every zero pattern up to N = 12, which is all that petals, thorns and
-    # shades depend on
+    # shades depend on, and all that a panel keys its cell plans on
     for n in range(1, 13):
         for bits in itertools.product(range(2), repeat=n):
             shape = features(Word(2, bits))
             petals, thorns = reference_petals_and_thorns(bits)
             assert (list(shape.petals), list(shape.thorns)) == (petals, thorns)
             assert petal_shades(shape) == reference_shades(petals, n), bits
+            starts, parities, plan_thorns, nonzero = _cell_plan(tuple(map(bool, bits)))
+            assert [(k, (k + 1) % n) for k in starts] == petals
+            assert [("light", "dark")[d] for d in parities] == reference_shades(petals, n)
+            assert (plan_thorns, nonzero) == (thorns, [k for k in range(n) if bits[k]])

@@ -9,9 +9,10 @@ import pytest
 
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
-from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, panel, render_grid, \
-    to_svg, to_tikz
+from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, _require_drawable, \
+    panel, render_grid, to_svg, to_tikz
 import reference_constants as ref
+from reference_paths import reference_panel
 
 
 def svg_count(data: bytes, cls: str) -> int:
@@ -303,21 +304,6 @@ def test_golden_bytes(group):
     assert digest == GOLDEN_SHA256[group]
 
 
-def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
-    """A panel built cell by cell: each cell wraps the body of its to_svg."""
-    canvas = spec.canvas
-    rows = -(-len(words) // columns)
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{columns * canvas:.6f}" '
-             f'height="{rows * canvas:.6f}" viewBox="0 0 {columns * canvas:.6f} '
-             f'{rows * canvas:.6f}">']
-    for i, w in enumerate(words):
-        tx, ty = (i % columns) * canvas, (i // columns) * canvas
-        lines.append(f'<g class="cell" transform="translate({tx:.6f} {ty:.6f})">')
-        lines.extend(to_svg(features(w), spec).decode("ascii").splitlines()[1:-1])
-        lines.append("</g>")
-    return ("\n".join(lines + ["</svg>"]) + "\n").encode("ascii")
-
-
 def golden_groups() -> dict[tuple[int, int], list[Word]]:
     groups = {}
     for w in golden_words():
@@ -334,12 +320,40 @@ def test_golden_groups_cover_the_edge_words():
     assert all(all(groups[7, p][-1]) for p in (2, 3, 5, 7, 11))
 
 
-@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=["default", "no-grid", "label", "custom"])
+SPEC_IDS = ["default", "no-grid", "label", "custom"]
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=SPEC_IDS)
 def test_panel_matches_cells_drawn_one_by_one(spec):
-    # panel reuses the grid lines and placed points of one walk over all its
-    # cells; drawing each cell alone through to_svg is the oracle
+    # panel reuses the grid text, cell plans and placed points of one walk
+    # over all its cells; drawing each cell alone through to_svg is the oracle
     for (n, p), words in golden_groups().items():
         words = words + words[::-1] + [Word(p, (0,) * n)]
         for columns in (1, 2):
             assert panel(words, columns, spec) == reference_panel(words, columns, spec), \
                 (n, p, columns)
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("n, p", [(4, 3), (3, 5), (2, 7), (7, 2)])
+def test_panel_of_every_word_matches_cells_drawn_one_by_one(n, p, spec):
+    # every word of the length: most nonzero patterns recur with other values,
+    # so cells share a plan but not their points; then the words reversed and
+    # repeated, in rows of 10 with a shorter last row
+    words = [Word(p, digits) for digits in itertools.product(range(p), repeat=n)]
+    words += words[::-1] + words[:5]
+    assert len(words) % 10
+    assert panel(words, 10, spec) == reference_panel(words, 10, spec)
+
+
+def test_panels_past_the_primitive_bound_refused(monkeypatch):
+    # a cell of n symbols over GF(p) counts 3n + n//2 + p + 3 primitives
+    for n, p, cells in ((7, 3, 3 ** 7), (7, 2, 128), (4, 3, 81), (MAX_AXES, 997, 1)):
+        _require_drawable(n, p, cells)
+    words = [Word(3, (1, 0, 2, 2, 0, 1, 0))] * 3
+    monkeypatch.setattr("fieldflower.render.MAX_PANEL_PRIMITIVES", 90)
+    assert svg_count(panel(words, columns=2), "cell") == 3
+    monkeypatch.setattr("fieldflower.render.MAX_PANEL_PRIMITIVES", 89)
+    with pytest.raises(ValueError, match="a panel of 3 cells of 7 symbols over GF[(]3[)] "
+                                         "could draw 90 primitives, past the bound of 89"):
+        panel(words, columns=2)

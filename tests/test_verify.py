@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from fieldflower import modlinalg
+from fieldflower import modlinalg, verify
 from fieldflower.modlinalg import MatrixOverGfp, _Batch, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.verify import _random_rows, format_report, run_checks
@@ -209,3 +209,31 @@ def test_golay_matrix_over_gf7(monkeypatch):
     # the isomorphism check takes the 49 fixed words of GF7_MATRIX word by
     # word; the 16 Hamming codewords stay packed
     assert len(calls) == 49
+
+
+def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
+    # golay-code-parameters, transform-code-isomorphism and golay-addition-only
+    # share one fixed-space code; the last two share its listing
+    calls = []
+    for name in ("code_from_fixed_space", "enumerate_codewords"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert [(r.passed, r.detail) for r in run_checks()] == \
+        [(r.passed, r.detail) for r in fresh_results]
+    assert calls.count("code_from_fixed_space") == 1
+    # one listing of the Hamming code and one of the golay code
+    assert calls.count("enumerate_codewords") == 2
+
+
+def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
+    # -I over GF(3) fixes only zero, so no fixed-space code exists; each
+    # check that needs the code reports the error on its own line
+    minus_identity = MatrixOverGfp(3, tuple(
+        tuple(2 * v for v in row) for row in identity(12, 3).entries))
+    by_name = {r.name: (r.passed, r.detail) for r in run_checks(golay_matrix=minus_identity)}
+    raised = (False, "raised ValueError: transform has no fixed points besides zero; no code")
+    for name in ("golay-code-parameters", "transform-code-isomorphism",
+                 "golay-addition-only"):
+        assert by_name[name] == raised, name
+    assert by_name["hamming-code-parameters"] == (True, "n=7 k=4 d=3")
