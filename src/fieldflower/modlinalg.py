@@ -20,12 +20,6 @@ then sum_j x_j * column_j, one big-int sum whose lane i is y_i before its
 reduction mod p.  One-byte lanes (n(p-1)**2 <= 255: 7 for the 7-point
 transform, 48 for the 12-point one) are reduced by one `bytes.translate`
 through a v % p table, wider ones by shift, mask and % p.
-
-`_mat_batch` multiplies a whole `_Batch` of vectors at once.  A batch stores
-symbol j of every vector in row j; for the product each row becomes one int
-with a one-byte lane per vector, so output row i is sum_j M[i][j] * X_j, lane
-by lane, reduced by the same `bytes.translate`.  That needs one-byte lanes;
-past them the product is taken with `mat_vec` vector by vector.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .gfield import Word, _is_decimal, _residues, _same_field
 
@@ -103,7 +97,7 @@ class RrefResult:
     pivot_columns: tuple[int, ...]
 
 
-def _require_operand(m: MatrixOverGfp, x: Word | _Batch) -> None:
+def _require_operand(m: MatrixOverGfp, x: Word) -> None:
     """Require x to be over the field of m, with one symbol per column."""
     _same_field(m, x)
     if m.cols != len(x):
@@ -128,61 +122,10 @@ def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
     return Word(p, tuple((y >> s & mask) % p for s in range(0, w * m.rows, w)))
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """Vectors over GF(p) stored position by position: rows[j] holds symbol
-    j of every vector, as bytes (one byte per vector) while p <= 256 and as
-    a tuple past that.
-
-    Like a `Word`, it has a modulus and its len() is the symbol count.  The
-    values are residues by construction (codewords, or seeded draws built
-    as packed rows) and are not checked again.  Batches only decide, by
-    comparing as wholes; the vectors are `zip(*rows)`.
-    """
-
-    modulus: int
-    rows: tuple
-
-    @classmethod
-    def of(cls, p: int, vectors: Iterable[Sequence[int]]) -> _Batch:
-        row = bytes if p <= 256 else tuple
-        return cls(p, tuple(row(column) for column in zip(*vectors)))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def size(self) -> int:
-        """The number of vectors."""
-        return len(self.rows[0])
-
-    def lanes(self) -> list[int]:
-        """Each row as one int, vector b in bits 8b..8b+7."""
-        return [int.from_bytes(row, "little") for row in self.rows]
-
-
 @cache
 def _residue_table(p: int) -> bytes:
     """v % p for every byte value v."""
     return bytes(v % p for v in range(256))
-
-
-def _reduce_lanes(p: int, sums: Iterable[int], size: int) -> tuple[bytes, ...]:
-    """Each packed sum of `size` 8-bit lanes, every lane reduced mod p."""
-    table = _residue_table(p)
-    return tuple(s.to_bytes(size, "little").translate(table) for s in sums)
-
-
-def _mat_batch(m: MatrixOverGfp, x: _Batch) -> _Batch:
-    """mat_vec(m, w) for every vector w of the batch, as a batch.  It only
-    decides: to name a vector whose image differs, call `mat_vec` on it."""
-    _require_operand(m, x)
-    p = m.modulus
-    if _lane_bytes(m.cols, p) > 1:
-        return _Batch.of(p, (mat_vec(m, Word(p, v)).symbols for v in zip(*x.rows)))
-    xs = x.lanes()
-    sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
-    return _Batch(p, _reduce_lanes(p, sums, x.size))
 
 
 def rref(m: MatrixOverGfp) -> RrefResult:
@@ -248,10 +191,17 @@ def same_row_space(a: MatrixOverGfp, b: MatrixOverGfp) -> bool:
     return _nonzero_rows(rref(a).rref) == _nonzero_rows(rref(b).rref)
 
 
+# fixed_space of a dense random 200x200 matrix takes about 0.3 s over GF(2)
+# and 1.7-2.5 s over GF(2**61 - 1) (Python 3.11, one core of a 2-vCPU host);
+# elimination is n**3, so the bound holds every admitted one near 2 s.
+MAX_MATRIX_DIM = 200
+
+
 def parse_matrix(text: str) -> MatrixOverGfp:
     """Parse the matrix text format: header line `p=<modulus>`, then rows
     separated by `;` (newlines around separators are ignored), entries
-    separated by spaces."""
+    separated by spaces.  Text of more than MAX_MATRIX_DIM rows or columns
+    is refused before any row is built."""
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty matrix text")
@@ -263,11 +213,19 @@ def parse_matrix(text: str) -> MatrixOverGfp:
     if not _is_decimal(modulus):
         raise ValueError(f"invalid modulus in header {header!r}")
     p = int(modulus)
+    chunks = [c for c in body.split(";") if c.strip()]
+    if not chunks:
+        raise ValueError("matrix text has no rows")
+    if len(chunks) > MAX_MATRIX_DIM:
+        raise ValueError(f"matrix text has {len(chunks)} rows, "
+                         f"past the bound of {MAX_MATRIX_DIM}")
+    # a row of more than MAX_MATRIX_DIM entries splits into one item more
+    table = [c.split(None, MAX_MATRIX_DIM) for c in chunks]
+    if max(map(len, table)) > MAX_MATRIX_DIM:
+        raise ValueError(f"matrix text has a row of more than {MAX_MATRIX_DIM} "
+                         f"entries, past the bound of {MAX_MATRIX_DIM}")
     rows = []
-    for chunk in body.replace("\n", " ").split(";"):
-        tokens = chunk.split()
-        if not tokens:
-            continue
+    for tokens in table:
         for col, token in enumerate(tokens):
             if not _is_decimal(token):
                 raise ValueError(
@@ -275,8 +233,6 @@ def parse_matrix(text: str) -> MatrixOverGfp:
                     f"in matrix over GF({p}): expected ASCII digits 0-9"
                 )
         rows.append(tuple(map(int, tokens)))
-    if not rows:
-        raise ValueError("matrix text has no rows")
     return MatrixOverGfp(p, tuple(rows))
 
 

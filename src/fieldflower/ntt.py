@@ -12,14 +12,13 @@ matrix's packed columns.  Both built-in transforms fit its one-byte lanes,
 so each image is reduced by one `bytes.translate`.
 
 There is one addition-only evaluator, `_signed_sums`.  Each output row adds
-its +1 columns, subtracts its -1 columns and adds an offset.  A batch packs
-symbol j of every word into one int, an 8-bit lane per word, with `_OFFSET`
-in every lane; `apply_addition_only` gives it one word's symbols, one lane
-each, and `_OFFSET`.  One `bytes.translate` then reduces the lanes mod 3.
-The offset is a multiple of 3, so it leaves every residue alone, and at
-least 2 * (the most -1 entries in a row), so no lane goes below 0; a lane
-stays at most _OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255, so
-none carries into the next.
+its +1 columns, subtracts its -1 columns and adds an offset.
+`apply_addition_only` gives it one word's symbols, one lane each, and
+`_OFFSET`; one `bytes.translate` then reduces the lanes mod 3.  The offset
+is a multiple of 3, so it leaves every residue alone, and at least 2 * (the
+most -1 entries in a row), so no lane goes below 0; a lane stays at most
+_OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255, so none carries
+into the next.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .gfield import FieldElement, Word
-from .modlinalg import (
-    MatrixOverGfp, _Batch, _reduce_lanes, _residue_table, mat_vec, null_space,
-)
+from .modlinalg import MatrixOverGfp, _residue_table, mat_vec, null_space
 
 _HAMMING_ROWS = (
     (0, 1, 0, 1, 1, 0, 0),
@@ -122,7 +119,7 @@ def _signed_sums(xs: Sequence[int], offset: int) -> Iterator[int]:
     return (sum(plus(xs)) - sum(minus(xs)) + offset for plus, minus in _SIGNED_GETTERS)
 
 
-def _require_golay_shape(x: Word | _Batch) -> None:
+def _require_golay_shape(x: Word) -> None:
     if x.modulus != 3 or len(x) != 12:
         raise ValueError("expected a ternary word of length 12")
 
@@ -137,13 +134,6 @@ def apply_addition_only(x: Word) -> Word:
     _require_golay_shape(x)
     sums = bytes(_signed_sums(x.symbols, _OFFSET))
     return Word(3, tuple(sums.translate(_residue_table(3))))
-
-
-def _addition_only_batch(x: _Batch) -> _Batch:
-    """apply_addition_only of every word of the batch, as a batch."""
-    _require_golay_shape(x)
-    offset = _OFFSET * int.from_bytes(b"\x01" * x.size, "little")
-    return _Batch(3, _reduce_lanes(3, _signed_sums(x.lanes(), offset), x.size))
 
 
 # eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each

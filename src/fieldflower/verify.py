@@ -7,13 +7,21 @@ transform/code isomorphism, the addition-only evaluation path, flower feature
 counts, and rendering determinism.  The matrices are injectable so tests can
 corrupt one and watch the right checks go red.
 
-The transform/code isomorphism and the addition-only check decide on
-`modlinalg._Batch`es, one packed product per batch and one comparison,
-rather than word by word.  Only a batch that differs is walked in order with
-the per-word functions (`mat_vec`, `apply_addition_only`), codewords before
-the seeded random words, and the first word that fails is named; over a
-field or shape the per-word functions refuse they raise the same error.
-The seeded random words are drawn straight into the batch's packed rows.
+The transform/code isomorphism and the addition-only check decide packed
+first.  A listing's rows are packed once, as bytes: row j holds symbol j of
+every word, one byte per word, and read as one int it is a lane vector,
+word b in bits 8b..8b+7.  Output row i of the matrix product is then one lane
+sum, sum_j M[i][j] * X_j, and the addition-only path is `ntt._signed_sums`
+on the same ints; both are reduced mod p by one `bytes.translate`.  A lane
+sum is at most n(p-1)**2 for n columns, so the product is packed only while
+n(p-1)**2 <= 255, and only for words over the matrix's field with one symbol
+per column; the addition-only path only for ternary words of length 12.
+Whatever the packed comparison cannot decide, or finds different, goes to
+the per-word walk: the words in order through `mat_vec` and
+`apply_addition_only`, codewords before the seeded random words, naming the
+first word that fails; over a field or shape the per-word functions refuse
+they raise the same error.  The seeded random words are drawn straight into
+packed rows.
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -34,9 +42,9 @@ from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
     hamming_code, hamming_generator, minimum_distance
 from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
-from .modlinalg import MatrixOverGfp, _Batch, _mat_batch, format_matrix, \
-    mat_vec, matrix_from_words, same_row_space
-from .ntt import _addition_only_batch, apply_addition_only, fixed_space, \
+from .modlinalg import MatrixOverGfp, _lane_bytes, _residue_table, \
+    format_matrix, mat_vec, matrix_from_words, same_row_space
+from .ntt import _OFFSET, _signed_sums, apply_addition_only, fixed_space, \
     golay_ntt_matrix, hamming_ntt_matrix
 from .render import RenderSpec, panel, to_svg
 
@@ -113,21 +121,58 @@ def _check_code_parameters(code: LinearCode,
     return False, f"{label}, expected {want}"
 
 
-def _codewords(code: LinearCode) -> tuple[list[Word], _Batch]:
-    """The code's listing and the same words as one batch."""
+def _rows(p: int, words: list[Word]) -> tuple[bytes, ...]:
+    """The words over GF(p) packed: row j holds symbol j of every word, one
+    byte each.  Past p = 256 they do not fit in bytes, and there are none."""
+    return tuple(map(bytes, zip(*(w.symbols for w in words)))) if p <= 256 else ()
+
+
+def _codewords(code: LinearCode) -> tuple[list[Word], tuple[bytes, ...]]:
+    """The code's listing and its packed rows."""
     words = enumerate_codewords(code)
-    return words, _Batch.of(code.modulus, (w.symbols for w in words))
+    return words, _rows(code.modulus, words)
+
+
+def _lanes(rows: tuple[bytes, ...]) -> list[int]:
+    """Each packed row as one int, word b in bits 8b..8b+7."""
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def _reduced(p: int, sums, size: int) -> bytes:
+    """Packed sums of `size` one-byte lanes, joined and reduced mod p."""
+    return b"".join([s.to_bytes(size, "little") for s in sums]).translate(_residue_table(p))
+
+
+def _packed_product(m: MatrixOverGfp, p: int, rows: tuple[bytes, ...]) -> bytes | None:
+    """mat_vec(m, w) of every word w over GF(p) packed in rows, its rows
+    joined, or None where one-byte lanes cannot hold the product."""
+    if m.modulus != p or m.cols != len(rows) or _lane_bytes(m.cols, p) != 1:
+        return None
+    xs = _lanes(rows)
+    sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
+    return _reduced(p, sums, len(rows[0]))
+
+
+def _packed_addition_only(p: int, rows: tuple[bytes, ...]) -> bytes | None:
+    """apply_addition_only(w) of every word w over GF(p) packed in rows, its
+    rows joined, or None unless the words are ternary of length 12."""
+    if p != 3 or len(rows) != 12:
+        return None
+    size = len(rows[0])
+    offset = _OFFSET * int.from_bytes(b"\x01" * size, "little")
+    return _reduced(3, _signed_sums(_lanes(rows), offset), size)
 
 
 def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
                        golay_listing) -> tuple[bool, str]:
     total = 0
     for m, listing in ((th, lambda: _codewords(hamming_code())), (tg, golay_listing)):
-        words, batch = listing()
-        if _mat_batch(m, batch) != batch:
-            w = next(w for w in words if mat_vec(m, w) != w)
-            return False, f"codeword {format_word(w)} is not fixed"
-        total += batch.size
+        words, rows = listing()
+        if _packed_product(m, words[0].modulus, rows) != b"".join(rows):
+            w = next((w for w in words if mat_vec(m, w) != w), None)
+            if w is not None:
+                return False, f"codeword {format_word(w)} is not fixed"
+        total += len(words)
     return True, f"all {total} codewords are fixed points"
 
 
@@ -153,17 +198,19 @@ def _random_rows() -> tuple[bytes, ...]:
 
 
 def _check_addition_only(tg: MatrixOverGfp, golay_listing) -> tuple[bool, str]:
-    words, batch = golay_listing()
-    randoms = _Batch(3, _random_rows())
-    # codewords first: over a field other than GF(3) they raise as
-    # apply_addition_only would on the first of them
-    for b in (batch, randoms):
-        if _addition_only_batch(b) != _mat_batch(tg, b):
-            drawn = (Word(3, v) for v in zip(*randoms.rows))
-            w = next(w for w in chain(words, drawn)
-                     if apply_addition_only(w) != mat_vec(tg, w))
+    words, rows = golay_listing()
+    randoms = _random_rows()
+    packed = ((_packed_addition_only(p, r), _packed_product(tg, p, r))
+              for p, r in ((words[0].modulus, rows), (3, randoms)))
+    if not all(a is not None and a == b for a, b in packed):
+        # codewords first: over a field other than GF(3) they raise as
+        # apply_addition_only would on the first of them
+        drawn = (Word(3, v) for v in zip(*randoms))
+        w = next((w for w in chain(words, drawn)
+                  if apply_addition_only(w) != mat_vec(tg, w)), None)
+        if w is not None:
             return False, f"paths disagree on {format_word(w)}"
-    return True, f"paths agree on {batch.size} codewords + {randoms.size} random words"
+    return True, f"paths agree on {len(words)} codewords + {len(randoms[0])} random words"
 
 
 def _check_flower_features() -> tuple[bool, str]:

@@ -17,6 +17,7 @@ from fieldflower import cli
 from fieldflower.cli import main
 from fieldflower.flowergeom import features
 from fieldflower.gfield import parse_word, parse_word_list
+from fieldflower.modlinalg import MAX_MATRIX_DIM
 from fieldflower.ntt import MAX_SPECTRUM_MODULUS, MAX_SPECTRUM_WORK
 from fieldflower.render import MAX_AXES, MAX_PANEL_PRIMITIVES, MAX_RINGS, RenderSpec, \
     panel, to_svg, to_tikz
@@ -194,6 +195,26 @@ def test_spectrum_work_past_the_bound_refused(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert f"past the bound of p*n**3 <= {MAX_SPECTRUM_WORK}" in err
+
+
+@pytest.mark.parametrize("rows,cols,message", [
+    (MAX_MATRIX_DIM + 1, 1, f"matrix text has {MAX_MATRIX_DIM + 1} rows, "),
+    (2, MAX_MATRIX_DIM + 1, f"matrix text has a row of more than {MAX_MATRIX_DIM} entries, "),
+])
+def test_matrix_past_the_dimension_bound_refused(capsys, tmp_path, rows, cols, message):
+    # fixed_space is cubic in the dimension; text past the bound exits 2
+    # naming it, before any row is built
+    f = tmp_path / "big.txt"
+    f.write_text("p=2\n" + ";\n".join(" ".join(["1"] * cols) for _ in range(rows)) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "invariants", "--matrix-file", str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert message + f"past the bound of {MAX_MATRIX_DIM}" in err
+    assert peak < 256 * 1024
 
 
 def test_render_svg(capsys, tmp_path):

@@ -19,7 +19,7 @@ from fieldflower.gfield import (
     parse_word,
     parse_word_list,
 )
-from fieldflower.modlinalg import MatrixOverGfp
+from fieldflower.modlinalg import MatrixOverGfp, parse_matrix
 from reference_paths import reference_format_word, reference_parse_word
 from test_render import golden_words
 
@@ -317,3 +317,22 @@ def test_word_list_round_trip(case):
     assert parse_word_list(text, p) == words
     assert parse_word_list(format_word_list(words), p) == words
     assert format_word_list(parse_word_list(text, p)) == format_word_list(words)
+
+
+# Text that nearly parses: ASCII digits, the separators of the word, list and
+# matrix formats, signs, '_' and '.', which int() takes in part, and digits of
+# other scripts, which str.isdigit takes.
+NEAR_TEXT = "0123456789,;=# \n+-_.p\u0661\u0663\u00b2\u096a\uff11"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(NEAR_TEXT, max_size=40),
+       st.sampled_from((2, 3, 7, 11, 257, 2**61 - 1, 0, 1, 4, 9, 15, 2**64, 2**64 + 13)))
+def test_parsers_raise_only_value_error_on_malformed_text(text, p):
+    # primes, composites and moduli past 2**64, in the argument and the header
+    for parse in (lambda: parse_word(text, p), lambda: parse_word_list(text, p),
+                  lambda: parse_matrix(text), lambda: parse_matrix(f"p={p}\n{text}")):
+        try:
+            parse()
+        except ValueError:
+            pass

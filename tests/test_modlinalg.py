@@ -8,12 +8,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldflower import modlinalg
-from fieldflower.gfield import Word
+from fieldflower import modlinalg, verify
+from fieldflower.gfield import Word, format_word
 from fieldflower.modlinalg import (
     MatrixOverGfp,
-    _Batch,
-    _mat_batch,
     format_matrix,
     identity,
     mat_vec,
@@ -23,6 +21,7 @@ from fieldflower.modlinalg import (
     rref,
     same_row_space,
 )
+from fieldflower.ntt import hamming_ntt_matrix
 from reference_constants import HAMMING_GENERATOR_ROWS, HAMMING_ROWS
 from reference_paths import reference_mat_vec
 from test_gfield import ROUND_TRIP_PRIMES
@@ -153,11 +152,25 @@ def test_shape_and_modulus_mismatches_rejected():
 
 
 def batch_product(m, words):
-    batch = _Batch.of(m.modulus, [w.symbols for w in words])
-    assert batch.size == len(words) and len(batch) == m.cols
-    out = _mat_batch(m, batch)
-    assert out.size == len(words) and len(out) == m.rows
-    return [Word(m.modulus, v) for v in zip(*out.rows)]
+    """verify's packed product of the words, one image per word, or None
+    where it declines."""
+    p = words[0].modulus
+    out = verify._packed_product(m, p, verify._rows(p, words))
+    if out is None:
+        return None
+    size = len(words)
+    assert len(out) == m.rows * size
+    return [Word(m.modulus, v)
+            for v in zip(*(out[i:i + size] for i in range(0, len(out), size)))]
+
+
+def isomorphism_walk(monkeypatch, m, words):
+    """verify's isomorphism check of m on the words (after the Hamming code,
+    which it decides packed), and the products it took word by word."""
+    calls = []
+    monkeypatch.setattr(verify, "mat_vec", lambda *a: calls.append(a) or mat_vec(*a))
+    rows = verify._rows(words[0].modulus, words)
+    return verify._check_isomorphism(hamming_ntt_matrix(), m, lambda: (words, rows)), calls
 
 
 def lane_stress(rng, p, rows, n, count):
@@ -174,8 +187,8 @@ def lane_stress(rng, p, rows, n, count):
 
 
 # (p, n, packed): n*(p-1)**2 is 255 at (2, 255), the widest exact lane sum,
-# and 256 at (2, 256), (3, 64), (5, 16) and (17, 1); past p = 256 the batch
-# rows are tuples.
+# and 256 at (2, 256), (3, 64), (5, 16) and (17, 1); past p = 256 the words
+# do not fit in bytes.
 @pytest.mark.parametrize("p,n,packed", [
     (2, 7, True), (3, 12, True), (3, 63, True), (5, 15, True),
     (2, 255, True), (2, 256, False), (3, 64, False), (5, 16, False),
@@ -185,12 +198,16 @@ def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, packed):
     rng = random.Random(p * 1000 + n)
     m, words = lane_stress(rng, p, 6, n, 40)
     expected = [reference_mat_vec(m, w) for w in words]
-    calls = []
-    monkeypatch.setattr(modlinalg, "mat_vec",
-                        lambda *a: calls.append(a) or mat_vec(*a))
-    assert batch_product(m, words) == expected
-    # past the lane bound, and only there, the product is taken word by word
-    assert len(calls) == (0 if packed else len(words))
+    if packed:
+        assert batch_product(m, words) == expected
+        return
+    # past the lane bound the packed product declines, and the check walks
+    # the words one by one up to the first that is not fixed
+    assert batch_product(m, words) is None
+    first = next(i for i, (w, y) in enumerate(zip(words, expected)) if y != w)
+    result, calls = isomorphism_walk(monkeypatch, m, words)
+    assert result == (False, f"codeword {format_word(words[first])} is not fixed")
+    assert calls == [(m, w) for w in words[:first + 1]]
 
 
 # (p, n, lane bytes): n*(p-1)**2 is 255 at (2, 255), (3, 63) is 252, (5, 15)
@@ -265,14 +282,15 @@ def test_batch_product_over_batch_sizes(size):
     assert batch_product(m, words) == [mat_vec(m, w) for w in words]
 
 
-def test_batch_product_rejects_what_mat_vec_rejects():
+def test_batch_product_rejects_what_mat_vec_rejects(monkeypatch):
     m = MatrixOverGfp(2, ((1, 0),))
-    for x in (_Batch.of(2, [(1, 0, 1)]), _Batch.of(3, [(1, 0)])):
-        with pytest.raises(ValueError) as batch_error:
-            _mat_batch(m, x)
+    for x in (Word(2, (1, 0, 1)), Word(3, (1, 0))):
+        assert batch_product(m, [x]) is None
+        with pytest.raises(ValueError) as check_error:
+            isomorphism_walk(monkeypatch, m, [x])
         with pytest.raises(ValueError) as word_error:
-            mat_vec(m, Word(x.modulus, next(zip(*x.rows))))
-        assert str(batch_error.value) == str(word_error.value)
+            mat_vec(m, x)
+        assert str(check_error.value) == str(word_error.value)
 
 
 def test_same_row_space_invariant_under_row_operations():
@@ -339,6 +357,21 @@ def test_parse_matrix_errors():
             parse_matrix(bad)
     with pytest.raises(ValueError, match=r"'1_0' at position \(1,0\) .* GF\(13\)"):
         parse_matrix("p=13\n1 0; 1_0 2")
+
+
+def test_parse_matrix_dimension_bound(monkeypatch):
+    n = modlinalg.MAX_MATRIX_DIM
+    square = "p=2\n" + ";\n".join(" ".join(["0"] * n) for _ in range(n)) + ";\n;;\n"
+    assert parse_matrix(square) == MatrixOverGfp(2, ((0,) * n,) * n)
+    checked = []
+    monkeypatch.setattr(modlinalg, "_is_decimal",
+                        lambda t: checked.append(t) or t.isdigit())
+    for text in ("p=2\n" + "1;" * (n + 1), "p=2\n" + "1 " * (n + 1),
+                 "p=2\n1\n;" + "\t1\n" * (n + 1)):
+        with pytest.raises(ValueError, match=f"past the bound of {n}$"):
+            parse_matrix(text)
+    # refused from the header alone: no entry was looked at
+    assert checked == ["2"] * 3
 
 
 def test_matrix_from_words():

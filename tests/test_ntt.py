@@ -9,7 +9,6 @@ import pytest
 from fieldflower.gfield import Word, format_word, parse_word
 from fieldflower.modlinalg import (
     MatrixOverGfp,
-    _Batch,
     format_matrix,
     identity,
     mat_vec,
@@ -17,7 +16,7 @@ from fieldflower.modlinalg import (
     rref,
     same_row_space,
 )
-from fieldflower import ntt
+from fieldflower import ntt, verify
 from fieldflower.ntt import (
     _OFFSET,
     BUILTIN_TRANSFORMS,
@@ -25,7 +24,6 @@ from fieldflower.ntt import (
     HAMMING,
     MAX_SPECTRUM_MODULUS,
     MAX_SPECTRUM_WORK,
-    _addition_only_batch,
     apply,
     apply_addition_only,
     eigen_spectrum,
@@ -119,8 +117,11 @@ def test_addition_only_agrees_with_matrix_product():
 
 
 def batched_addition_only(words):
-    out = _addition_only_batch(_Batch.of(3, [w.symbols for w in words]))
-    return [Word(3, v) for v in zip(*out.rows)]
+    """verify's packed addition-only images of the words, one per word."""
+    out = verify._packed_addition_only(3, verify._rows(3, words))
+    size = len(words)
+    assert len(out) == 12 * size
+    return [Word(3, v) for v in zip(*(out[i:i + size] for i in range(0, len(out), size)))]
 
 
 ALL_TWO = Word(3, (2,) * 12)  # every lane at its largest symbol
@@ -178,8 +179,12 @@ def test_addition_only_rejects_wrong_shape():
     with pytest.raises(ValueError):
         apply_addition_only(Word(2, (0,) * 12))
     for p, n in ((3, 3), (2, 12), (3, 13)):
+        words = [Word(p, (0,) * n)] * 2
+        rows = verify._rows(p, words)
+        assert verify._packed_addition_only(p, rows) is None
+        # the check walks the words, and apply_addition_only refuses the first
         with pytest.raises(ValueError, match="ternary word of length 12"):
-            _addition_only_batch(_Batch.of(p, [(0,) * n] * 2))
+            verify._check_addition_only(GOLAY.matrix, lambda: (words, rows))
 
 
 def test_fixed_space_hamming():

@@ -5,8 +5,8 @@ from itertools import chain
 
 import pytest
 
-from fieldflower import modlinalg, verify
-from fieldflower.modlinalg import MatrixOverGfp, _Batch, identity, mat_vec
+from fieldflower import verify
+from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.verify import _random_rows, format_report, run_checks
 from reference_paths import reference_random_words
@@ -158,11 +158,12 @@ def test_random_words_are_the_seeded_draw():
 
 
 def test_random_rows_are_the_per_symbol_draw_packed():
-    assert _random_rows() == _Batch.of(3, reference_random_words()).rows
+    assert _random_rows() == tuple(map(bytes, zip(*reference_random_words())))
 
 
 # A 12x12 matrix over GF(7) fixing e_0 and e_1: n(p-1)**2 = 432 lies past the
-# 8-bit lane bound, so every product it takes part in is computed word by word.
+# 8-bit lane bound, so no packed product decides for it, and every product it
+# takes part in is computed word by word.
 GF7_MATRIX = MatrixOverGfp(7, (
     (1, 0, 3, 5, 0, 0, 6, 4, 0, 2, 4, 0),
     (0, 1, 0, 0, 3, 3, 0, 1, 0, 4, 3, 0),
@@ -202,13 +203,15 @@ GF7_RESULTS = [
 
 def test_golay_matrix_over_gf7(monkeypatch):
     calls = []
-    monkeypatch.setattr(modlinalg, "mat_vec",
+    monkeypatch.setattr(verify, "mat_vec",
                         lambda *a: calls.append(a) or mat_vec(*a))
     results = run_checks(golay_matrix=GF7_MATRIX)
     assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
     # the isomorphism check takes the 49 fixed words of GF7_MATRIX word by
-    # word; the 16 Hamming codewords stay packed
-    assert len(calls) == 49
+    # word, the only words over GF(7); the 16 Hamming codewords stay packed
+    assert sum(1 for _, w in calls if w.modulus == 7) == 49
+    # the pair, invariant and eigenspace checks take 2 + 1 + 1 + 1 + 4 more
+    assert len(calls) == 49 + 9
 
 
 def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
