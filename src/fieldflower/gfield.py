@@ -5,8 +5,17 @@ shared freely across threads, and every operation returns a new value.
 
 `_residues` alone decides what a value of GF(p) is (a prime `int` modulus,
 `int` residues in 0..p-1) for elements, words and matrices alike, and
-`_same_field` alone checks that two operands share a modulus.  Only the
-codebook walk skips `_residues` (through `_reduced_words`): it checks its words.
+`_same_field` alone checks that two operands share a modulus.  Three callers
+build Words without it, each from symbols it knows to be residues of a field
+it has checked:
+
+- the codebook walk (`_reduced_words`) lane-tests every packed block of
+  codewords before any of its Words is made;
+- `modlinalg.mat_vec` and `ntt.apply_addition_only` (`_reduced_word`)
+  reduce every symbol of an image themselves, mod the modulus of a checked
+  matrix or mod 3;
+- `parse_word` (`_reduced_word`) checks the modulus and the largest digit of
+  a digit string, and leaves any other text to `Word`, which names the error.
 """
 
 from __future__ import annotations
@@ -155,14 +164,26 @@ class Word:
         return f"Word({format_word(self)!r} over GF({self.modulus}))"
 
 
+# The two slot setters of Word, for the builders that skip `_residues`.
+_set_modulus, _set_symbols = Word.modulus.__set__, Word.symbols.__set__
+
+
+def _reduced_word(p: int, symbols: tuple[int, ...]) -> Word:
+    """A Word built without `_residues`: the caller has checked that p is
+    prime and that the symbols are ints in 0..p-1, at least one of them."""
+    word = object.__new__(Word)
+    _set_modulus(word, p)
+    _set_symbols(word, symbols)
+    return word
+
+
 def _reduced_words(p: int, symbol_rows: Iterable[tuple[int, ...]]) -> list[Word]:
-    """Words built without `_residues`, one per tuple: the caller has checked
-    that p is prime and that the symbols are ints in 0..p-1.  The Words are
-    made and their two slots set by C-level `map`s, drained by `deque`."""
+    """`_reduced_word` of every tuple, under the same contract.  The Words
+    are made and their two slots set by C-level `map`s, drained by `deque`."""
     rows = list(symbol_rows)
     words = list(map(object.__new__, repeat(Word, len(rows))))
-    deque(map(Word.modulus.__set__, words, repeat(p)), maxlen=0)
-    deque(map(Word.symbols.__set__, words, rows), maxlen=0)
+    deque(map(_set_modulus, words, repeat(p)), maxlen=0)
+    deque(map(_set_symbols, words, rows), maxlen=0)
     return words
 
 
@@ -191,15 +212,20 @@ def parse_word(text: str, p: int) -> Word:
     comma is a word of one symbol ("12"), as `format_word` writes it.
     Symbols are ASCII digits only.  The modulus and the symbol range are
     checked by `Word`.  A digit string maps to its symbols in one pass,
-    through `_VALUES`; any other text is read symbol by symbol, so an error
-    can name its position.
+    through `_VALUES`, and is a Word at once when p is prime and its largest
+    digit below p; any other text is read symbol by symbol, so an error can
+    name its position.
     """
     if text == "":
         raise ValueError("empty word")
     if "," in text or p > 10:
         symbols = [part.strip() for part in text.split(",")]
     elif _is_decimal(text):
-        return Word(p, tuple(text.encode("ascii").translate(_VALUES)))
+        _require_prime(p)
+        digits = tuple(text.encode("ascii").translate(_VALUES))
+        if max(digits) < p:
+            return _reduced_word(p, digits)
+        return Word(p, digits)  # names the first digit at or above p
     else:
         symbols = list(text)
     for k, symbol in enumerate(symbols):

@@ -9,7 +9,9 @@ top-down, columns left-to-right) so that downstream output, in particular
 canonical null-space bases, is byte-reproducible.
 
 Entries are checked by `gfield._residues` and operands matched by
-`gfield._same_field`; this module has no value check of its own.
+`gfield._same_field`; this module has no value check of its own.  A
+product's symbols are residues by construction, so its image is built by
+`gfield._reduced_word`, without a second check.
 
 Products are packed into lanes of big ints (Kronecker substitution).  A sum
 of n products of residues is at most n(p-1)**2, and `_lane_bytes` gives the
@@ -24,13 +26,14 @@ through a v % p table, wider ones by shift, mask and % p.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from .gfield import Word, _is_decimal, _residues, _same_field
+from .gfield import Word, _is_decimal, _reduced_word, _residues, _same_field
 
 
 def _fields_only(value) -> dict:
@@ -116,10 +119,11 @@ def mat_vec(m: MatrixOverGfp, x: Word) -> Word:
     p, (size, columns) = m.modulus, m._packed
     y = sum(map(mul, x.symbols, columns))
     if size == 1:
-        return Word(p, tuple(y.to_bytes(m.rows, "little").translate(_residue_table(p))))
+        image = y.to_bytes(m.rows, "little").translate(_residue_table(p))
+        return _reduced_word(p, tuple(image))
     w = 8 * size
     mask = (1 << w) - 1
-    return Word(p, tuple((y >> s & mask) % p for s in range(0, w * m.rows, w)))
+    return _reduced_word(p, tuple((y >> s & mask) % p for s in range(0, w * m.rows, w)))
 
 
 @cache
@@ -196,12 +200,17 @@ def same_row_space(a: MatrixOverGfp, b: MatrixOverGfp) -> bool:
 # elimination is n**3, so the bound holds every admitted one near 2 s.
 MAX_MATRIX_DIM = 200
 
+# One row of matrix text: a `;`-separated chunk from its first character that
+# is neither `;` nor whitespace, so each chunk that is not blank matches once.
+_ROW = re.compile(r"[^;\s][^;]*")
+
 
 def parse_matrix(text: str) -> MatrixOverGfp:
     """Parse the matrix text format: header line `p=<modulus>`, then rows
     separated by `;` (newlines around separators are ignored), entries
     separated by spaces.  Text of more than MAX_MATRIX_DIM rows or columns
-    is refused before any row is built."""
+    is refused before any row is built, and past MAX_MATRIX_DIM rows before
+    any is split off the text."""
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty matrix text")
@@ -213,14 +222,16 @@ def parse_matrix(text: str) -> MatrixOverGfp:
     if not _is_decimal(modulus):
         raise ValueError(f"invalid modulus in header {header!r}")
     p = int(modulus)
-    chunks = [c for c in body.split(";") if c.strip()]
-    if not chunks:
+    # counted one match at a time, so an over-long text is refused before
+    # any list of its rows exists
+    count = sum(1 for _ in _ROW.finditer(body))
+    if not count:
         raise ValueError("matrix text has no rows")
-    if len(chunks) > MAX_MATRIX_DIM:
-        raise ValueError(f"matrix text has {len(chunks)} rows, "
+    if count > MAX_MATRIX_DIM:
+        raise ValueError(f"matrix text has {count} rows, "
                          f"past the bound of {MAX_MATRIX_DIM}")
     # a row of more than MAX_MATRIX_DIM entries splits into one item more
-    table = [c.split(None, MAX_MATRIX_DIM) for c in chunks]
+    table = [c.split(None, MAX_MATRIX_DIM) for c in _ROW.findall(body)]
     if max(map(len, table)) > MAX_MATRIX_DIM:
         raise ValueError(f"matrix text has a row of more than {MAX_MATRIX_DIM} "
                          f"entries, past the bound of {MAX_MATRIX_DIM}")

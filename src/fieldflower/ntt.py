@@ -11,14 +11,24 @@ purpose, and the two are required to agree everywhere.
 matrix's packed columns.  Both built-in transforms fit its one-byte lanes,
 so each image is reduced by one `bytes.translate`.
 
-There is one addition-only evaluator, `_signed_sums`.  Each output row adds
-its +1 columns, subtracts its -1 columns and adds an offset.
-`apply_addition_only` gives it one word's symbols, one lane each, and
-`_OFFSET`; one `bytes.translate` then reduces the lanes mod 3.  The offset
+The signed matrix `_GOLAY_SIGNED_ROWS` is kept once and packed in two
+forms, both evaluated by additions and subtractions only.  In both, a
+one-byte lane holds one output symbol plus the offset `_OFFSET`.  The offset
 is a multiple of 3, so it leaves every residue alone, and at least 2 * (the
-most -1 entries in a row), so no lane goes below 0; a lane stays at most
+most -1 entries in a row), so no lane ends below 0; a lane ends at most
 _OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255, so none carries
-into the next.
+into the next, and one `bytes.translate` reduces every lane mod 3.
+
+- Rows, for batches: `_signed_sums` adds, per output row, the packed inputs
+  under its +1 entries and subtracts those under its -1 entries.  `verify`
+  packs one lane per word.
+- Columns, for one word: `_COLUMNS[j][v]` is v times signed column j, one
+  lane per output row (row 0 in the top lane), formed as c_j + c_j for
+  v = 2.  `apply_addition_only` sums the entry of each symbol onto
+  `_OFFSET_LANES`.  A partial sum may have negative lanes, which borrow from
+  the lane above, but the whole sum is sum_i (_OFFSET + s_i) * 256**(11 - i),
+  with s_i the signed sum of row i and every _OFFSET + s_i in 0..22; so its
+  12 big-endian bytes are exactly those lanes.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .gfield import FieldElement, Word
+from .gfield import FieldElement, Word, _reduced_word
 from .modlinalg import MatrixOverGfp, _residue_table, mat_vec, null_space
 
 _HAMMING_ROWS = (
@@ -72,6 +82,19 @@ _SIGNED_GETTERS = tuple(
 _OFFSET = 3 * -(-2 * max(row.count(-1) for row in _GOLAY_SIGNED_ROWS) // 3)
 
 
+def _pack_lanes(values: Sequence[int]) -> int:
+    """The values packed one byte lane each, the first in the top lane."""
+    return sum(v << 8 * k for k, v in enumerate(reversed(values)))
+
+
+# Per column j of the signed form: 0, c_j and c_j + c_j, where c_j packs
+# column j one lane per output row, so _COLUMNS[j][v] is v * column j.
+_COLUMNS = tuple(
+    (0, c, c + c) for c in map(_pack_lanes, zip(*_GOLAY_SIGNED_ROWS))
+)
+_OFFSET_LANES = _pack_lanes((_OFFSET,) * len(_GOLAY_SIGNED_ROWS))
+
+
 def hamming_ntt_matrix() -> MatrixOverGfp:
     """The 7x7 binary transform whose fixed space is the Hamming(7,4) code."""
     return MatrixOverGfp(2, _HAMMING_ROWS)
@@ -113,9 +136,9 @@ def apply(transform: Transform | MatrixOverGfp, x: Word) -> Word:
 
 
 def _signed_sums(xs: Sequence[int], offset: int) -> Iterator[int]:
-    """The 12-point transform by additions and subtractions only: xs[j]
-    packs symbol j of every word, and output row i, plus the offset, packs
-    symbol i of every image before its reduction mod 3."""
+    """The 12-point transform by additions and subtractions only, in rows:
+    xs[j] packs symbol j of every word, and output row i, plus the offset,
+    packs symbol i of every image before its reduction mod 3."""
     return (sum(plus(xs)) - sum(minus(xs)) + offset for plus, minus in _SIGNED_GETTERS)
 
 
@@ -128,12 +151,13 @@ def apply_addition_only(x: Word) -> Word:
     """Evaluate the 12-point ternary transform without any multiplication.
 
     Each output coordinate is a signed accumulation over the {-1, 0, +1}
-    matrix: add x_j where the entry is +1, subtract where it is -1, skip
-    zeros, and reduce mod 3 once at the end, all 12 sums by one translate.
+    matrix.  The word's symbols pick one packed multiple of each signed
+    column from `_COLUMNS`; their sum, on the offset lanes, holds all 12
+    accumulations, reduced mod 3 at the end by one translate.
     """
     _require_golay_shape(x)
-    sums = bytes(_signed_sums(x.symbols, _OFFSET))
-    return Word(3, tuple(sums.translate(_residue_table(3))))
+    sums = sum(map(tuple.__getitem__, _COLUMNS, x.symbols), _OFFSET_LANES)
+    return _reduced_word(3, tuple(sums.to_bytes(12).translate(_residue_table(3))))
 
 
 # eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each

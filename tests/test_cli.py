@@ -217,6 +217,15 @@ def test_matrix_past_the_dimension_bound_refused(capsys, tmp_path, rows, cols, m
     assert peak < 256 * 1024
 
 
+def test_matrix_file_of_many_rows_refused_by_its_count(capsys, tmp_path):
+    # 500,000 rows are counted, not split, and refused with the row bound
+    f = tmp_path / "tall.txt"
+    f.write_text("p=2\n" + "0;" * 500_000)
+    code, out, err = run_cli(capsys, "spectrum", "--matrix-file", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix text has 500000 rows, past the bound of {MAX_MATRIX_DIM}\n"
+
+
 def test_render_svg(capsys, tmp_path):
     out_file = tmp_path / "flower.svg"
     code, out, _ = run_cli(

@@ -433,6 +433,22 @@ def test_reduced_word_is_used_only_by_enumerate_codewords():
     assert users == {("codes", "enumerate_codewords")}
 
 
+def test_reduced_word_is_used_only_by_the_per_word_images():
+    # The one-word builder serves the product, the addition-only path and
+    # digit-string parsing, and only the two builders set Word's slots.
+    def users(name):
+        return {
+            (path.stem, scope)
+            for path in Path(codes.__file__).parent.glob("*.py")
+            for scope in loads_of(name, ast.parse(path.read_text(encoding="utf-8")))
+        }
+    assert users("_reduced_word") == {
+        ("modlinalg", "mat_vec"), ("ntt", "apply_addition_only"), ("gfield", "parse_word"),
+    }
+    for setter in ("_set_modulus", "_set_symbols"):
+        assert users(setter) == {("gfield", "_reduced_word"), ("gfield", "_reduced_words")}
+
+
 def test_frozen_values_are_written_only_in_post_init():
     # A frozen value is set up by `object.__setattr__` in `__post_init__`
     # and never written after: a derived cache is a `cached_property`.

@@ -256,28 +256,37 @@ def test_parse_word_errors():
 
 
 def parse_outcome(parse, text, p):
-    """What parsing returns (type and fields) or raises (type and text)."""
+    """What parsing returns (type, fields, hash and the word back from a
+    pickle at every protocol) or raises (type and text)."""
     try:
         w = parse(text, p)
     except Exception as exc:
         return "raised", type(exc), str(exc)
-    return "returned", type(w), w.modulus, w.symbols
+    return "returned", type(w), w.modulus, w.symbols, hash(w), [
+        pickle.loads(pickle.dumps(w, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
 
 
 def test_parse_word_matches_the_per_symbol_oracle():
     cases = [(format_word(w), w.modulus) for w in golden_words()]
-    cases += [(text, 3) for text in ("201100010110", "021220022122", "0" * 40)]
+    cases += [(text, 3) for text in ("201100010110", "021220022122", "0" * 40, "0123")]
     cases += [(text, p) for p in (2, 3, 7) for text in (
         "", "+1", "-1", "1 0", " 10", "10 ", "1\u0663", "\u0663", "\u00b2",
         "1,0", "1,,0", ",", "1,0,", "1,+1", "1, ,0", "0123456789", "9", "10a")]
     cases += [("101", 11), ("101", 13), ("1,0", 13), ("012", 4), ("1,0", 4),
-              ("012", 1), ("5", 10), ("11", 2.5), ("11", True)]
+              ("012", 1), ("5", 10), ("11", 2.5), ("11", True), ("0120", 3.0),
+              ("0120", -3), ("6543210", 7), ("6543210", 5)]
     for text, p in cases:
         assert parse_outcome(parse_word, text, p) == \
             parse_outcome(reference_parse_word, text, p), (text, p)
-    # the digit form reaches Word's range check, and its error, unchanged
+    # a digit string is refused with Word's errors, unchanged
     assert parse_outcome(parse_word, "0120", 2)[2] == \
         "value 2 at position 2 out of range for GF(2): expected an int in 0..1"
+    assert parse_outcome(parse_word, "0123", 3)[2] == \
+        "value 3 at position 3 out of range for GF(3): expected an int in 0..2"
+    for p in (4, True, 3.0):
+        assert parse_outcome(parse_word, "0120", p)[2] == \
+            f"modulus must be a prime int, got {p!r}"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,11 +213,11 @@ def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, packed):
 
 # (p, n, lane bytes): n*(p-1)**2 is 255 at (2, 255), (3, 63) is 252, (5, 15)
 # 240, (7, 7) 252 and (13, 1) 144, all in one byte; one more column, or
-# p = 17, passes 255.  Past p = 256 the lanes grow to 3, 5, 8 and 16 bytes.
+# p = 17, passes 255.  Past p = 256 the lanes grow to 3, 4, 5, 8 and 16 bytes.
 @pytest.mark.parametrize("p,n,width", [
     (2, 255, 1), (2, 256, 2), (3, 63, 1), (3, 64, 2), (5, 15, 1), (5, 16, 2),
     (7, 7, 1), (7, 8, 2), (13, 1, 1), (13, 2, 2), (17, 1, 2), (17, 3, 2),
-    (257, 3, 3), (65537, 3, 5), (2**31 - 1, 3, 8), (2**61 - 1, 3, 16),
+    (257, 3, 3), (4099, 3, 4), (65537, 3, 5), (2**31 - 1, 3, 8), (2**61 - 1, 3, 16),
 ])
 @pytest.mark.parametrize("rows", [1, 5, "n"])
 def test_mat_vec_matches_reference_at_every_lane_width(p, n, width, rows):
@@ -224,7 +225,12 @@ def test_mat_vec_matches_reference_at_every_lane_width(p, n, width, rows):
     rng = random.Random(p * 1000 + n)
     m, words = lane_stress(rng, p, n if rows == "n" else rows, n, 12)
     for w in words:
-        assert mat_vec(m, w) == reference_mat_vec(m, w)
+        # built without a second range check, the image is still a Word
+        # equal, hash-equal and pickle-equal to the checked one
+        y, expected = mat_vec(m, w), Word(p, reference_mat_vec(m, w).symbols)
+        assert type(y) is Word and y == expected and hash(y) == hash(expected)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(y, protocol)) == y
 
 
 @st.composite
@@ -372,6 +378,26 @@ def test_parse_matrix_dimension_bound(monkeypatch):
             parse_matrix(text)
     # refused from the header alone: no entry was looked at
     assert checked == ["2"] * 3
+
+
+def test_parse_matrix_counts_rows_without_splitting_the_text():
+    # 500,000 rows of `0;` are refused by a count of one match at a time:
+    # the peak stays under twice the text, with the same message
+    text = "p=2\n" + "0;" * 500_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "matrix text has 500000 rows, past the bound of 200"
+    assert peak < 2 * len(text)
+    # blank chunks, of any whitespace, are no rows
+    assert parse_matrix("p=2\n" + ";" * 100_000 + " \u2003\n;1 0;\t;") == \
+        MatrixOverGfp(2, ((1, 0),))
+    with pytest.raises(ValueError, match="^matrix text has no rows$"):
+        parse_matrix("p=2\n;\u00a0; \n;")
 
 
 def test_matrix_from_words():

@@ -1,10 +1,14 @@
 """The built-in transforms: constants, worked pairs, eigenspaces, kernels."""
 
+import ast
 import hashlib
+import inspect
 import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldflower.gfield import Word, format_word, parse_word
 from fieldflower.modlinalg import (
@@ -18,7 +22,9 @@ from fieldflower.modlinalg import (
 )
 from fieldflower import ntt, verify
 from fieldflower.ntt import (
+    _COLUMNS,
     _OFFSET,
+    _OFFSET_LANES,
     BUILTIN_TRANSFORMS,
     GOLAY,
     HAMMING,
@@ -154,6 +160,49 @@ def test_addition_only_offset_rule():
     assert _OFFSET % 3 == 0
     assert 2 * most_negative <= _OFFSET < 2 * most_negative + 3
     assert _OFFSET + 2 * most_positive <= 255
+
+
+def test_addition_only_columns_are_the_signed_columns_packed():
+    # _COLUMNS[j][v] on the offset lanes unpacks, row 0 in the top lane, to
+    # _OFFSET + v times signed column j
+    assert len(_COLUMNS) == 12
+    assert _OFFSET_LANES.to_bytes(12) == bytes([_OFFSET] * 12)
+    for j, column in enumerate(zip(*ref.GOLAY_SIGNED_ROWS)):
+        assert _COLUMNS[j][0] == 0
+        assert _COLUMNS[j][2] == _COLUMNS[j][1] + _COLUMNS[j][1]
+        for v in range(3):
+            lanes = (_COLUMNS[j][v] + _OFFSET_LANES).to_bytes(12)
+            assert [lane - _OFFSET for lane in lanes] == [v * e for e in column]
+
+
+def test_addition_only_evaluation_never_multiplies():
+    # the per-word path only adds table entries: no product, power or
+    # operator.mul appears in its body
+    tree = ast.parse(inspect.getsource(apply_addition_only))
+    ops = {type(node.op) for node in ast.walk(tree) if isinstance(node, ast.BinOp)}
+    assert not ops & {ast.Mult, ast.Pow, ast.MatMult}
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert not names & {"mul", "_signed_sums", "mat_vec"}
+
+
+ternary_words = st.tuples(*[st.integers(0, 2)] * 12).map(lambda t: Word(3, t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(ternary_words, min_size=1, max_size=8))
+def test_addition_only_forms_agree_on_random_words(words):
+    # the packed columns, the per-symbol oracle, the product and verify's
+    # packed rows give one image per word; built without a second range
+    # check, it is still a Word equal, hash-equal and pickle-equal to the
+    # checked one
+    expected = [reference_addition_only(w) for w in words]
+    images = [apply_addition_only(w) for w in words]
+    assert images == expected and list(map(hash, images)) == list(map(hash, expected))
+    assert all(type(y) is Word for y in images)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(images, protocol)) == expected
+    assert [apply(GOLAY, w) for w in words] == expected
+    assert batched_addition_only(words) == expected
 
 
 def test_addition_only_worked_pair_and_zero():
