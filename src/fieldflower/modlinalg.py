@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import mul
 from typing import Sequence
 
@@ -222,16 +222,18 @@ def parse_matrix(text: str) -> MatrixOverGfp:
     if not _is_decimal(modulus):
         raise ValueError(f"invalid modulus in header {header!r}")
     p = int(modulus)
-    # counted one match at a time, so an over-long text is refused before
-    # any list of its rows exists
-    count = sum(1 for _ in _ROW.finditer(body))
-    if not count:
+    # one scan: at most one row past the bound is kept, and the rest of an
+    # over-long text is counted one match at a time, never listed
+    matches = _ROW.finditer(body)
+    chunks = [m.group() for m in islice(matches, MAX_MATRIX_DIM + 1)]
+    if not chunks:
         raise ValueError("matrix text has no rows")
-    if count > MAX_MATRIX_DIM:
+    if len(chunks) > MAX_MATRIX_DIM:
+        count = len(chunks) + sum(1 for _ in matches)
         raise ValueError(f"matrix text has {count} rows, "
                          f"past the bound of {MAX_MATRIX_DIM}")
     # a row of more than MAX_MATRIX_DIM entries splits into one item more
-    table = [c.split(None, MAX_MATRIX_DIM) for c in _ROW.findall(body)]
+    table = [c.split(None, MAX_MATRIX_DIM) for c in chunks]
     if max(map(len, table)) > MAX_MATRIX_DIM:
         raise ValueError(f"matrix text has a row of more than {MAX_MATRIX_DIM} "
                          f"entries, past the bound of {MAX_MATRIX_DIM}")

@@ -157,7 +157,7 @@ def apply_addition_only(x: Word) -> Word:
     """
     _require_golay_shape(x)
     sums = sum(map(tuple.__getitem__, _COLUMNS, x.symbols), _OFFSET_LANES)
-    return _reduced_word(3, tuple(sums.to_bytes(12).translate(_residue_table(3))))
+    return _reduced_word(3, tuple(sums.to_bytes(12, "big").translate(_residue_table(3))))
 
 
 # eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each

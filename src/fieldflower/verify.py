@@ -21,7 +21,9 @@ the per-word walk: the words in order through `mat_vec` and
 `apply_addition_only`, codewords before the seeded random words, naming the
 first word that fails; over a field or shape the per-word functions refuse
 they raise the same error.  The seeded random words are drawn straight into
-packed rows.
+packed rows.  `apply_addition_only` sums a table of the signed columns, a
+form the packed rows never read, so the check also runs it, against
+`mat_vec`, on the 24 words v * e_j (v = 1, 2), one per table entry.
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -202,14 +204,18 @@ def _check_addition_only(tg: MatrixOverGfp, golay_listing) -> tuple[bool, str]:
     randoms = _random_rows()
     packed = ((_packed_addition_only(p, r), _packed_product(tg, p, r))
               for p, r in ((words[0].modulus, rows), (3, randoms)))
+    walked = ()
     if not all(a is not None and a == b for a, b in packed):
         # codewords first: over a field other than GF(3) they raise as
         # apply_addition_only would on the first of them
-        drawn = (Word(3, v) for v in zip(*randoms))
-        w = next((w for w in chain(words, drawn)
-                  if apply_addition_only(w) != mat_vec(tg, w)), None)
-        if w is not None:
-            return False, f"paths disagree on {format_word(w)}"
+        walked = chain(words, (Word(3, v) for v in zip(*randoms)))
+    # the packed rows never reach apply_addition_only's column table; the
+    # words v * e_j read each of its nonzero entries once, on the offset lanes
+    units = (Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2))
+    w = next((w for w in chain(walked, units)
+              if apply_addition_only(w) != mat_vec(tg, w)), None)
+    if w is not None:
+        return False, f"paths disagree on {format_word(w)}"
     return True, f"paths agree on {len(words)} codewords + {len(randoms[0])} random words"
 
 

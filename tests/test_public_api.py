@@ -1,6 +1,11 @@
-"""The names the package exports, pinned."""
+"""The names the package exports, and the oldest Python it runs on, pinned."""
+
+import ast
+from pathlib import Path
 
 import fieldflower
+
+SRC = Path(fieldflower.__file__).resolve().parent
 
 PUBLIC_API = [
     "BUILTIN_TRANSFORMS",
@@ -62,3 +67,16 @@ def test_public_api_is_the_recorded_list():
     assert len(set(fieldflower.__all__)) == len(fieldflower.__all__)
     for name in fieldflower.__all__:
         assert getattr(fieldflower, name, None) is not None, name
+
+
+def test_int_byte_conversions_name_their_byte_order():
+    # the package declares Python 3.10, where int.to_bytes and int.from_bytes
+    # still require the byteorder argument
+    calls = [(path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) in ("to_bytes", "from_bytes")
+             and len(node.args) < 2
+             and "byteorder" not in {k.arg for k in node.keywords}]
+    assert calls == []

@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from fieldflower import verify
+from fieldflower import ntt, verify
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.verify import _random_rows, format_report, run_checks
@@ -71,6 +71,17 @@ def test_corrupted_golay_matrix_trips_the_golay_checks():
     assert not by_name["golay-transform-pairs"].passed
     assert not by_name["golay-addition-only"].passed
     assert by_name["hamming-matrix-checksum"].passed
+
+
+def test_a_wrong_column_table_entry_trips_the_addition_only_check(monkeypatch):
+    # the packed rows agree with the product on every word, and only the
+    # per-word column table is wrong: 2 * e_5 reads the bad entry
+    columns = list(ntt._COLUMNS)
+    columns[5] = (0, columns[5][1], columns[5][1])
+    monkeypatch.setattr(ntt, "_COLUMNS", tuple(columns))
+    by_name = {r.name: (r.passed, r.detail) for r in run_checks()}
+    assert by_name["golay-addition-only"] == (False, "paths disagree on 000002000000")
+    assert by_name["transform-code-isomorphism"][0]
 
 
 def test_format_report_shape(fresh_results):
