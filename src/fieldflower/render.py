@@ -5,17 +5,17 @@ is fixed, floats are printed with a fixed 6-decimal convention, and no locale,
 clock, or scheduling input leaks into the output.  Rendering the same input
 twice must produce identical bytes; golden-file tests depend on it.
 
-One walk, _draw, decides which primitives a cell has and in what order; SVG
+One walk, _drawer, decides which primitives a cell has and in what order; SVG
 and TikZ differ only in the format table that turns each primitive into text.
-A panel sets the walk up once per call, and its cells share the texts and
-plans that the walk keeps (see panel).
+Walks are cached across calls per (format, spec, n, p), and cell plans per
+nonzero pattern, in bounded LRU caches that panels and single cells share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 from itertools import compress
 from string import hexdigits
 
@@ -179,6 +179,8 @@ _TIKZ = {
         f"{{{text}}}; % label"),
 }
 
+_FORMATS = {"svg": _SVG, "tikz": _TIKZ}
+
 
 def _require_drawable(n: int, p: int, cells: int = 1) -> None:
     """Refuse cells of n symbols over GF(p) past MAX_AXES or MAX_RINGS, and
@@ -197,42 +199,41 @@ def _require_drawable(n: int, p: int, cells: int = 1) -> None:
                          f"{MAX_PANEL_PRIMITIVES}")
 
 
-def _cell_plan(support: tuple[int, ...]):
-    """What a cell of these symbols draws, by the flowergeom rules, which read
-    only their nonzero pattern: its petal starts, their shade parities, its
+@lru_cache(maxsize=1024)
+def _cell_plan(support: tuple[bool, ...]):
+    """What a cell of this nonzero pattern draws, by the flowergeom rules,
+    which read nothing else: its petal starts, their shade parities, its
     thorns and its nonzero indices, which get markers."""
     starts, thorns = _petals_and_thorns(support)
     return (starts, _shade_parities(starts, len(support)), thorns,
             list(compress(range(len(support)), support)))
 
 
-def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
-    """The drawing walk for cells of n symbols over GF(p), in format f.
+@lru_cache(maxsize=1024)
+def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
+    """The drawing walk for cells of n symbols over GF(p), in format fmt.
 
-    Checks the bounds for that many cells before any primitive and draws the
-    grid lines (axes, rings, arrow) if spec.grid, once.  Returns (grid lines,
-    place, cell): place(k, v, x, y) gives symbol v of axis k, at (x, y) in
-    field units, as its point, outline vertex and marker texts; cell(word,
-    pts, plan) the word's cell from pts[k] = place(k, ...) and its _cell_plan,
-    in the fixed order grid (one item), petals, outline, thorns, markers, label.
+    Returns (grid, cell): the joined grid text (axes, rings, arrow), "" if
+    not spec.grid, and cell(word), the word's primitives in the fixed order
+    grid (one item), petals, outline, thorns, markers, label.  Callers check
+    _require_drawable first.  A drawer places up to 4096 (k, x_k), each once,
+    with its outline vertex and marker.  Callers that cycle through a few
+    hundred keys (48 words x 4 specs x 2 formats is 384) still hit.
     """
-    _require_drawable(n, p, cells)
+    f = _FORMATS[fmt]
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
     o = at(c, 0.0, 0.0)
     lines = []
     if spec.grid:
         w = _fmt(spec.stroke_width * 0.5)
-        r_outer = (p - 1) * s
-        axis = f["axis"]
         for k in range(n):
-            _, x, y = _placement(k, r_outer, n)
-            lines.append(axis(o, at(c, x, y), w, k))
-        ring = f["ring"]
-        lines.extend(ring(o, _fmt(i * s), w, i) for i in range(1, p))
+            _, x, y = _placement(k, (p - 1) * s, n)
+            lines.append(f["axis"](o, at(c, x, y), w, k))
+        lines.extend(f["ring"](o, _fmt(i * s), w, i) for i in range(1, p))
         start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
         lines.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
                                 [at(c, *wing) for wing in wings], w))
-    head = ["\n".join(lines)] if lines else []
+    grid = "\n".join(lines)
     shades = (f["color"](spec.light_color), f["color"](spec.dark_color))
     dark = shades[1]
     w, mr = _fmt(spec.stroke_width), _fmt(spec.marker_radius)
@@ -240,15 +241,19 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
         f["petal"], f["outline"], f["vertex"], f["thorn"], f["marker"])
     o_vertex = vertex(o)
 
-    def place(k, v, x, y):
+    @lru_cache(maxsize=4096)
+    def place(k, v):
         if not v:  # a zero symbol sits on the centre
             return o, o_vertex, None
+        _, x, y = _placement(k, v, n)
         q = at(c, s * x, s * y)
         return q, vertex(q), marker(q, mr, dark, k)
 
-    def cell(word, pts, plan):
-        starts, parities, lone, nonzero = plan
-        out = head.copy()
+    def cell(word):
+        x = word.symbols
+        pts = list(map(place, range(n), x))
+        starts, parities, lone, nonzero = _cell_plan(tuple(map(bool, x)))
+        out = [grid] if grid else []
         out += [petal(o_vertex, pts[k][1], pts[(k + 1) % n][1], shades[d], i)
                 for i, (k, d) in enumerate(zip(starts, parities))]
         # The all-zero word has every point on the origin; its outline would
@@ -261,14 +266,13 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
             out.append(f["label"](o, spec, p, format_word(word)))
         return out
 
-    return lines, place, cell
+    return grid, cell
 
 
-def _one_cell(f: dict, spec: RenderSpec, shape: FlowerShape) -> list[str]:
+def _one_cell(fmt: str, spec: RenderSpec, shape: FlowerShape) -> list[str]:
     word = shape.word
-    _, place, cell = _draw(f, spec, len(word), word.modulus)
-    return cell(word, [place(pt.index, pt.radius, pt.x, pt.y) for pt in shape.points],
-                _cell_plan(word.symbols))
+    _require_drawable(len(word), word.modulus)
+    return _drawer(fmt, spec, len(word), word.modulus)[1](word)
 
 
 def _svg_document(width: float, height: float, body: list[str]) -> bytes:
@@ -279,9 +283,11 @@ def _svg_document(width: float, height: float, body: list[str]) -> bytes:
 
 
 def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
-    """Standalone SVG document for one flower shape."""
+    """Standalone SVG document for one flower shape, drawn from shape.word:
+    a hand-built shape whose points disagree with its word is drawn from the
+    word, as its petals and thorns already are."""
     spec = spec or RenderSpec()
-    return _svg_document(spec.canvas, spec.canvas, _one_cell(_SVG, spec, shape))
+    return _svg_document(spec.canvas, spec.canvas, _one_cell("svg", spec, shape))
 
 
 def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
@@ -290,7 +296,8 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
     spec = replace(spec or RenderSpec(), grid=True)
-    return _svg_document(spec.canvas, spec.canvas, _draw(_SVG, spec, n, p)[0])
+    _require_drawable(n, p)
+    return _svg_document(spec.canvas, spec.canvas, [_drawer("svg", spec, n, p)[0]])
 
 
 def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
@@ -299,11 +306,11 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
 
     Cells are rendered serially.  workers is accepted for compatibility and
     ignored: threads only slowed this pure-Python string building down.  The
-    bytes equal those of each cell drawn alone by to_svg.  Within one call the
-    grid text is formatted once, each nonzero pattern's plan (petal starts
-    and shades, thorns, markers) made once, and each (k, x_k) placed once,
-    with its outline vertex and marker text.  A panel whose cells could draw
-    more than MAX_PANEL_PRIMITIVES primitives is refused before drawing.
+    bytes equal those of each cell drawn alone by to_svg, and the cells share
+    its drawer: one grid text, one plan per nonzero pattern (petal starts and
+    shades, thorns, markers) and each (k, x_k) placed once, with its outline
+    vertex and marker text.  A panel whose cells could draw more than
+    MAX_PANEL_PRIMITIVES primitives is refused before drawing.
     """
     spec = spec or RenderSpec()
     if not words:
@@ -317,23 +324,16 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"panel words must share length and modulus; "
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
-    _, place, cell = _draw(_SVG, spec, n, p, len(words))
-
-    @cache
-    def point(k, v):
-        return place(k, v, *_placement(k, v, n)[1:])
-
-    # Every cell of a column shares its x offset, and of a row its y offset;
-    # cells of one nonzero pattern share a plan.
+    _require_drawable(n, p, len(words))
+    cell = _drawer("svg", spec, n, p)[1]
+    # Every cell of a column shares its x offset, and of a row its y offset.
     xs = [_fmt(i * spec.canvas) for i in range(min(columns, len(words)))]
-    plans, body = {}, []
+    body = []
     for r in range(0, len(words), columns):
         y = _fmt(r // columns * spec.canvas)
         for x, w in zip(xs, words[r:r + columns]):
-            support = tuple(map(bool, w.symbols))
-            plan = plans.get(support) or plans.setdefault(support, _cell_plan(support))
             body.append(f'<g class="cell" transform="translate({x} {y})">')
-            body.extend(cell(w, list(map(point, range(n), w.symbols)), plan))
+            body.extend(cell(w))
             body.append("</g>")
     rows = -(-len(words) // columns)
     return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
@@ -344,9 +344,9 @@ def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:
 
     Coordinates are in pt with the flower centered on the origin; no y flip.
     Each primitive carries a trailing comment naming it, so element counts
-    stay checkable on the text.
+    stay checkable on the text.  Like to_svg, it draws from shape.word.
     """
     spec = spec or RenderSpec()
-    body = _one_cell(_TIKZ, spec, shape)
+    body = _one_cell("tikz", spec, shape)
     return "\n".join(["\\begin{tikzpicture}[x=1pt,y=1pt]", *body,
                       "\\end{tikzpicture}", ""])

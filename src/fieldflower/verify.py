@@ -48,7 +48,7 @@ from .modlinalg import MatrixOverGfp, _lane_bytes, _residue_table, \
     format_matrix, mat_vec, matrix_from_words, same_row_space
 from .ntt import _OFFSET, _signed_sums, apply_addition_only, fixed_space, \
     golay_ntt_matrix, hamming_ntt_matrix
-from .render import RenderSpec, panel, to_svg
+from .render import RenderSpec, _drawer, panel, to_svg
 
 HAMMING_MATRIX_SHA256 = \
     "d5088ccc0fa0a6500f6e162a78f6dd5d3fc8d8740ed081e438078389ffb9e578"
@@ -239,6 +239,8 @@ def _check_flower_features() -> tuple[bool, str]:
 def _check_render_determinism() -> tuple[bool, str]:
     spec = RenderSpec()
     shape = features(parse_word("1010110", 2))
+    # Drawers outlive a call: clear them so a fresh set-up meets a cached one.
+    _drawer.cache_clear()
     if to_svg(shape, spec) != to_svg(shape, spec):
         return False, "repeated to_svg runs differ"
     words = _all_binary_7()[:8]

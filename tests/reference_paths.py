@@ -2,16 +2,19 @@
 
 They read the independent transcription in reference_constants and share no
 code with src/, except reference_panel, which puts together cells that
-to_svg draws one by one.
+to_svg draws one by one, and reference_to_svg and reference_to_tikz, which
+set up render's uncached walk on every call and so share its format tables.
 """
 
 import random
 from functools import partial
-from itertools import islice
+from itertools import compress, islice
 
-from fieldflower.flowergeom import features
-from fieldflower.gfield import Word
-from fieldflower.render import RenderSpec, to_svg
+from fieldflower.flowergeom import FlowerShape, _petals_and_thorns, _placement, \
+    _shade_parities, features
+from fieldflower.gfield import Word, format_word
+from fieldflower.render import _SVG, _TIKZ, RenderSpec, _arrow_geometry, _fmt, \
+    _require_drawable, _svg_document, to_svg
 from reference_constants import GOLAY_SIGNED_ROWS
 
 
@@ -139,3 +142,90 @@ def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
         lines.extend(to_svg(features(w), spec).decode("ascii").splitlines()[1:-1])
         lines.append("</g>")
     return ("\n".join(lines + ["</svg>"]) + "\n").encode("ascii")
+
+
+def _cell_plan(support: tuple[int, ...]):
+    """What a cell of these symbols draws, by the flowergeom rules, which read
+    only their nonzero pattern: its petal starts, their shade parities, its
+    thorns and its nonzero indices, which get markers."""
+    starts, thorns = _petals_and_thorns(support)
+    return (starts, _shade_parities(starts, len(support)), thorns,
+            list(compress(range(len(support)), support)))
+
+
+def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
+    """The drawing walk for cells of n symbols over GF(p), in format f.
+
+    Checks the bounds for that many cells before any primitive and draws the
+    grid lines (axes, rings, arrow) if spec.grid, once.  Returns (grid lines,
+    place, cell): place(k, v, x, y) gives symbol v of axis k, at (x, y) in
+    field units, as its point, outline vertex and marker texts; cell(word,
+    pts, plan) the word's cell from pts[k] = place(k, ...) and its _cell_plan,
+    in the fixed order grid (one item), petals, outline, thorns, markers, label.
+    """
+    _require_drawable(n, p, cells)
+    at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
+    o = at(c, 0.0, 0.0)
+    lines = []
+    if spec.grid:
+        w = _fmt(spec.stroke_width * 0.5)
+        r_outer = (p - 1) * s
+        axis = f["axis"]
+        for k in range(n):
+            _, x, y = _placement(k, r_outer, n)
+            lines.append(axis(o, at(c, x, y), w, k))
+        ring = f["ring"]
+        lines.extend(ring(o, _fmt(i * s), w, i) for i in range(1, p))
+        start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
+        lines.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
+                                [at(c, *wing) for wing in wings], w))
+    head = ["\n".join(lines)] if lines else []
+    shades = (f["color"](spec.light_color), f["color"](spec.dark_color))
+    dark = shades[1]
+    w, mr = _fmt(spec.stroke_width), _fmt(spec.marker_radius)
+    petal, outline, vertex, thorn, marker = (
+        f["petal"], f["outline"], f["vertex"], f["thorn"], f["marker"])
+    o_vertex = vertex(o)
+
+    def place(k, v, x, y):
+        if not v:  # a zero symbol sits on the centre
+            return o, o_vertex, None
+        q = at(c, s * x, s * y)
+        return q, vertex(q), marker(q, mr, dark, k)
+
+    def cell(word, pts, plan):
+        starts, parities, lone, nonzero = plan
+        out = head.copy()
+        out += [petal(o_vertex, pts[k][1], pts[(k + 1) % n][1], shades[d], i)
+                for i, (k, d) in enumerate(zip(starts, parities))]
+        # The all-zero word has every point on the origin; its outline would
+        # be a degenerate dot, so it is omitted entirely.
+        if nonzero:
+            out.append(outline([q[1] for q in pts], w))
+        out += [thorn(o, pts[k][0], dark, w, i) for i, k in enumerate(lone)]
+        out += [pts[k][2] for k in nonzero]
+        if spec.label:
+            out.append(f["label"](o, spec, p, format_word(word)))
+        return out
+
+    return lines, place, cell
+
+
+def _one_cell(f: dict, spec: RenderSpec, shape: FlowerShape) -> list[str]:
+    word = shape.word
+    _, place, cell = _draw(f, spec, len(word), word.modulus)
+    return cell(word, [place(pt.index, pt.radius, pt.x, pt.y) for pt in shape.points],
+                _cell_plan(word.symbols))
+
+
+def reference_to_svg(shape: FlowerShape, spec: RenderSpec) -> bytes:
+    """to_svg with the walk set up for this one call, points taken from
+    shape.points, and nothing kept between calls."""
+    return _svg_document(spec.canvas, spec.canvas, _one_cell(_SVG, spec, shape))
+
+
+def reference_to_tikz(shape: FlowerShape, spec: RenderSpec) -> str:
+    """to_tikz the same way as reference_to_svg."""
+    body = _one_cell(_TIKZ, spec, shape)
+    return "\n".join(["\\begin{tikzpicture}[x=1pt,y=1pt]", *body,
+                      "\\end{tikzpicture}", ""])

@@ -1,18 +1,23 @@
 """Byte-deterministic SVG/TikZ emission and structural element counts."""
 
+import gc
 import hashlib
 import itertools
 import random
 import re
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from fieldflower import render
 from fieldflower.flowergeom import features
-from fieldflower.gfield import Word, parse_word
-from fieldflower.render import MAX_AXES, MAX_RINGS, RenderSpec, _require_drawable, \
-    panel, render_grid, to_svg, to_tikz
+from fieldflower.gfield import Word, format_word, parse_word
+from fieldflower.render import MAX_AXES, MAX_PANEL_PRIMITIVES, MAX_RINGS, RenderSpec, \
+    _cell_plan, _drawer, _require_drawable, panel, render_grid, to_svg, to_tikz
 import reference_constants as ref
-from reference_paths import reference_panel
+from reference_paths import reference_panel, reference_to_svg, reference_to_tikz
 
 
 def svg_count(data: bytes, cls: str) -> int:
@@ -357,3 +362,124 @@ def test_panels_past_the_primitive_bound_refused(monkeypatch):
     with pytest.raises(ValueError, match="a panel of 3 cells of 7 symbols over GF[(]3[)] "
                                          "could draw 90 primitives, past the bound of 89"):
         panel(words, columns=2)
+
+
+def differential_shapes() -> list:
+    """Three shapes for every (n, p), n in 2..16 and p in {2, 3, 5, 7}: a
+    seeded random word, the all-zero word and an all-nonzero word."""
+    rng = random.Random(22)
+    words = []
+    for p, n in itertools.product((2, 3, 5, 7), range(2, 17)):
+        words += [Word(p, tuple(rng.randrange(p) for _ in range(n))), Word(p, (0,) * n),
+                  Word(p, tuple(1 + k % (p - 1) for k in range(n)))]
+    return [features(w) for w in words]
+
+
+def test_cached_cells_match_the_uncached_walk():
+    # the reference sets its walk up on every call, places the points of
+    # shape.points and keeps nothing; the cached drawers must give the same
+    # bytes on a cold cache and again on a warm one
+    cases = [(shape, spec) for shape in differential_shapes() for spec in GOLDEN_SPECS]
+    want = [(reference_to_svg(*case), reference_to_tikz(*case)) for case in cases]
+    _drawer.cache_clear()
+    _cell_plan.cache_clear()
+    for _ in ("cold", "warm"):
+        for case, pair in zip(cases, want):
+            assert (to_svg(*case), to_tikz(*case)) == pair, \
+                (format_word(case[0].word), case[0].word.modulus, case[1])
+        # 15 lengths, 4 moduli, 4 specs and 2 formats: each key set up once
+        assert _drawer.cache_info().misses == 15 * 4 * 4 * 2
+
+
+def test_cells_are_drawn_from_the_word_not_its_points():
+    word = parse_word("1010110", 2)
+    shape = replace(features(word), points=features(parse_word("0101001", 2)).points)
+    for spec in GOLDEN_SPECS:
+        assert to_svg(shape, spec) == to_svg(features(word), spec)
+        assert to_tikz(shape, spec) == to_tikz(features(word), spec)
+
+
+def test_bounds_hold_after_a_cache_hit():
+    assert _drawer.cache_info().maxsize == 1024
+    assert _cell_plan.cache_info().maxsize == 1024
+    word = Word(3, (1, 0, 2, 2, 0, 1, 0))
+    to_svg(features(word))  # the panel's key, ("svg", RenderSpec(), 7, 3), is now cached
+    cells = MAX_PANEL_PRIMITIVES // 30 + 1  # a cell of 7 symbols over GF(3) counts 30
+    info = _drawer.cache_info()
+    with pytest.raises(ValueError, match=f"a panel of {cells} cells of 7 symbols over "
+                                         f"GF[(]3[)] could draw {cells * 30} primitives, "
+                                         f"past the bound of {MAX_PANEL_PRIMITIVES}"):
+        panel([word] * cells, columns=100)
+    # refused keys are never looked up, so they never enter the cache
+    for bad, bound in ((Word(2, (1,) * (MAX_AXES + 1)), MAX_AXES),
+                       (Word(1009, (0, 1)), MAX_RINGS)):
+        for spec in (RenderSpec(), RenderSpec(grid=False)):
+            for draw in (to_svg, to_tikz):
+                with pytest.raises(ValueError, match=f"past the bound of {bound}"):
+                    draw(features(bad), spec)
+            with pytest.raises(ValueError, match=f"past the bound of {bound}"):
+                panel([bad], columns=1, spec=spec)
+    with pytest.raises(ValueError, match=f"past the bound of {MAX_AXES}"):
+        render_grid(MAX_AXES + 1, 2)
+    assert _drawer.cache_info() == info
+
+
+def test_equal_specs_share_a_drawer_and_its_bytes():
+    # equal specs are one cache key, so the second draws with the drawer the
+    # first set up: both must give the bytes of their own uncached walk
+    shape = features(Word(5, (1, 0, 4, 4, 2, 0, 3)))
+    for a, b in ((RenderSpec(canvas=240), RenderSpec(canvas=240.0)),
+                 (RenderSpec(grid=1), RenderSpec(grid=True)),
+                 (RenderSpec(grid=0, label=1), RenderSpec(grid=False, label=True)),
+                 (RenderSpec(light_color="#9ecae1"), RenderSpec(light_color="9ECAE1"))):
+        assert a == b and hash(a) == hash(b)
+        for first, second in ((a, b), (b, a)):
+            _drawer.cache_clear()
+            for spec in (first, second):
+                assert to_svg(shape, spec) == reference_to_svg(shape, spec)
+                assert to_tikz(shape, spec) == reference_to_tikz(shape, spec)
+                assert panel([shape.word] * 2, 2, spec) == \
+                    reference_panel([shape.word] * 2, 2, spec)
+            assert _drawer.cache_info().currsize == 2  # one svg, one tikz
+
+
+def test_specs_that_differ_draw_different_bytes():
+    shape = features(Word(5, (1, 0, 4, 4, 2, 0, 3)))  # light and dark petals
+    base = RenderSpec()
+    assert {base: 1}[RenderSpec()] == 1
+    others = (RenderSpec(label=True), RenderSpec(light_color="9ECAE0"),
+              RenderSpec(dark_color="2171B4"))
+    for spec in others:
+        assert spec != base
+        assert to_svg(shape, spec) != to_svg(shape, base)
+        assert to_tikz(shape, spec) != to_tikz(shape, base)
+    assert len({to_svg(shape, spec) for spec in others}) == len(others)
+
+
+def test_a_second_round_of_cached_keys_retains_nothing_more():
+    # one round of 48 words (4 moduli x 12 lengths), 4 specs and 2 formats
+    # sets up 384 drawers; drawing the round again must only hit them
+    rng = random.Random(23)
+    shapes = [features(Word(p, tuple(rng.randrange(p) for _ in range(n))))
+              for p in (2, 3, 5, 7) for n in range(5, 17)]
+    specs = [RenderSpec(grid=g, label=lab) for g in (True, False) for lab in (False, True)]
+
+    def draw_round():
+        for shape, spec in itertools.product(shapes, specs):
+            to_svg(shape, spec)
+            to_tikz(shape, spec)
+        gc.collect()
+        # what the package's own frames allocated and still hold
+        return sum(stat.size for stat in tracemalloc.take_snapshot().statistics("filename")
+                   if Path(stat.traceback[0].filename).parent == package)
+
+    package = Path(render.__file__).parent
+    tracemalloc.start()
+    try:
+        _drawer.cache_clear()
+        _cell_plan.cache_clear()
+        first, second = draw_round(), draw_round()
+    finally:
+        tracemalloc.stop()
+    assert _drawer.cache_info().currsize == 384
+    assert 0 < second <= first

@@ -6,8 +6,11 @@ from itertools import chain
 import pytest
 
 from fieldflower import ntt, verify
+from fieldflower.flowergeom import features
+from fieldflower.gfield import parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
+from fieldflower.render import RenderSpec, _drawer, to_svg
 from fieldflower.verify import _random_rows, format_report, run_checks
 from reference_paths import reference_random_words
 
@@ -251,3 +254,14 @@ def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
                  "golay-addition-only"):
         assert by_name[name] == raised, name
     assert by_name["hamming-code-parameters"] == (True, "n=7 k=4 d=3")
+
+
+def test_render_determinism_compares_a_fresh_drawer_with_a_cached_one():
+    # with the check's key already cached, both to_svg calls would be hits;
+    # the check clears the drawers, so its first call sets the walk up afresh
+    to_svg(features(parse_word("1010110", 2)), RenderSpec())
+    assert verify._check_render_determinism() == \
+        (True, "repeat and parallel renders byte-identical")
+    # one set-up, then the second to_svg and both 7-symbol panels hit it
+    info = _drawer.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
