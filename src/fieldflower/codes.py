@@ -1,12 +1,32 @@
 """Linear block codes over GF(p): generators, enumeration, distance, membership.
 
 A code is represented by a generator matrix with independent rows.  Everything
-downstream is exact.  Codeword enumeration and minimum distance are
-exhaustive; the dimensions in play are small enough that brute force is the
-honest implementation, guarded by an explicit enumeration cap.  Membership is
-a syndrome test: a word w lies in the code exactly when H*w = 0, with H the
-canonical null space of the generator (MacWilliams & Sloane, ch. 1), built at
-the code's first membership test and kept on it.
+downstream is exact.  Codeword enumeration walks all p**k codewords, guarded
+by an explicit enumeration cap, which minimum distance also honours.
+Membership is a syndrome test: a word w lies in the code exactly when
+H*w = 0, with H the canonical null space of the generator (MacWilliams &
+Sloane, ch. 1), built at the code's first membership test and kept on it.
+
+Minimum distance is found by the Brouwer-Zimmermann search (A. Zimmermann,
+1996, as described by M. Grassl, "Searching for linear codes with large
+minimum distance", 2006), which looks at low-weight messages only.  G_1 is
+the generator's rref, kept on the code from its rank check; G_j is the rref
+of the generator with the columns that no earlier G_j took as pivots moved
+first, so that r_j of its k pivots lie among them (r_1 = k, and r_j never
+grows).  For w = 1, 2, ..., the messages of weight w of each G_j, first
+nonzero symbol 1, are weighed, and U is the least weight seen.  A codeword
+not yet seen has a message of weight above w_j in every G_j weighed up to
+w_j, so at least w_j + 1 - (k - r_j) nonzero symbols on the r_j pivots of
+G_j that no other G_j has; the column sets are disjoint, so its weight is at
+least the sum of max(0, w_j + 1 - (k - r_j)) over j.  The search stops when
+U reaches that bound, or when G_1 has been weighed up to k, which has seen
+every codeword.  A new G_j is built only when it could add more than 1 to
+the bound at the current w, more than one more level of a full-rank G_j
+adds without an elimination.  Messages are weighed in the lanes of the
+codebook walk below, on the n - k columns that are not pivots (the pivots
+carry the message, weight w): each prefix of w - 1 rows is repeated into a
+word for every multiple of every later row, and blocks of such words are
+reduced and weighed at once.
 
 Codebook walks split the k generator rows into an outer part g[:k//2] and an
 inner part g[k//2:]: each codeword is hi + lo, one word from the span of each,
@@ -42,13 +62,15 @@ import gc
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, starmap
+from itertools import count, islice
+from math import comb
 from struct import Struct
 from typing import Iterator
 
 from .gfield import Word, _reduced_words, _require_prime, _same_field
 from .modlinalg import (
-    MatrixOverGfp, _fields_only, mat_vec, matrix_from_words, null_space, rref)
+    MatrixOverGfp, RrefResult, _fields_only, mat_vec, matrix_from_words, null_space,
+    rref)
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -72,10 +94,16 @@ class LinearCode:
     generator: MatrixOverGfp
 
     def __post_init__(self) -> None:
-        if rref(self.generator).rank != self.generator.rows:
+        if self._reduced.rank != self.generator.rows:
             raise ValueError("generator rows are linearly dependent")
 
     __getstate__ = _fields_only
+
+    @cached_property
+    def _reduced(self) -> RrefResult:
+        """The generator's rref: its rank checks the rows, and it is G_1 of
+        `minimum_distance`."""
+        return rref(self.generator)
 
     @cached_property
     def _parity_check(self) -> MatrixOverGfp:
@@ -228,28 +256,149 @@ def enumerate_codewords(code: LinearCode) -> list[Word]:
     return words
 
 
+class _InformationSet:
+    """G_j of the minimum-distance search: a generator of the code in rref,
+    its columns reordered so that the columns no earlier G_j used come
+    first.  r of its k pivots lie among those, and `unused` lists the ones
+    still unused after it.  `rows` are its rows cut to the n - k columns
+    that are not pivots, so a message u of weight w gives a codeword of
+    weight w plus the weight of u*rows.  `level` is the largest w whose
+    messages have all been weighed."""
+
+    def __init__(self, p: int, reduced: RrefResult, unused: list[int]) -> None:
+        pivots = set(reduced.pivot_columns)
+        free = [c for c in range(reduced.rref.cols) if c not in pivots]
+        self.p, self.level = p, 0
+        self.r = len(pivots.intersection(range(len(unused))))
+        self.unused = [c for i, c in enumerate(unused) if i not in pivots]
+        self.rows = tuple(tuple(row[c] for c in free) for row in reduced.rref.entries)
+
+    @cached_property
+    def _packed(self):
+        """The layout of the levels above 1, built at the first of them: the
+        lane format, W, ONE and TOP of one word, and its reduction bias;
+        multiples[i], the packed c*row_i for c = 1..p-1; and the bytes of
+        all of them, end to end in that order."""
+        p, rows = self.p, self.rows
+        n = len(rows[0])
+        fmt, w, one, top = _lanes(p, n)
+        pack, bias, multiples = Struct(f"<{n}{fmt}").pack, ((1 << w - 1) - p) * one, []
+        for row in rows:
+            x = int.from_bytes(pack(*row), "little")
+            multiples.append([x])
+            for _ in range(p - 2):  # (c+1)*row = c*row + row, reduced
+                s = multiples[-1][-1] + x
+                multiples[-1].append(s - p * (((s + bias) & top) >> w - 1))
+        size = n * w // 8
+        data = b"".join(x.to_bytes(size, "little") for xs in multiples for x in xs)
+        return fmt, w, one, top, bias, multiples, data
+
+    def _prefixes(self, depth: int, stop: int) -> Iterator[tuple[int, int]]:
+        """(i, s): s the reduced sum of rows i_1 < ... < i_depth = i < stop,
+        row i_1 times 1 and each other times one of 1..p-1, packed."""
+        p, (_, w, _, top, bias, multiples, _) = self.p, self._packed
+        if depth == 1:
+            yield from ((i, multiples[i][0]) for i in range(stop))
+            return
+        for i, s in self._prefixes(depth - 1, stop - 1):
+            for j in range(i + 1, stop):
+                for x in multiples[j]:
+                    x += s
+                    yield j, x - p * (((x + bias) & top) >> w - 1)
+
+    def weights(self, level: int) -> Iterator[list[int] | memoryview]:
+        """The weight of u*rows for every message u of this weight whose
+        first nonzero symbol is 1, a list or memoryview at a time.  Level 1
+        counts each row's nonzero symbols.  Above it, each prefix of
+        level - 1 rows ending at row i is repeated into a word for every
+        multiple of rows i+1..; the prefixes' words are laid end to end in
+        blocks of at most _BLOCK_LANES lanes (one word at least), and each
+        block is summed, reduced and weighed lane-wise, as a codebook walk
+        does."""
+        k, n, p = len(self.rows), len(self.rows[0]), self.p
+        if level == 1:
+            yield [n - row.count(0) for row in self.rows]
+            return
+        fmt, w, spread, *_, data = self._packed
+        size, shift, step = n * w // 8, (n - 1) * w, max(1, _BLOCK_LANES // n)
+        # Lane constants for the longest block.  A shorter one holds 0 in the
+        # lanes past it; biased, 0 stays below the top bit, so it is neither
+        # reduced nor counted, and weighs 0.
+        _, _, one, top = _lanes(p, n, min(step, comb(k, level) * (p - 1) ** (level - 1)))
+        bias, nonzero = ((1 << w - 1) - p) * one, top - one
+        # Shifted down, word i's weight is in lane i*n: item i*n of the
+        # native cast when little-endian, item (m-1-i)*n + n-1 when big-endian.
+        first = 0 if sys.byteorder == "little" else n - 1
+
+        def weigh(m: int, heads: list[bytes], tails: list[bytes]) -> memoryview:
+            s = (int.from_bytes(b"".join(heads), "little")
+                 + int.from_bytes(b"".join(tails), "little"))
+            s -= p * (((s + bias) & top) >> w - 1)
+            sums = (((s + nonzero) & top) >> w - 1) * spread >> shift
+            return memoryview(sums.to_bytes(m * size, sys.byteorder)).cast(fmt)[first::n]
+
+        heads, tails, m = [], [], 0
+        for i, s in self._prefixes(level - 1, k - 1):
+            head, a = s.to_bytes(size, "little"), (i + 1) * (p - 1) * size
+            while a < len(data):
+                take = min(len(data) - a, (step - m) * size)
+                heads.append(head * (take // size))
+                tails.append(data[a:a + take])
+                a, m = a + take, m + take // size
+                if m == step:
+                    yield weigh(m, heads, tails)
+                    heads, tails, m = [], [], 0
+        if m:
+            yield weigh(m, heads, tails)
+
+
+def _columns_first(g: MatrixOverGfp, columns: list[int]) -> MatrixOverGfp:
+    """g with `columns` moved in front of the others, each part in order."""
+    taken = set(columns)
+    order = columns + [c for c in range(g.cols) if c not in taken]
+    return MatrixOverGfp(g.modulus, tuple(tuple(row[c] for c in order)
+                                          for row in g.entries))
+
+
 def minimum_distance(code: LinearCode) -> int:
-    """Minimum Hamming distance, by exhaustive weight enumeration.
+    """Minimum Hamming distance, by the Brouwer-Zimmermann search.
 
     For a linear code the minimum distance equals the minimum weight over
-    nonzero codewords (the full-rank generator's rows are some), so one
-    streamed pass over the codebook suffices.
+    nonzero codewords.  G_1, G_2, ... are generators systematic on pairwise
+    disjoint column sets, each built when the bound first needs it; the
+    messages of weight 1, 2, ... of each are weighed until the least weight
+    found reaches the bound on every codeword not yet seen (see the module
+    docstring).
     """
     _check_enumerable(code)
-    p, n = code.modulus, code.length
-    fmt, w, one, top = _lanes(p, n, _shape(p, n, code.dimension)[1])
-    size, nonzero, spread = n * w // 8, top - one, _ones(w, n)
-    # Shifted down, word i's weight is in lane i*n: item i*n of the native
-    # cast when little-endian, item (m-1-i)*n + n-1 when big-endian.
-    first = 0 if sys.byteorder == "little" else n - 1
-
-    def weights(m: int, s: int) -> memoryview:
-        flags = ((s + nonzero) & top) >> w - 1
-        sums = (flags * spread >> (n - 1) * w).to_bytes(m * size, sys.byteorder)
-        return memoryview(sums).cast(fmt)[first::n]
-
-    blocks = starmap(weights, _blocks(p, code.generator.entries))
-    return min(filter(None, chain.from_iterable(blocks)))
+    p, n, k = code.modulus, code.length, code.dimension
+    if k == n:
+        return 1  # the full space: a unit word is a codeword
+    best, unused, sets = n, list(range(n)), []
+    for w in count(1):
+        for j in count():
+            if j == len(sets):
+                # A new G_j has r <= len(unused) and adds r + w + 1 - k at w.
+                # Built only when that passes 1, which weighing a full-rank
+                # G_j one level deeper adds without an elimination.
+                if len(unused) <= k - w:
+                    break
+                reduced = rref(_columns_first(code.generator, unused)) if sets else code._reduced
+                g = _InformationSet(p, reduced, unused)
+                if not g.r:
+                    unused = []
+                    break
+                sets.append(g)
+                unused = g.unused
+            g = sets[j]
+            if g.r < k - w:  # adds nothing at w, nor does a later G_j: r never grows
+                break
+            for level in range(g.level + 1, w + 1):
+                best = min(best, level + min(map(min, g.weights(level))))
+            g.level = w
+            # G_j full-rank and weighed up to k: every codeword was seen
+            if best <= sum(max(0, s.level + 1 - k + s.r) for s in sets) or g.r == w == k:
+                return best
 
 
 def is_codeword(code: LinearCode, word: Word) -> bool:

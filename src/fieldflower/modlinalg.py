@@ -143,16 +143,23 @@ def rref(m: MatrixOverGfp) -> RrefResult:
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if a[i][c]), None)
-        if pivot_row is None:
+        for i in range(r, m.rows):
+            if a[i][c]:
+                break
+        else:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(inv * e) % p for e in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        a[r], a[i] = a[i], a[r]
+        # Left of column c the pivot row is zero: earlier pivot columns were
+        # cleared in it, and the other columns are zero in every row from r.
+        row = a[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row[c:] = [(inv * e) % p for e in row[c:]]
+        tail = row[c:]
+        for other in a:
+            f = other[c]
+            if f and other is not row:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
         pivots.append(c)
         r += 1
         if r == m.rows:

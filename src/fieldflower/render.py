@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import compress
 from string import hexdigits
 
@@ -216,9 +216,10 @@ def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
     Returns (grid, cell): the joined grid text (axes, rings, arrow), "" if
     not spec.grid, and cell(word), the word's primitives in the fixed order
     grid (one item), petals, outline, thorns, markers, label.  Callers check
-    _require_drawable first.  A drawer places up to 4096 (k, x_k), each once,
-    with its outline vertex and marker.  Callers that cycle through a few
-    hundred keys (48 words x 4 specs x 2 formats is 384) still hit.
+    _require_drawable first.  A drawer of n*p <= 512 places each
+    (k, x_k) once, with its outline vertex and marker.  Callers that cycle
+    through a few hundred keys (48 words x 4 specs x 2 formats is 384)
+    still hit.
     """
     f = _FORMATS[fmt]
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
@@ -241,13 +242,19 @@ def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
         f["petal"], f["outline"], f["vertex"], f["thorn"], f["marker"])
     o_vertex = vertex(o)
 
-    @lru_cache(maxsize=4096)
     def place(k, v):
         if not v:  # a zero symbol sits on the centre
             return o, o_vertex, None
         _, x, y = _placement(k, v, n)
         q = at(c, s * x, s * y)
         return q, vertex(q), marker(q, mr, dark, k)
+
+    # Placed points are kept while all n*p of them fit in 512 entries, a few
+    # hundred bytes each, so a drawer's memo stays under about 300 KB.  A
+    # larger drawer places each point afresh: random words would rarely meet
+    # a point twice in a memo of that size.
+    if n * p <= 512:
+        place = cache(place)
 
     def cell(word):
         x = word.symbols

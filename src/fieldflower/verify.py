@@ -187,15 +187,19 @@ def _random_rows() -> tuple[bytes, ...]:
     output, and getrandbits(32 * m) is m outputs, the first least
     significant; so byte 3 of each little-endian 4-byte group, shifted
     right by 6, is one draw, and a byte whose top two bits are 3 is drawn
-    again.
+    again.  Consecutive calls continue one stream of outputs, so the draw
+    takes at most 4096 outputs (16 KB) a call: blocks that small stay below
+    the allocator's mmap threshold, and each call reuses freed memory
+    instead of mapping and zeroing fresh pages.
     """
     rng = random.Random(_RNG_SEED)
-    need = 12 * 10000
-    stream = b""
-    while len(stream) < need:
-        m = need - len(stream)
+    need, kept, parts = 12 * 10000, 0, []
+    while kept < need:
+        m = min(4096, need - kept)
         draws = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        stream += draws.translate(_TOP_TWO_BITS, _DRAWN_AGAIN)
+        parts.append(draws.translate(_TOP_TWO_BITS, _DRAWN_AGAIN))
+        kept += len(parts[-1])
+    stream = b"".join(parts)
     return tuple(stream[j:need:12] for j in range(12))
 
 

@@ -26,7 +26,7 @@ from fieldflower.codes import (
     minimum_distance,
 )
 from fieldflower.gfield import Word, format_word, format_word_list, parse_word
-from fieldflower.modlinalg import MatrixOverGfp, identity, rref, same_row_space
+from fieldflower.modlinalg import MatrixOverGfp, identity, null_space, rref, same_row_space
 from fieldflower.ntt import GOLAY, HAMMING, apply
 import reference_constants as ref
 from reference_paths import reference_format_word, reference_is_codeword
@@ -235,11 +235,13 @@ def test_enumeration_guard(monkeypatch):
     def no_span(*args):
         raise AssertionError("span built before the enumeration cap was checked")
 
-    monkeypatch.setattr(codes, "_span", no_span)
-    monkeypatch.setattr(codes, "_blocks", no_span)
     # p=2 and p=3 fit 8-bit lanes; no lane width holds a prime past 2**31
-    for p, k in ((2, 24), (3, 15), (2147483659, 1)):
-        big = LinearCode(identity(k, p))
+    bigs = [LinearCode(identity(k, p)) for p, k in ((2, 24), (3, 15), (2147483659, 1))]
+    # nor is an information set of the distance search built: neither G_1,
+    # from the code's own rref, nor a later one, from a new rref
+    for name in ("_span", "_blocks", "_InformationSet", "rref"):
+        monkeypatch.setattr(codes, name, no_span)
+    for big in bigs:
         assert big.size > ENUMERATION_LIMIT
         with pytest.raises(ValueError, match="refusing to enumerate"):
             enumerate_codewords(big)
@@ -378,6 +380,141 @@ def test_walks_match_the_reference_walk_on_random_codes(code):
     expected = reference_codewords(code)
     assert enumerate_codewords(code) == expected
     assert minimum_distance(code) == reference_min_weight(expected)
+
+
+def listed_min_weight(code):
+    """The least weight over the nonzero words of `enumerate_codewords`."""
+    n = code.length
+    return min(n - w.symbols.count(0) for w in enumerate_codewords(code) if any(w.symbols))
+
+
+def walk_bench_codes(seed):
+    """The random codes of the benchmark's codebook_walk at this seed: each
+    generator drawn row by row, symbol by symbol, from one Random seeded
+    with the workload's string, and drawn again while its rank is short."""
+    rng = random.Random(f"fieldflower-bench:codebook_walk:{seed}")
+    for n, k, p in ((20, 10, 3), (32, 16, 2), (16, 8, 3), (24, 12, 2), (10, 6, 5)):
+        while True:
+            rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
+            if rref(MatrixOverGfp(p, rows)).rank == k:
+                yield pytest.param(LinearCode(MatrixOverGfp(p, rows)),
+                                   id=f"seed {seed} [{n},{k}]_{p}")
+                break
+
+
+@pytest.mark.parametrize("code", [c for seed in (1, 2, 3) for c in walk_bench_codes(seed)])
+def test_minimum_distance_of_the_benchmark_walk_codes(code):
+    assert minimum_distance(code) == listed_min_weight(code)
+
+
+def extended_golay_code():
+    """The binary [24,12,8] code: the shifts of the cyclic Golay code's
+    generator polynomial 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, each with
+    an overall parity symbol."""
+    g = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    rows = [(0,) * i + g + (0,) * (11 - i) for i in range(12)]
+    return LinearCode(MatrixOverGfp(2, tuple(r + (sum(r) % 2,) for r in rows)))
+
+
+def reed_solomon_code(n, k, q):
+    """Evaluations of the polynomials of degree < k at 1..n over GF(q): a
+    nonzero one has fewer than k roots, so d = n - k + 1 (an MDS code)."""
+    return LinearCode(MatrixOverGfp(q, tuple(
+        tuple(pow(x, i, q) for x in range(1, n + 1)) for i in range(k))))
+
+
+def parity_check_distance(code):
+    """d of a code of redundancy 2, from the columns of H: 1 if one is zero,
+    2 if two are proportional, else 3 (three columns of GF(p)^2 are
+    always dependent)."""
+    p = code.modulus
+    cols = list(zip(*(w.symbols for w in null_space(code.generator))))
+    if not all(any(c) for c in cols):
+        return 1
+    points = {min(tuple(a * x % p for x in c) for a in range(1, p)) for c in cols}
+    return 2 if len(points) < len(cols) else 3
+
+
+def test_minimum_distance_of_adversarial_codes():
+    golay24 = extended_golay_code()
+    assert minimum_distance(golay24) == listed_min_weight(golay24) == 8
+    for n, k, q in ((10, 5, 11), (12, 6, 13)):
+        assert minimum_distance(reed_solomon_code(n, k, q)) == n - k + 1
+    assert minimum_distance(LinearCode(MatrixOverGfp(2, ((1,) * 30,)))) == 30
+    # Random [14,12]_3 codes: G_1 leaves two columns, of rank 2 at most.
+    for seed, d in ((0, 1), (2, 2)):
+        code = random_full_rank_code(random.Random(seed), 3, 12, 14)
+        assert minimum_distance(code) == parity_check_distance(code) == d
+    # A random [40,10]_2 code: four disjoint information sets.
+    code = random_full_rank_code(random.Random(1), 2, 10, 40)
+    assert minimum_distance(code) == listed_min_weight(code)
+    # Zero columns are never pivots, so the search runs out of columns.
+    code = random_full_rank_code(random.Random(5), 3, 4, 11, zero_cols={0, 3, 7, 10})
+    assert minimum_distance(code) == listed_min_weight(code)
+    # Of the eight columns that G_1 of this [14,6]_3 code leaves, three are
+    # zero, so G_2 has rank 5 there.  Counted as full-rank, G_2 would lift
+    # the bound to 4 after weight 1, before any weight-3 codeword was seen.
+    code = LinearCode(MatrixOverGfp(3, ((0, 2, 0, 2, 2, 0, 2, 0, 0, 1, 1, 1, 2, 0),
+                                        (0, 2, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 2, 2),
+                                        (1, 0, 0, 2, 2, 0, 1, 0, 0, 1, 1, 1, 1, 2),
+                                        (2, 2, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 1, 1),
+                                        (1, 2, 0, 1, 2, 0, 2, 0, 1, 0, 2, 0, 1, 1),
+                                        (1, 2, 0, 1, 2, 0, 2, 0, 1, 2, 2, 2, 0, 0))))
+    assert minimum_distance(code) == listed_min_weight(code) == 3
+    # k = n: every word is a codeword, so a unit word is.
+    assert minimum_distance(random_full_rank_code(random.Random(3), 5, 4, 4)) == 1
+
+
+def reference_message_weights(p, rows, level):
+    """The weight of u*rows for every message u of this weight whose first
+    nonzero symbol is 1, in any order."""
+    out = []
+    for u in itertools.product(range(p), repeat=len(rows)):
+        if sum(1 for c in u if c) == level and next(c for c in u if c) == 1:
+            word = [sum(c * row[j] for c, row in zip(u, rows)) % p
+                    for j in range(len(rows[0]))]
+            out.append(sum(1 for s in word if s))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("lanes", [1, 13, codes._BLOCK_LANES])
+def test_message_weights_match_the_reference(monkeypatch, lanes):
+    # Each information set's packed levels against the messages one by one;
+    # a small _BLOCK_LANES cuts the multiples of the later rows into runs.
+    monkeypatch.setattr(codes, "_BLOCK_LANES", lanes)
+    for seed in range(0, 208, 5):
+        code = differential_code(seed)
+        if code.dimension == code.length:
+            continue
+        g = codes._InformationSet(code.modulus, rref(code.generator),
+                                  list(range(code.length)))
+        for level in range(1, code.dimension + 1):
+            got = sorted(itertools.chain.from_iterable(g.weights(level)))
+            assert got == reference_message_weights(code.modulus, g.rows, level), (seed, level)
+
+
+@pytest.mark.parametrize("code, steps", [
+    pytest.param(hamming_code(), [(0, 1), (0, 2)], id="hamming"),
+    pytest.param(builtin_code("golay"), [(0, 1), (1, 1), (0, 2), (1, 2)], id="golay"),
+    pytest.param(extended_golay_code(),
+                 [(0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)], id="[24,12,8]_2"),
+    pytest.param(LinearCode(MatrixOverGfp(2, ((1,) * 30,))), [(0, 1)], id="[30,1]_2"),
+    pytest.param(random_full_rank_code(random.Random(2), 3, 12, 14), [(0, 1)], id="[14,12]_3"),
+])
+def test_search_stops_where_the_bound_meets_the_least_weight(monkeypatch, code, steps):
+    # Which information set is weighed at which level, in order: the search
+    # builds G_j only when it can raise the bound, and stops at the first
+    # level where the bound reaches the least weight found.
+    seen, weights = [], codes._InformationSet.weights
+
+    def spy(g, level):
+        seen.append((g, level))
+        return weights(g, level)
+
+    monkeypatch.setattr(codes._InformationSet, "weights", spy)
+    d = minimum_distance(code)
+    order = list(dict.fromkeys(g for g, _ in seen))
+    assert [(order.index(g), level) for g, level in seen] == steps, d
 
 
 def test_syndrome_membership_matches_the_rank_test():

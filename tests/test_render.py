@@ -483,3 +483,49 @@ def test_a_second_round_of_cached_keys_retains_nothing_more():
         tracemalloc.stop()
     assert _drawer.cache_info().currsize == 384
     assert 0 < second <= first
+
+
+def test_a_drawer_at_the_input_bounds_stays_small():
+    # A drawer keeps its placed points only while all n*p of them fit in 512
+    # entries; at the bounds, 20 random words leave it its grid text and the
+    # plans of their patterns, under 512 KB in all.
+    p = 997  # the largest prime that draws at most MAX_RINGS rings
+    assert p - 1 <= MAX_RINGS < 1008
+    rng = random.Random(5)
+    words = [Word(p, tuple(rng.randrange(p) for _ in range(MAX_AXES))) for _ in range(20)]
+    _drawer.cache_clear()
+    tracemalloc.start()
+    try:
+        cell = _drawer("svg", RenderSpec(), MAX_AXES, p)[1]
+        for w in words:
+            cell(w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 512 * 1024
+
+
+def test_drawers_of_at_most_512_points_place_each_point_once(monkeypatch):
+    placed, placement = [], render._placement
+
+    def counted(k, v, n):
+        placed.append((n, k, v))
+        return placement(k, v, n)
+
+    monkeypatch.setattr(render, "_placement", counted)
+    rng = random.Random(7)
+    spec = RenderSpec(grid=False)
+    # flower_render's keys, n <= 16 and p <= 7, and the largest memoised n*p
+    for n, p in ((16, 7), (5, 2), (256, 2)):
+        words = [Word(p, tuple(rng.randrange(p) for _ in range(n))) for _ in range(4)]
+        placed.clear()
+        for w in words * 2:
+            assert to_svg(features(w), spec) == reference_to_svg(features(w), spec)
+        assert sorted(placed) == sorted({(n, k, v) for w in words
+                                         for k, v in enumerate(w.symbols) if v})
+    # past 512 points each cell places its points afresh
+    w = Word(3, tuple(rng.randrange(1, 3) for _ in range(MAX_AXES)))
+    placed.clear()
+    to_svg(features(w), spec)
+    to_svg(features(w), spec)
+    assert len(placed) == 2 * MAX_AXES

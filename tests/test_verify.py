@@ -1,6 +1,7 @@
 """The built-in verification suite, including its deliberate red check."""
 
 import hashlib
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -173,6 +174,19 @@ def test_random_words_are_the_seeded_draw():
 
 def test_random_rows_are_the_per_symbol_draw_packed():
     assert _random_rows() == tuple(map(bytes, zip(*reference_random_words())))
+
+
+def test_random_rows_peak_stays_small():
+    # Drawn 16 KB at a time, the 120,000 draws never hold a block of all of
+    # them beside its bytes: about 480 KB each when drawn at once.
+    _random_rows()
+    tracemalloc.start()
+    try:
+        _random_rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # A 12x12 matrix over GF(7) fixing e_0 and e_1: n(p-1)**2 = 432 lies past the
