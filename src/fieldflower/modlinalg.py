@@ -149,8 +149,9 @@ def rref(m: MatrixOverGfp) -> RrefResult:
         else:
             continue
         a[r], a[i] = a[i], a[r]
-        # Left of column c the pivot row is zero: earlier pivot columns were
-        # cleared in it, and the other columns are zero in every row from r.
+        # Left of column c the pivot row is zero: each earlier pivot column
+        # was cleared in it, and each other earlier column is zero in every
+        # row from r on.  So only columns c.. change.
         row = a[r]
         if row[c] != 1:
             inv = pow(row[c], p - 2, p)

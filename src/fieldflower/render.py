@@ -315,9 +315,10 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
     ignored: threads only slowed this pure-Python string building down.  The
     bytes equal those of each cell drawn alone by to_svg, and the cells share
     its drawer: one grid text, one plan per nonzero pattern (petal starts and
-    shades, thorns, markers) and each (k, x_k) placed once, with its outline
-    vertex and marker text.  A panel whose cells could draw more than
-    MAX_PANEL_PRIMITIVES primitives is refused before drawing.
+    shades, thorns, markers) and, when n*p <= 512, each (k, x_k) placed
+    once, with its outline vertex and marker text.  A panel whose cells
+    could draw more than MAX_PANEL_PRIMITIVES primitives is refused before
+    drawing.
     """
     spec = spec or RenderSpec()
     if not words:
