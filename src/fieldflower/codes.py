@@ -372,8 +372,6 @@ def minimum_distance(code: LinearCode) -> int:
     """
     _check_enumerable(code)
     p, n, k = code.modulus, code.length, code.dimension
-    if k == n:
-        return 1  # the full space: a unit word is a codeword
     best, unused, sets = n, list(range(n)), []
     for w in count(1):
         for j in count():
