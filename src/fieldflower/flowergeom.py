@@ -6,12 +6,18 @@ consecutive nonzero symbols span a petal (the triangle origin, z_k, z_{k+1});
 a nonzero symbol with zero on both sides is a thorn (a bare radial segment).
 This module is the only place besides render where floating point appears;
 everything upstream stays in exact integer arithmetic.
+
+Constellation points are shared immutable values: each (k, x_k, N) is placed
+once and its frozen point handed to every word that has it, from a bounded
+cache filled on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from .gfield import Word
 
@@ -47,6 +53,12 @@ def _placement(k: int, v: float, n: int) -> tuple[float, float, float]:
     return angle, v * math.cos(angle), v * math.sin(angle)
 
 
+@lru_cache(maxsize=1024)
+def _point(k: int, v: int, n: int) -> ConstellationPoint:
+    """The point of value v on axis k of n; frozen, so words share it."""
+    return ConstellationPoint(k, v, *_placement(k, v, n))
+
+
 def constellation(word: Word) -> tuple[ConstellationPoint, ...]:
     """Map a word to its constellation points.
 
@@ -54,8 +66,7 @@ def constellation(word: Word) -> tuple[ConstellationPoint, ...]:
     counterclockwise.  Zero symbols land on the origin.
     """
     n = len(word)
-    return tuple([ConstellationPoint(k, v, *_placement(k, v, n))
-                  for k, v in enumerate(word)])
+    return tuple(map(_point, range(n), word.symbols, repeat(n)))
 
 
 def _petals_and_thorns(x: tuple[int, ...]) -> tuple[list[int], list[int]]:

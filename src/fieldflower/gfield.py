@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -187,9 +187,11 @@ def _reduced_words(p: int, symbol_rows: Iterable[tuple[int, ...]]) -> list[Word]
     return words
 
 
-def _all_binary_7() -> list[Word]:
-    """The 128 binary 7-words: word i is i in binary, x_0 its top bit."""
-    return [Word(2, tuple((i >> (6 - k)) & 1 for k in range(7))) for i in range(128)]
+@cache
+def _all_binary_7() -> tuple[Word, ...]:
+    """The 128 binary 7-words: word i is i in binary, x_0 its top bit.
+    Words are immutable, so every caller shares the one tuple."""
+    return tuple(Word(2, tuple((i >> (6 - k)) & 1 for k in range(7))) for i in range(128))
 
 
 def _is_decimal(text: str) -> bool:

@@ -6,6 +6,7 @@ to_svg draws one by one, and reference_to_svg and reference_to_tikz, which
 set up render's uncached walk on every call and so share its format tables.
 """
 
+import math
 import random
 from functools import partial
 from itertools import compress, islice
@@ -99,6 +100,17 @@ def reference_format_word(word: Word) -> str:
     if word.modulus <= 10:
         return "".join(str(s) for s in word.symbols)
     return ",".join(str(s) for s in word.symbols)
+
+
+def reference_constellation(word: Word) -> list[tuple]:
+    """(index, radius, angle, x, y) of each symbol, placed afresh, uncached:
+    z_k = x_k * exp(j*2*pi*k/N), angle 2*pi*k/N."""
+    n = len(word)
+    out = []
+    for k, v in enumerate(word.symbols):
+        angle = math.tau * k / n
+        out.append((k, v, angle, v * math.cos(angle), v * math.sin(angle)))
+    return out
 
 
 def reference_petals_and_thorns(x: tuple[int, ...]):

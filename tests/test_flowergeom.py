@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import random
 
-from fieldflower.flowergeom import constellation, features, petal_shades
+from fieldflower.flowergeom import ConstellationPoint, _point, constellation, \
+    features, petal_shades
 from fieldflower.gfield import Word, parse_word
 from fieldflower.render import _cell_plan
 import reference_constants as ref
-from reference_paths import reference_petals_and_thorns, reference_shades
+from reference_paths import reference_constellation, reference_petals_and_thorns, \
+    reference_shades
 
 
 def test_constellation_angles_and_radii():
@@ -19,6 +22,48 @@ def test_constellation_angles_and_radii():
         assert pt.radius == w[k]
         assert math.isclose(pt.angle, math.tau * k / 7, abs_tol=1e-12)
         assert math.isclose(math.hypot(pt.x, pt.y), w[k], abs_tol=1e-12)
+
+
+def _exact(points) -> list[tuple]:
+    """Points with their floats as float.hex, so -0.0 differs from 0.0."""
+    return [(k, type(v), v, *map(float.hex, floats)) for k, v, *floats in points]
+
+
+def _assert_matches_reference(word: Word) -> None:
+    points = constellation(word)
+    assert type(points) is tuple
+    assert all(type(pt) is ConstellationPoint for pt in points)
+    got = [(pt.index, pt.radius, pt.angle, pt.x, pt.y) for pt in points]
+    assert _exact(got) == _exact(reference_constellation(word)), word
+
+
+# Every (k, v) of n = 1..16 symbols over GF(2), GF(3), GF(5) and GF(7):
+# the constant words put each value on every axis.
+SMALL_FIELD_WORDS = [Word(p, (v,) * n) for n in range(1, 17) for p in (2, 3, 5, 7)
+                     for v in range(p)]
+
+
+def test_shared_points_equal_points_placed_afresh():
+    for word in SMALL_FIELD_WORDS:
+        _assert_matches_reference(word)
+    rng = random.Random(24)
+    for n in range(1, 17):
+        _assert_matches_reference(Word(2**61 - 1, tuple(
+            rng.randrange(2**61 - 1) for _ in range(n))))
+
+
+def test_shared_points_survive_eviction():
+    # 2,312 distinct (k, v, n) keys against 1,024 entries: the sweep evicts
+    # the points of its own first words before it ends, and takes them again
+    size = _point.cache_info().maxsize
+    assert sum(len(w) for w in SMALL_FIELD_WORDS) > 2 * size
+    for _ in range(2):
+        for word in SMALL_FIELD_WORDS:
+            _assert_matches_reference(word)
+    assert _point.cache_info().currsize == size
+    # points of equal keys are one shared value
+    word = SMALL_FIELD_WORDS[-1]
+    assert all(a is b for a, b in zip(constellation(word), constellation(word)))
 
 
 def test_constellation_starts_on_positive_real_axis():

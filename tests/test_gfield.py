@@ -213,6 +213,13 @@ def test_word_replace_validates_again():
         dataclasses.replace(w, modulus=4)
 
 
+def test_all_binary_7_is_one_shared_tuple_in_counting_order():
+    words = gfield._all_binary_7()
+    assert type(words) is tuple and words is gfield._all_binary_7()
+    # word i is i in binary, x_0 its top bit: product order
+    assert words == tuple(Word(2, bits) for bits in itertools.product(range(2), repeat=7))
+
+
 def test_format_word_matches_the_per_symbol_oracle():
     words = golden_words() + [Word(p, tuple(range(p))) for p in (2, 3, 5, 7, 11, 13)]
     words += [Word(p, (p - 1,) * 40) for p in PRIMES]

@@ -176,13 +176,18 @@ def test_random_rows_are_the_per_symbol_draw_packed():
     assert _random_rows() == tuple(map(bytes, zip(*reference_random_words())))
 
 
+def test_random_rows_are_drawn_once():
+    assert _random_rows() is _random_rows()
+
+
 def test_random_rows_peak_stays_small():
     # Drawn 16 KB at a time, the 120,000 draws never hold a block of all of
-    # them beside its bytes: about 480 KB each when drawn at once.
-    _random_rows()
+    # them beside its bytes: about 480 KB each when drawn at once.  The
+    # uncached draw is measured, as a cached call draws nothing.
+    _random_rows.__wrapped__()
     tracemalloc.start()
     try:
-        _random_rows()
+        _random_rows.__wrapped__()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,12 +275,50 @@ def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
     assert by_name["hamming-code-parameters"] == (True, "n=7 k=4 d=3")
 
 
-def test_render_determinism_compares_a_fresh_drawer_with_a_cached_one():
-    # with the check's key already cached, both to_svg calls would be hits;
-    # the check clears the drawers, so its first call sets the walk up afresh
-    to_svg(features(parse_word("1010110", 2)), RenderSpec())
+def test_render_determinism_compares_a_fresh_drawer_with_a_cached_one(monkeypatch):
+    # with the check's key already cached, both to_svg calls are hits; the
+    # check sets the walk up afresh beside them, and evicts no drawer
+    spec = RenderSpec()
+    to_svg(features(parse_word("1010110", 2)), spec)
+    other = RenderSpec(grid=False)
+    cached = _drawer("tikz", other, 12, 3)
+    before = _drawer.cache_info()
+    fresh = []
+    real = _drawer.__wrapped__
+    monkeypatch.setattr(_drawer, "__wrapped__", lambda *a: fresh.append(a) or real(*a))
     assert verify._check_render_determinism() == \
         (True, "repeat and parallel renders byte-identical")
-    # one set-up, then the second to_svg and both 7-symbol panels hit it
+    assert fresh == [("svg", spec, 7, 2)]
+    # the second to_svg and both 7-symbol panels hit too, and the drawers
+    # cached before the check are still cached after it
     info = _drawer.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    assert (info.misses, info.hits - before.hits, info.currsize) == \
+        (before.misses, 4, before.currsize)
+    assert _drawer("tikz", other, 12, 3) is cached
+
+
+def test_a_fresh_drawer_that_draws_otherwise_fails_render_determinism(monkeypatch):
+    real = _drawer.__wrapped__
+
+    def drifted(*key):
+        grid, cell = real(*key)
+        return grid, lambda word: cell(word)[:-1]
+    monkeypatch.setattr(_drawer, "__wrapped__", drifted)
+    assert verify._check_render_determinism() == (False, "repeated to_svg runs differ")
+
+
+def test_caches_keep_inputs_not_verdicts(fresh_results):
+    # after a clean run, corrupted matrices still go red: every run takes
+    # the products anew, and only the seeded draw and the points are kept
+    assert [(r.passed, r.detail) for r in run_checks()] == \
+        [(r.passed, r.detail) for r in fresh_results]
+    golay, hamming = _flipped(golay_ntt_matrix(), 0, 0), _flipped(hamming_ntt_matrix(), 0, 0)
+    by_name = {r.name: (r.passed, r.detail)
+               for r in run_checks(hamming_matrix=hamming, golay_matrix=golay)}
+    assert by_name["golay-addition-only"] == (False, "paths disagree on 120110121010")
+    # the golay code is tg's own fixed space, so one changed entry of tg
+    # leaves its codewords fixed; a changed hamming entry does not
+    assert by_name["transform-code-isomorphism"] == \
+        (False, "codeword 1010100 is not fixed")
+    assert [(r.passed, r.detail) for r in run_checks()] == \
+        [(r.passed, r.detail) for r in fresh_results]
