@@ -276,10 +276,14 @@ def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
     return grid, cell
 
 
-def _one_cell(fmt: str, spec: RenderSpec, shape: FlowerShape) -> list[str]:
+def _one_cell(fmt: str, spec: RenderSpec, shape: FlowerShape,
+              setup=_drawer) -> list[str]:
+    """shape.word's primitives, from the drawer setup(fmt, spec, n, p)
+    returns: the cached _drawer, or _drawer.__wrapped__ for one set up
+    afresh."""
     word = shape.word
     _require_drawable(len(word), word.modulus)
-    return _drawer(fmt, spec, len(word), word.modulus)[1](word)
+    return setup(fmt, spec, len(word), word.modulus)[1](word)
 
 
 def _svg_document(width: float, height: float, body: list[str]) -> bytes:
@@ -289,12 +293,16 @@ def _svg_document(width: float, height: float, body: list[str]) -> bytes:
         f'viewBox="0 0 {w} {h}">', *body, "</svg>", ""]).encode("ascii")
 
 
+def _flower_svg(shape: FlowerShape, spec: RenderSpec, setup=_drawer) -> bytes:
+    """to_svg's document, its cell drawn as _one_cell draws it with setup."""
+    return _svg_document(spec.canvas, spec.canvas, _one_cell("svg", spec, shape, setup))
+
+
 def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
     """Standalone SVG document for one flower shape, drawn from shape.word:
     a hand-built shape whose points disagree with its word is drawn from the
     word, as its petals and thorns already are."""
-    spec = spec or RenderSpec()
-    return _svg_document(spec.canvas, spec.canvas, _one_cell("svg", spec, shape))
+    return _flower_svg(shape, spec or RenderSpec())
 
 
 def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:

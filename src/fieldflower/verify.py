@@ -21,9 +21,7 @@ the per-word walk: the words in order through `mat_vec` and
 `apply_addition_only`, codewords before the seeded random words, naming the
 first word that fails; over a field or shape the per-word functions refuse
 they raise the same error.  The seeded random words are drawn straight into
-packed rows, once per process: only this fixed input is kept between runs,
-never a product or a verdict, so every run still evaluates the matrices it
-is given.  `apply_addition_only` sums a table of the signed columns, a
+packed rows.  `apply_addition_only` sums a table of the signed columns, a
 form the packed rows never read, so the check also runs it, against
 `mat_vec`, on the 24 words v * e_j (v = 1, 2), one per table entry.
 
@@ -50,7 +48,7 @@ from .modlinalg import MatrixOverGfp, _lane_bytes, _residue_table, \
     format_matrix, mat_vec, matrix_from_words, same_row_space
 from .ntt import _OFFSET, _signed_sums, apply_addition_only, fixed_space, \
     golay_ntt_matrix, hamming_ntt_matrix
-from .render import RenderSpec, _drawer, _svg_document, panel, to_svg
+from .render import RenderSpec, _drawer, _flower_svg, panel, to_svg
 
 HAMMING_MATRIX_SHA256 = \
     "d5088ccc0fa0a6500f6e162a78f6dd5d3fc8d8740ed081e438078389ffb9e578"
@@ -180,12 +178,9 @@ def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
     return True, f"all {total} codewords are fixed points"
 
 
-@cache
 def _random_rows() -> tuple[bytes, ...]:
     """The 10,000 seeded ternary 12-symbol words the addition-only check
     runs after the codewords, packed: row j holds symbol j of every word.
-    They depend on _RNG_SEED alone and bytes are immutable, so they are
-    drawn once per process, on first use.
 
     They are the draws of rng.randrange(3), which takes getrandbits(2) and
     draws again on 3.  getrandbits(2) is the top two bits of one 32-bit
@@ -250,8 +245,7 @@ def _check_render_determinism() -> tuple[bool, str]:
     shape = features(parse_word("1010110", 2))
     # Drawers outlive a call, so to_svg may meet one set up before this
     # check; an uncached set-up draws the same word beside it.
-    fresh = _svg_document(spec.canvas, spec.canvas,
-                          _drawer.__wrapped__("svg", spec, 7, 2)[1](shape.word))
+    fresh = _flower_svg(shape, spec, _drawer.__wrapped__)
     if not fresh == to_svg(shape, spec) == to_svg(shape, spec):
         return False, "repeated to_svg runs differ"
     words = _all_binary_7()[:8]

@@ -176,18 +176,13 @@ def test_random_rows_are_the_per_symbol_draw_packed():
     assert _random_rows() == tuple(map(bytes, zip(*reference_random_words())))
 
 
-def test_random_rows_are_drawn_once():
-    assert _random_rows() is _random_rows()
-
-
 def test_random_rows_peak_stays_small():
     # Drawn 16 KB at a time, the 120,000 draws never hold a block of all of
-    # them beside its bytes: about 480 KB each when drawn at once.  The
-    # uncached draw is measured, as a cached call draws nothing.
-    _random_rows.__wrapped__()
+    # them beside its bytes: about 480 KB each when drawn at once.
+    _random_rows()
     tracemalloc.start()
     try:
-        _random_rows.__wrapped__()
+        _random_rows()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,7 +304,8 @@ def test_a_fresh_drawer_that_draws_otherwise_fails_render_determinism(monkeypatc
 
 def test_caches_keep_inputs_not_verdicts(fresh_results):
     # after a clean run, corrupted matrices still go red: every run takes
-    # the products anew, and only the seeded draw and the points are kept
+    # the products anew; only the binary 7-words, the points and the
+    # drawers are kept
     assert [(r.passed, r.detail) for r in run_checks()] == \
         [(r.passed, r.detail) for r in fresh_results]
     golay, hamming = _flipped(golay_ntt_matrix(), 0, 0), _flipped(hamming_ntt_matrix(), 0, 0)
