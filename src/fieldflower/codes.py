@@ -22,26 +22,26 @@ least the sum of max(0, w_j + 1 - (k - r_j)) over j.  The search stops when
 U reaches that bound, or when G_1 has been weighed up to k, which has seen
 every codeword.  A new G_j is built only when it could add more than 1 to
 the bound at the current w, more than one more level of a full-rank G_j
-adds without an elimination.  Messages are weighed in the lanes of the
-codebook walk below, on the n - k columns that are not pivots (the pivots
-carry the message, weight w): each prefix of w - 1 rows is repeated into a
-word for every multiple of every later row, and blocks of such words are
-reduced and weighed at once.
+adds without an elimination.  Messages are weighed in packed blocks (below) on
+the n - k columns that are not pivots, which carry the message: a head is a
+prefix of w - 1 rows, its tail the multiples of the rows after its last.
 
-Codebook walks split the k generator rows into an outer part g[:k//2] and an
-inner part g[k//2:]: each codeword is hi + lo, one word from the span of each,
-in message order.  A word of n symbols is packed into an int, symbol j in lane
-j of W bits, with W the narrowest of 8, 16 and 32 such that p <= 2**(W-1) and
-n < 2**W.  The inner span, p**ceil(k/2) words, is packed once into blocks of m
-words (fewer when that would pass _BLOCK_LANES lanes), word i at bit i*n*W;
-each hi is repeated into every word of a block, so one big-int sum gives m
-codewords, and one `to_bytes` unpacks them, little-endian.  Lanes of hi + lo
-lie in 0..2p-2; adding 2**(W-1) - p to each sets its top bit exactly when it
-is p or more, without a carry into the next lane, so subtracting p where the
-top bit is set reduces it.  A bias of 2**(W-1) - 1 instead sets the top bit of
-each nonzero lane.  Those bits, moved to the bottom of their lanes and
+Both walks sum packed words in blocks.  A word of n symbols is packed into an
+int, symbol j in lane j of W bits, with W the narrowest of 8, 16 and 32 such
+that p <= 2**(W-1) and n < 2**W.  `_block_sums` takes (head, tail) pairs, a
+head one packed word and a tail packed words end to end, repeats each head's
+bytes once per word of its tail, and adds the two as ints, m words a block,
+word i at bit i*n*W; a block runs on from one pair into the next.  Lanes of a
+sum lie in 0..2p-2; adding 2**(W-1) - p to each sets its top bit exactly when
+it is p or more, without a carry into the next lane, so subtracting p where
+the top bit is set reduces it.  A bias of 2**(W-1) - 1 instead sets the top
+bit of each nonzero lane.  Those bits, moved to the bottom of their lanes and
 multiplied by a 1 in each of n lanes, sum each word's bits into its last lane:
-its weight, which cannot carry out of the lane because n < 2**W.
+its weight, which cannot carry out of the lane because n < 2**W.  A codebook
+walk splits the k generator rows into an outer part g[:k//2] and an inner part
+g[k//2:], each codeword hi + lo, one word from the span of each, in message
+order: the heads are the outer span, every tail is the inner span, packed
+once, and a block holds the inner span or _BLOCK_LANES lanes of it.
 
 A listing is built with automatic cyclic garbage collection paused
 (`gc.disable()` around the block loop of `enumerate_codewords`), and each
@@ -62,10 +62,10 @@ import gc
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import count, repeat
 from math import comb
 from struct import Struct
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .gfield import Word, _reduced_words, _require_prime, _same_field
 from .modlinalg import (
@@ -76,7 +76,7 @@ from .ntt import GOLAY, Transform, fixed_space
 # Hard cap on p**k for any operation that walks the whole codebook.
 ENUMERATION_LIMIT = 10**7
 
-# Most lanes in one packed block of a codebook walk: bounds the size of its int.
+# Most lanes in one packed block of `_block_sums`: bounds the size of its int.
 _BLOCK_LANES = 1 << 16
 
 _HAMMING_GENERATOR_ROWS = (
@@ -168,26 +168,20 @@ def _check_enumerable(code: LinearCode) -> None:
         )
 
 
-def _lanes(p: int, n: int, words: int = 1) -> tuple[str, int, int, int]:
+def _lanes(p: int, n: int, words: int = 1) -> tuple[str, int, int, int, int]:
     """Layout of `words` words of n symbols of GF(p) as one int: the lane
-    format, its width W, ONE (1 in every lane) and TOP (the top bit of every
-    lane).  W is the narrowest of 8, 16 and 32 with p <= 2**(W-1), room for
-    the bias, and n < 2**W, room for a word's weight."""
+    format, its width W, and ONE, TOP and BIAS: 1, 2**(W-1) and 2**(W-1) - p
+    in every lane.  W is the narrowest of 8, 16 and 32 with p <= 2**(W-1),
+    room for the bias, and n < 2**W, room for a word's weight."""
     fmt, w = next((f, w) for f, w in (("B", 8), ("H", 16), ("I", 32))
                   if p <= 1 << w - 1 and n < 1 << w)
-    one = _ones(w, n * words)
-    return fmt, w, one, one << w - 1
-
-
-def _ones(w: int, lanes: int) -> int:
-    """A 1 at the bottom of each of `lanes` lanes of w bits."""
-    return ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    one = ((1 << w * n * words) - 1) // ((1 << w) - 1)
+    return fmt, w, one, one << w - 1, ((1 << w - 1) - p) * one
 
 
 def _shape(p: int, n: int, k: int) -> tuple[int, int]:
-    """How a walk of k rows is blocked: (h, m), with rows[:h] the outer rows
-    and m the words per block.  A block holds the whole inner span, of
-    rows[h:], or _BLOCK_LANES lanes' worth (at least one word) of it."""
+    """`enumerate_codewords`' blocks for k rows: (h, m), rows[:h] the outer
+    rows, and m words a block, the inner span or _BLOCK_LANES lanes of it."""
     h = k // 2
     return h, min(p ** (k - h), max(1, _BLOCK_LANES // n))
 
@@ -197,8 +191,8 @@ def _span(p: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[int]:
     lexicographic order with the first row most significant: each multiple
     of the first row plus each word of the span of the rest, listed once."""
     n = len(rows[0])
-    fmt, w, one, top = _lanes(p, n)
-    pack, bias = Struct(f"<{n}{fmt}").pack, ((1 << w - 1) - p) * one
+    fmt, w, _, top, bias = _lanes(p, n)
+    pack = Struct(f"<{n}{fmt}").pack
     rest = list(_span(p, rows[1:])) if len(rows) > 1 else [0]
     for c in range(p):
         hi = int.from_bytes(pack(*[c * x % p for x in rows[0]]), "little")
@@ -207,49 +201,59 @@ def _span(p: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[int]:
             yield s - p * (((s + bias) & top) >> w - 1)
 
 
-def _blocks(p: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, int]]:
-    """Yield (m, s): the next m words of `_span(p, rows)`, in its order, as
-    one int s with word i at bit i*n*W.  The inner span is packed once into
-    blocks (see `_shape`); each hi of the outer span is repeated into every
-    word of a block (hi * REP, REP a 1 at the bottom of each word, built as m
-    copies of hi's bytes), added to it, and the sum reduced lane-wise."""
-    n = len(rows[0])
-    h, m = _shape(p, n, len(rows))
-    fmt, w, one, top = _lanes(p, n, m)
-    bias, size = ((1 << w - 1) - p) * one, n * w // 8
+def _block_sums(p: int, size: int, m: int, lanes: tuple[str, int, int, int, int],
+                pairs: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, int]]:
+    """Yield (c, s): the next c words head + x, x each word of a tail, pair by
+    pair, as one int s with word i at byte i*size, reduced lane-wise; every
+    block but the last holds m words, and `lanes` is `_lanes(p, n, m)`."""
+    _, w, _, top, bias = lanes
+    room, heads, tails, last = m * size, [], [], (b"", 0)
 
-    def packed(span):
-        while chunk := list(islice(span, m)):
-            lows = b"".join(lo.to_bytes(size, "little") for lo in chunk)
-            yield len(chunk), int.from_bytes(lows, "little")
+    def block() -> int:
+        # A codebook walk's blocks are mostly one whole tail, so its int is kept.
+        nonlocal last
+        if (lows := b"".join(tails)) is not last[0]:
+            last = lows, int.from_bytes(lows, "little")
+        s = int.from_bytes(b"".join(heads), "little") + last[1]
+        return s - p * (((s + bias) & top) >> w - 1)
 
-    # With one row there is one outer word, 0, and the inner span streams.
-    inner = list(packed(_span(p, rows[h:]))) if h else packed(_span(p, rows))
-    for hi in _span(p, rows[:h]) if h else (0,):
-        hi_bytes = hi.to_bytes(size, "little")
-        for count, lows in inner:
-            s = int.from_bytes(hi_bytes * count, "little") + lows
-            yield count, s - p * (((s + bias) & top) >> w - 1)
+    for head, tail in pairs:
+        head, a, end = head.to_bytes(size, "little"), 0, len(tail)
+        while end - a >= room:
+            heads.append(head * (room // size))
+            tails.append(tail[a:a + room])
+            a += room
+            yield m, block()
+            heads, tails, room = [], [], m * size
+        if a < end:
+            heads.append(head * ((end - a) // size))
+            tails.append(tail[a:])
+            room -= end - a
+    if tails:
+        yield m - room // size, block()
 
 
 def enumerate_codewords(code: LinearCode) -> list[Word]:
     """All p**k codewords u*G, ordered by the message word u lexicographically;
     the modulus is checked once and each packed block by one lane test."""
     _check_enumerable(code)
-    p, n = code.modulus, code.length
+    p, n, rows = code.modulus, code.length, code.generator.entries
     _require_prime(p)
-    fmt, w, one, top = _lanes(p, n, _shape(p, n, code.dimension)[1])
-    size, bias = n * w // 8, ((1 << w - 1) - p) * one
-    unpack, words = Struct(f"<{n}{fmt}").iter_unpack, []
+    h, m = _shape(p, n, len(rows))
+    fmt, w, _, top, bias = lanes = _lanes(p, n, m)
+    size, unpack, words = n * w // 8, Struct(f"<{n}{fmt}").iter_unpack, []
+    inner = (lo.to_bytes(size, "little") for lo in _span(p, rows[h:]))
+    # With one row the outer span is 0 alone, and the inner span streams.
+    pairs = zip(_span(p, rows[:h]), repeat(b"".join(inner))) if h else zip(repeat(0), inner)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for m, s in _blocks(p, code.generator.entries):
+        for c, s in _block_sums(p, size, m, lanes, pairs):
             # A lane with its top bit set, or biased to it, holds a symbol >= p.
             if bad := (s | s + bias) & top:
                 k = len(words) + ((bad & -bad).bit_length() - 1) // (n * w)
                 raise ValueError(f"codeword {k} has a symbol >= {p}")
-            words += _reduced_words(p, unpack(s.to_bytes(m * size, "little")))
+            words += _reduced_words(p, unpack(s.to_bytes(c * size, "little")))
     finally:
         if enabled:
             gc.enable()
@@ -275,28 +279,25 @@ class _InformationSet:
 
     @cached_property
     def _packed(self):
-        """The layout of the levels above 1, built at the first of them: the
-        lane format, W, ONE and TOP of one word, and its reduction bias;
-        multiples[i], the packed c*row_i for c = 1..p-1; and the bytes of
-        all of them, end to end in that order."""
+        """Built at the first level above 1: `_lanes` of one word; multiples[i],
+        the packed c*row_i for c = 1..p-1; and all of them as bytes, in order."""
         p, rows = self.p, self.rows
         n = len(rows[0])
-        fmt, w, one, top = _lanes(p, n)
-        pack, bias, multiples = Struct(f"<{n}{fmt}").pack, ((1 << w - 1) - p) * one, []
+        fmt, w, one, top, bias = lanes = _lanes(p, n)
+        pack, multiples = Struct(f"<{n}{fmt}").pack, []
         for row in rows:
             x = int.from_bytes(pack(*row), "little")
             multiples.append([x])
             for _ in range(p - 2):  # (c+1)*row = c*row + row, reduced
                 s = multiples[-1][-1] + x
                 multiples[-1].append(s - p * (((s + bias) & top) >> w - 1))
-        size = n * w // 8
-        data = b"".join(x.to_bytes(size, "little") for xs in multiples for x in xs)
-        return fmt, w, one, top, bias, multiples, data
+        data = b"".join(x.to_bytes(n * w // 8, "little") for xs in multiples for x in xs)
+        return lanes, multiples, data
 
     def _prefixes(self, depth: int, stop: int) -> Iterator[tuple[int, int]]:
         """(i, s): s the reduced sum of rows i_1 < ... < i_depth = i < stop,
         row i_1 times 1 and each other times one of 1..p-1, packed."""
-        p, (_, w, _, top, bias, multiples, _) = self.p, self._packed
+        p, ((_, w, _, top, bias), multiples, _) = self.p, self._packed
         if depth == 1:
             yield from ((i, multiples[i][0]) for i in range(stop))
             return
@@ -308,48 +309,27 @@ class _InformationSet:
 
     def weights(self, level: int) -> Iterator[list[int] | memoryview]:
         """The weight of u*rows for every message u of this weight whose
-        first nonzero symbol is 1, a list or memoryview at a time.  Level 1
-        counts each row's nonzero symbols.  Above it, each prefix of
-        level - 1 rows ending at row i is repeated into a word for every
-        multiple of rows i+1..; the prefixes' words are laid end to end in
-        blocks of at most _BLOCK_LANES lanes (one word at least), and each
-        block is summed, reduced and weighed lane-wise, as a codebook walk
-        does."""
+        first nonzero symbol is 1, a list or memoryview at a time: level 1
+        counts each row's nonzero symbols, and above it each block of
+        `_block_sums` is weighed lane-wise."""
         k, n, p = len(self.rows), len(self.rows[0]), self.p
         if level == 1:
             yield [n - row.count(0) for row in self.rows]
             return
-        fmt, w, spread, *_, data = self._packed
-        size, shift, step = n * w // 8, (n - 1) * w, max(1, _BLOCK_LANES // n)
-        # Lane constants for the longest block.  A shorter one holds 0 in the
-        # lanes past it; biased, 0 stays below the top bit, so it is neither
-        # reduced nor counted, and weighs 0.
-        _, _, one, top = _lanes(p, n, min(step, comb(k, level) * (p - 1) ** (level - 1)))
-        bias, nonzero = ((1 << w - 1) - p) * one, top - one
+        (fmt, w, spread, _, _), _, data = self._packed
+        m = min(max(1, _BLOCK_LANES // n), comb(k, level) * (p - 1) ** (level - 1))
+        # Lanes of the longest block.  A shorter one holds 0 past its end,
+        # which stays below the top bit when biased, and weighs 0.
+        _, _, one, top, _ = lanes = _lanes(p, n, m)
+        size, shift, nonzero = n * w // 8, (n - 1) * w, top - one
         # Shifted down, word i's weight is in lane i*n: item i*n of the
         # native cast when little-endian, item (m-1-i)*n + n-1 when big-endian.
         first = 0 if sys.byteorder == "little" else n - 1
-
-        def weigh(m: int, heads: list[bytes], tails: list[bytes]) -> memoryview:
-            s = (int.from_bytes(b"".join(heads), "little")
-                 + int.from_bytes(b"".join(tails), "little"))
-            s -= p * (((s + bias) & top) >> w - 1)
+        pairs = ((s, data[(i + 1) * (p - 1) * size:])
+                 for i, s in self._prefixes(level - 1, k - 1))
+        for c, s in _block_sums(p, size, m, lanes, pairs):
             sums = (((s + nonzero) & top) >> w - 1) * spread >> shift
-            return memoryview(sums.to_bytes(m * size, sys.byteorder)).cast(fmt)[first::n]
-
-        heads, tails, m = [], [], 0
-        for i, s in self._prefixes(level - 1, k - 1):
-            head, a = s.to_bytes(size, "little"), (i + 1) * (p - 1) * size
-            while a < len(data):
-                take = min(len(data) - a, (step - m) * size)
-                heads.append(head * (take // size))
-                tails.append(data[a:a + take])
-                a, m = a + take, m + take // size
-                if m == step:
-                    yield weigh(m, heads, tails)
-                    heads, tails, m = [], [], 0
-        if m:
-            yield weigh(m, heads, tails)
+            yield memoryview(sums.to_bytes(c * size, sys.byteorder)).cast(fmt)[first::n]
 
 
 def _columns_first(g: MatrixOverGfp, columns: list[int]) -> MatrixOverGfp:

@@ -135,10 +135,12 @@ def apply(transform: Transform | MatrixOverGfp, x: Word) -> Word:
     return mat_vec(_matrix_of(transform), x)
 
 
-def _signed_sums(xs: Sequence[int], offset: int) -> Iterator[int]:
+def _signed_sums(xs: Sequence[int], lanes: int) -> Iterator[int]:
     """The 12-point transform by additions and subtractions only, in rows:
-    xs[j] packs symbol j of every word, and output row i, plus the offset,
-    packs symbol i of every image before its reduction mod 3."""
+    xs[j] packs symbol j of `lanes` words, one byte lane each, and output
+    row i, plus _OFFSET in every lane, packs symbol i of every image before
+    its reduction mod 3."""
+    offset = int.from_bytes(bytes([_OFFSET]) * lanes, "little")
     return (sum(plus(xs)) - sum(minus(xs)) + offset for plus, minus in _SIGNED_GETTERS)
 
 

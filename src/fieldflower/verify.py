@@ -5,7 +5,11 @@ the matrix constants themselves (by checksum), worked transform pairs, known
 invariant words, the eigenspace/generator identity, code parameters, the
 transform/code isomorphism, the addition-only evaluation path, flower feature
 counts, and rendering determinism.  The matrices are injectable so tests can
-corrupt one and watch the right checks go red.
+corrupt one and watch the right checks go red.  The isomorphism and
+addition-only checks list the built-in codes, the Hamming generator's and the
+fixed space of the built-in GOLAY (which its checksum pins), never the fixed
+space of a matrix under test: a matrix that moves one of their codewords
+fails the isomorphism check.
 
 The transform/code isomorphism and the addition-only check decide packed
 first.  A listing's rows are packed once, as bytes: row j holds symbol j of
@@ -40,14 +44,14 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
-from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
-    hamming_code, hamming_generator, minimum_distance
+from .codes import LinearCode, builtin_code, code_from_fixed_space, \
+    enumerate_codewords, hamming_code, hamming_generator, minimum_distance
 from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
 from .modlinalg import MatrixOverGfp, _lane_bytes, _residue_table, \
     format_matrix, mat_vec, matrix_from_words, same_row_space
-from .ntt import _OFFSET, _signed_sums, apply_addition_only, fixed_space, \
-    golay_ntt_matrix, hamming_ntt_matrix
+from .ntt import _signed_sums, apply_addition_only, fixed_space, golay_ntt_matrix, \
+    hamming_ntt_matrix
 from .render import RenderSpec, _drawer, _flower_svg, panel, to_svg
 
 HAMMING_MATRIX_SHA256 = \
@@ -161,8 +165,7 @@ def _packed_addition_only(p: int, rows: tuple[bytes, ...]) -> bytes | None:
     if p != 3 or len(rows) != 12:
         return None
     size = len(rows[0])
-    offset = _OFFSET * int.from_bytes(b"\x01" * size, "little")
-    return _reduced(3, _signed_sums(_lanes(rows), offset), size)
+    return _reduced(3, _signed_sums(_lanes(rows), size), size)
 
 
 def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
@@ -265,11 +268,9 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
     """
     th = hamming_matrix if hamming_matrix is not None else hamming_ntt_matrix()
     tg = golay_matrix if golay_matrix is not None else golay_ntt_matrix()
-    # Three checks share tg's fixed-space code and two its listing, each
-    # built on first use; cache keeps no exception, so a build that raises
-    # raises again in every check that needs it.
-    golay_code = cache(lambda: code_from_fixed_space(tg))
-    golay_listing = cache(lambda: _codewords(golay_code()))
+    # The isomorphism and addition-only checks share one listing of the
+    # built-in golay code, built on first use.
+    golay_listing = cache(lambda: _codewords(builtin_code("golay")))
     checks = [
         ("hamming-matrix-checksum",
          lambda: _check_checksum(th, HAMMING_MATRIX_SHA256)),
@@ -288,7 +289,7 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
         ("hamming-code-parameters",
          lambda: _check_code_parameters(hamming_code(), (7, 4, 3))),
         ("golay-code-parameters",
-         lambda: _check_code_parameters(golay_code(), (12, 6, 6))),
+         lambda: _check_code_parameters(code_from_fixed_space(tg), (12, 6, 6))),
         ("transform-code-isomorphism",
          lambda: _check_isomorphism(th, tg, golay_listing)),
         ("golay-addition-only",

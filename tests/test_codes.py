@@ -239,7 +239,7 @@ def test_enumeration_guard(monkeypatch):
     bigs = [LinearCode(identity(k, p)) for p, k in ((2, 24), (3, 15), (2147483659, 1))]
     # nor is an information set of the distance search built: neither G_1,
     # from the code's own rref, nor a later one, from a new rref
-    for name in ("_span", "_blocks", "_InformationSet", "rref"):
+    for name in ("_span", "_block_sums", "_InformationSet", "rref"):
         monkeypatch.setattr(codes, name, no_span)
     for big in bigs:
         assert big.size > ENUMERATION_LIMIT
@@ -354,6 +354,27 @@ def test_walk_in_blocks_smaller_than_the_inner_span(monkeypatch, lanes):
         expected = reference_codewords(code)
         assert enumerate_codewords(code) == expected
         assert minimum_distance(code) == reference_min_weight(expected)
+
+
+def test_a_walk_block_runs_on_into_the_next_outer_word(monkeypatch):
+    # Capped at 13 lanes, a block holds 2 words of 5 symbols.  The inner
+    # span of a [5,4]_3 code holds 9, so every other outer word starts in
+    # the middle of a block: blocks are cut from the whole walk, not from
+    # each outer word's run.
+    monkeypatch.setattr(codes, "_BLOCK_LANES", 13)
+    sizes, block_sums = [], codes._block_sums
+
+    def spied(*args):
+        for c, s in block_sums(*args):
+            sizes.append(c)
+            yield c, s
+
+    monkeypatch.setattr(codes, "_block_sums", spied)
+    code = random_full_rank_code(random.Random(13), 3, 4, 5)
+    h, m = codes._shape(3, 5, 4)
+    assert (h, m) == (2, 2)
+    assert enumerate_codewords(code) == reference_codewords(code)
+    assert sizes == [m] * 40 + [1]
 
 
 def test_lane_boundary_cases_straddle_the_switches():
@@ -648,9 +669,9 @@ def test_enumeration_restores_the_collector_when_a_block_is_refused(monkeypatch,
     p = 3
     code = LinearCode(MatrixOverGfp(p, identity(3, p).entries[:1]))
     _, m = codes._shape(p, 3, 1)
-    _, w, _, _ = codes._lanes(p, 3, m)
+    w = codes._lanes(p, 3, m)[1]
     blocks = ((1, 0), (m, p << w))
-    monkeypatch.setattr(codes, "_blocks", lambda *_: iter(blocks))
+    monkeypatch.setattr(codes, "_block_sums", lambda *_: iter(blocks))
     with collector(enabled):
         with pytest.raises(ValueError, match=f"^codeword 1 has a symbol >= {p}$"):
             enumerate_codewords(code)
@@ -680,7 +701,7 @@ def test_enumeration_refuses_an_unreduced_packed_word(monkeypatch, p):
     k = 3 if p == 2 else 1
     code = LinearCode(MatrixOverGfp(p, identity(3, p).entries[:k]))
     _, m = codes._shape(p, 3, k)
-    _, w, _, _ = codes._lanes(p, 3, m)
+    w = codes._lanes(p, 3, m)[1]
     assert m >= 3 and w == {2: 8, 3: 8, 131: 16, 32771: 32}[p]
     built, reduced_words = [], codes._reduced_words
 
@@ -694,13 +715,13 @@ def test_enumeration_refuses_an_unreduced_packed_word(monkeypatch, p):
              for i in (0, m // 2, m - 1) for j in (0, 2)]
     for lane, i, j in cases:
         blocks = ((1, 0), (m, lane << (3 * i + j) * w))
-        monkeypatch.setattr(codes, "_blocks", lambda *_: iter(blocks))
+        monkeypatch.setattr(codes, "_block_sums", lambda *_: iter(blocks))
         with pytest.raises(ValueError, match=f"^codeword {1 + i} has a symbol >= {p}$"):
             enumerate_codewords(code)
     assert built == [1] * len(cases)
     # the middle lane of the middle word holding p - 1 passes
     blocks = ((1, 0), (m, (p - 1) << (3 * (m // 2) + 1) * w))
-    monkeypatch.setattr(codes, "_blocks", lambda *_: iter(blocks))
+    monkeypatch.setattr(codes, "_block_sums", lambda *_: iter(blocks))
     words = enumerate_codewords(code)
     assert len(words) == 1 + m and built[-1] == m
     assert words[1 + m // 2] == Word(p, (0, p - 1, 0))

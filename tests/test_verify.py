@@ -8,7 +8,7 @@ import pytest
 
 from fieldflower import ntt, verify
 from fieldflower.flowergeom import features
-from fieldflower.gfield import parse_word
+from fieldflower.gfield import Word, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.render import RenderSpec, _drawer, to_svg
@@ -113,8 +113,8 @@ HAMMING_ROWS = hamming_ntt_matrix().entries
 INJECTED_DETAILS = {
     "corrupted-golay": (
         {"golay_matrix": _flipped(golay_ntt_matrix(), 0, 0)},
-        (True, "all 259 codewords are fixed points"),
-        (False, "paths disagree on 120110121010"),
+        (False, "codeword 221120000001 is not fixed"),
+        (False, "paths disagree on 221120000001"),
     ),
     "identity-hamming": (
         {"hamming_matrix": identity(7, 2)},
@@ -148,8 +148,8 @@ INJECTED_DETAILS = {
     ),
     "golay-identity-3": (
         {"golay_matrix": identity(3, 3)},
-        (True, "all 43 codewords are fixed points"),
-        (False, "raised ValueError: expected a ternary word of length 12"),
+        (False, "raised ValueError: matrix has 3 columns, word has 12 symbols"),
+        (False, "raised ValueError: matrix has 3 columns, word has 12 symbols"),
     ),
 }
 
@@ -221,9 +221,10 @@ GF7_RESULTS = [
      "dim 4, row space matches generator, all 4 rows fixed"),
     ("hamming-code-parameters", True, "n=7 k=4 d=3"),
     ("golay-code-parameters", False, "n=12 k=2 d=1, expected n=12 k=6 d=6"),
-    ("transform-code-isomorphism", True, "all 65 codewords are fixed points"),
+    ("transform-code-isomorphism", False,
+     "raised ValueError: modulus mismatch: GF(7) vs GF(3)"),
     ("golay-addition-only", False,
-     "raised ValueError: expected a ternary word of length 12"),
+     "raised ValueError: modulus mismatch: GF(7) vs GF(3)"),
     ("flower-features", True, "128-word sweep + figure words hold"),
     ("render-determinism", True, "repeat and parallel renders byte-identical"),
 ]
@@ -235,38 +236,45 @@ def test_golay_matrix_over_gf7(monkeypatch):
                         lambda *a: calls.append(a) or mat_vec(*a))
     results = run_checks(golay_matrix=GF7_MATRIX)
     assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
-    # the isomorphism check takes the 49 fixed words of GF7_MATRIX word by
-    # word, the only words over GF(7); the 16 Hamming codewords stay packed
-    assert sum(1 for _, w in calls if w.modulus == 7) == 49
+    # the isomorphism and addition-only checks each take the first golay
+    # codeword, zero, word by word, and it raises; the 16 Hamming codewords
+    # stay packed
+    zero = Word(3, (0,) * 12)
+    assert [w for _, w in calls if w == zero] == [zero, zero]
     # the pair, invariant and eigenspace checks take 2 + 1 + 1 + 1 + 4 more
-    assert len(calls) == 49 + 9
+    assert len(calls) == 2 + 9
 
 
 def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
-    # golay-code-parameters, transform-code-isomorphism and golay-addition-only
-    # share one fixed-space code; the last two share its listing
+    # golay-code-parameters builds tg's fixed-space code; transform-code-
+    # isomorphism and golay-addition-only share one listing of the built-in
+    # golay code
     calls = []
-    for name in ("code_from_fixed_space", "enumerate_codewords"):
+    for name in ("code_from_fixed_space", "builtin_code", "enumerate_codewords"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
-                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+                            lambda *a, real=real, name=name: calls.append((name,) + a) or real(*a))
     assert [(r.passed, r.detail) for r in run_checks()] == \
         [(r.passed, r.detail) for r in fresh_results]
-    assert calls.count("code_from_fixed_space") == 1
+    assert [c[0] for c in calls if c[0] != "enumerate_codewords"] == \
+        ["code_from_fixed_space", "builtin_code"]
+    assert ("builtin_code", "golay") in calls
     # one listing of the Hamming code and one of the golay code
-    assert calls.count("enumerate_codewords") == 2
+    assert sum(1 for c in calls if c[0] == "enumerate_codewords") == 2
 
 
 def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
-    # -I over GF(3) fixes only zero, so no fixed-space code exists; each
-    # check that needs the code reports the error on its own line
+    # -I over GF(3) fixes only zero, so no fixed-space code exists: the
+    # parameter check reports the error on its line, and the two checks
+    # that list the built-in golay code name its first nonzero word
     minus_identity = MatrixOverGfp(3, tuple(
         tuple(2 * v for v in row) for row in identity(12, 3).entries))
     by_name = {r.name: (r.passed, r.detail) for r in run_checks(golay_matrix=minus_identity)}
-    raised = (False, "raised ValueError: transform has no fixed points besides zero; no code")
-    for name in ("golay-code-parameters", "transform-code-isomorphism",
-                 "golay-addition-only"):
-        assert by_name[name] == raised, name
+    assert by_name["golay-code-parameters"] == \
+        (False, "raised ValueError: transform has no fixed points besides zero; no code")
+    assert by_name["transform-code-isomorphism"] == \
+        (False, "codeword 221120000001 is not fixed")
+    assert by_name["golay-addition-only"] == (False, "paths disagree on 221120000001")
     assert by_name["hamming-code-parameters"] == (True, "n=7 k=4 d=3")
 
 
@@ -311,9 +319,8 @@ def test_caches_keep_inputs_not_verdicts(fresh_results):
     golay, hamming = _flipped(golay_ntt_matrix(), 0, 0), _flipped(hamming_ntt_matrix(), 0, 0)
     by_name = {r.name: (r.passed, r.detail)
                for r in run_checks(hamming_matrix=hamming, golay_matrix=golay)}
-    assert by_name["golay-addition-only"] == (False, "paths disagree on 120110121010")
-    # the golay code is tg's own fixed space, so one changed entry of tg
-    # leaves its codewords fixed; a changed hamming entry does not
+    assert by_name["golay-addition-only"] == (False, "paths disagree on 221120000001")
+    # the Hamming codewords are checked first
     assert by_name["transform-code-isomorphism"] == \
         (False, "codeword 1010100 is not fixed")
     assert [(r.passed, r.detail) for r in run_checks()] == \
