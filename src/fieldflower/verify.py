@@ -5,29 +5,27 @@ the matrix constants themselves (by checksum), worked transform pairs, known
 invariant words, the eigenspace/generator identity, code parameters, the
 transform/code isomorphism, the addition-only evaluation path, flower feature
 counts, and rendering determinism.  The matrices are injectable so tests can
-corrupt one and watch the right checks go red.  The isomorphism and
-addition-only checks list the built-in codes, the Hamming generator's and the
-fixed space of the built-in GOLAY (which its checksum pins), never the fixed
-space of a matrix under test: a matrix that moves one of their codewords
-fails the isomorphism check.
+corrupt one and watch the right checks go red.  A run builds each matrix's
+fixed-space code once.  The isomorphism and addition-only checks take the
+built-in codes, the Hamming generator's and the fixed space of the built-in
+GOLAY (which its checksum pins), never the fixed space of a matrix under
+test: a matrix that moves one of their codewords fails the isomorphism check.
 
-The transform/code isomorphism and the addition-only check decide packed
-first.  A listing's rows are packed once, as bytes: row j holds symbol j of
-every word, one byte per word, and read as one int it is a lane vector,
-word b in bits 8b..8b+7.  Output row i of the matrix product is then one lane
-sum, sum_j M[i][j] * X_j, and the addition-only path is `ntt._signed_sums`
-on the same ints; both are reduced mod p by one `bytes.translate`.  A lane
-sum is at most n(p-1)**2 for n columns, so the product is packed only while
-n(p-1)**2 <= 255, and only for words over the matrix's field with one symbol
-per column; the addition-only path only for ternary words of length 12.
-Whatever the packed comparison cannot decide, or finds different, goes to
-the per-word walk: the words in order through `mat_vec` and
-`apply_addition_only`, codewords before the seeded random words, naming the
-first word that fails; over a field or shape the per-word functions refuse
-they raise the same error.  The seeded random words are drawn straight into
-packed rows.  `apply_addition_only` sums a table of the signed columns, a
-form the packed rows never read, so the check also runs it, against
-`mat_vec`, on the 24 words v * e_j (v = 1, 2), one per table entry.
+A linear map fixes a code exactly when it fixes each generator row, so the
+isomorphism check multiplies the 4 + 6 rows and lists a code only to name,
+in listing order, the first codeword it moves.  The addition-only check
+packs the 729 golay codewords, then 10,000 seeded random words drawn
+straight into packed rows: row j holds symbol j of every word, one byte per
+word, and read as one int it is a lane vector, word b in bits 8b..8b+7.
+Output row i of the product is one lane sum, sum_j M[i][j] * X_j, at most
+12 * 2**2 = 48, and the addition-only path is `ntt._signed_sums` on the same
+ints; both are reduced mod 3 by one `bytes.translate`.  The product is
+packed only for a matrix over GF(3) with 12 columns.  Unless the packed
+images agree, the words go in order through `apply_addition_only` and
+`mat_vec`, which name the first that fails or raise their error.
+`apply_addition_only` sums a table of the signed columns, a form the packed
+rows never read, so the check also runs it, against `mat_vec`, on the 24
+words v * e_j (v = 1, 2), one per table entry.
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -43,13 +41,14 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from operator import eq
 
-from .codes import LinearCode, builtin_code, code_from_fixed_space, \
-    enumerate_codewords, hamming_code, hamming_generator, minimum_distance
+from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
+    hamming_code, hamming_generator, minimum_distance
 from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
-from .modlinalg import MatrixOverGfp, _lane_bytes, _residue_table, \
-    format_matrix, mat_vec, matrix_from_words, same_row_space
+from .modlinalg import MatrixOverGfp, _residue_table, format_matrix, mat_vec, \
+    matrix_from_words, same_row_space
 from .ntt import _signed_sums, apply_addition_only, fixed_space, golay_ntt_matrix, \
     hamming_ntt_matrix
 from .render import RenderSpec, _drawer, _flower_svg, panel, to_svg
@@ -95,11 +94,15 @@ def _check_pairs(m: MatrixOverGfp, pairs, p: int) -> tuple[bool, str]:
     return True, f"{len(pairs)} transform pairs hold"
 
 
+def _moved(m: MatrixOverGfp, words):
+    """The first of the words that m does not fix, or None."""
+    return next((w for w in words if mat_vec(m, w) != w), None)
+
+
 def _check_invariants(m: MatrixOverGfp, words, p: int) -> tuple[bool, str]:
-    for src in words:
-        w = parse_word(src, p)
-        if mat_vec(m, w) != w:
-            return False, f"{src} is not a fixed point"
+    w = _moved(m, (parse_word(src, p) for src in words))
+    if w is not None:
+        return False, f"{format_word(w)} is not a fixed point"
     return True, f"{len(words)} invariant words hold"
 
 
@@ -110,10 +113,9 @@ def _check_eigen_generator(th: MatrixOverGfp) -> tuple[bool, str]:
     g = hamming_generator()
     if not same_row_space(matrix_from_words(space.basis), g):
         return False, "fixed space differs from the generator row space"
-    for row in g.entries:
-        w = Word(2, row)
-        if mat_vec(th, w) != w:
-            return False, f"generator row {row} is not a fixed point"
+    w = _moved(th, (Word(2, row) for row in g.entries))
+    if w is not None:
+        return False, f"generator row {w.symbols} is not a fixed point"
     return True, "dim 4, row space matches generator, all 4 rows fixed"
 
 
@@ -127,58 +129,16 @@ def _check_code_parameters(code: LinearCode,
     return False, f"{label}, expected {want}"
 
 
-def _rows(p: int, words: list[Word]) -> tuple[bytes, ...]:
-    """The words over GF(p) packed: row j holds symbol j of every word, one
-    byte each.  Past p = 256 they do not fit in bytes, and there are none."""
-    return tuple(map(bytes, zip(*(w.symbols for w in words)))) if p <= 256 else ()
-
-
-def _codewords(code: LinearCode) -> tuple[list[Word], tuple[bytes, ...]]:
-    """The code's listing and its packed rows."""
-    words = enumerate_codewords(code)
-    return words, _rows(code.modulus, words)
-
-
-def _lanes(rows: tuple[bytes, ...]) -> list[int]:
-    """Each packed row as one int, word b in bits 8b..8b+7."""
-    return [int.from_bytes(row, "little") for row in rows]
-
-
-def _reduced(p: int, sums, size: int) -> bytes:
-    """Packed sums of `size` one-byte lanes, joined and reduced mod p."""
-    return b"".join([s.to_bytes(size, "little") for s in sums]).translate(_residue_table(p))
-
-
-def _packed_product(m: MatrixOverGfp, p: int, rows: tuple[bytes, ...]) -> bytes | None:
-    """mat_vec(m, w) of every word w over GF(p) packed in rows, its rows
-    joined, or None where one-byte lanes cannot hold the product."""
-    if m.modulus != p or m.cols != len(rows) or _lane_bytes(m.cols, p) != 1:
-        return None
-    xs = _lanes(rows)
-    sums = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
-    return _reduced(p, sums, len(rows[0]))
-
-
-def _packed_addition_only(p: int, rows: tuple[bytes, ...]) -> bytes | None:
-    """apply_addition_only(w) of every word w over GF(p) packed in rows, its
-    rows joined, or None unless the words are ternary of length 12."""
-    if p != 3 or len(rows) != 12:
-        return None
-    size = len(rows[0])
-    return _reduced(3, _signed_sums(_lanes(rows), size), size)
-
-
 def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
-                       golay_listing) -> tuple[bool, str]:
-    total = 0
-    for m, listing in ((th, lambda: _codewords(hamming_code())), (tg, golay_listing)):
-        words, rows = listing()
-        if _packed_product(m, words[0].modulus, rows) != b"".join(rows):
-            w = next((w for w in words if mat_vec(m, w) != w), None)
-            if w is not None:
-                return False, f"codeword {format_word(w)} is not fixed"
-        total += len(words)
-    return True, f"all {total} codewords are fixed points"
+                       golay: LinearCode) -> tuple[bool, str]:
+    hamming = hamming_code()
+    for m, code in ((th, hamming), (tg, golay)):
+        # m fixes the code exactly when it fixes each generator row; the
+        # listing only names the first codeword it moves
+        if _moved(m, (Word(code.modulus, row) for row in code.generator.entries)) is not None:
+            w = _moved(m, enumerate_codewords(code))
+            return False, f"codeword {format_word(w)} is not fixed"
+    return True, f"all {hamming.size + golay.size} codewords are fixed points"
 
 
 def _random_rows() -> tuple[bytes, ...]:
@@ -206,16 +166,26 @@ def _random_rows() -> tuple[bytes, ...]:
     return tuple(stream[j:need:12] for j in range(12))
 
 
-def _check_addition_only(tg: MatrixOverGfp, golay_listing) -> tuple[bool, str]:
-    words, rows = golay_listing()
+def _rows(words) -> tuple[bytes, ...]:
+    """The words packed: row j holds symbol j of every word, one byte each."""
+    return tuple(map(bytes, zip(*(w.symbols for w in words))))
+
+
+def _packed(m: MatrixOverGfp, rows: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """apply_addition_only(w) and mat_vec(m, w) of every ternary 12-symbol
+    word w packed in rows, each as its rows joined; m is over GF(3) with 12
+    columns, so a lane sum of the product is at most 12 * 2**2 = 48."""
+    size, xs = len(rows[0]), [int.from_bytes(row, "little") for row in rows]
+    product = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
+    return tuple(b"".join([s.to_bytes(size, "little") for s in sums]).translate(_residue_table(3))
+                 for sums in (_signed_sums(xs, size), product))
+
+
+def _check_addition_only(tg: MatrixOverGfp, golay: LinearCode) -> tuple[bool, str]:
     randoms = _random_rows()
-    packed = ((_packed_addition_only(p, r), _packed_product(tg, p, r))
-              for p, r in ((words[0].modulus, rows), (3, randoms)))
-    walked = ()
-    if not all(a is not None and a == b for a, b in packed):
-        # codewords first: over a field other than GF(3) they raise as
-        # apply_addition_only would on the first of them
-        walked = chain(words, (Word(3, v) for v in zip(*randoms)))
+    rows = tuple(map(bytes.__add__, _rows(enumerate_codewords(golay)), randoms))
+    agree = tg.modulus == 3 and tg.cols == 12 and eq(*_packed(tg, rows))
+    walked = () if agree else (Word(3, v) for v in zip(*rows))  # codewords first
     # the packed rows never reach apply_addition_only's column table; the
     # words v * e_j read each of its nonzero entries once, on the offset lanes
     units = (Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2))
@@ -223,7 +193,7 @@ def _check_addition_only(tg: MatrixOverGfp, golay_listing) -> tuple[bool, str]:
               if apply_addition_only(w) != mat_vec(tg, w)), None)
     if w is not None:
         return False, f"paths disagree on {format_word(w)}"
-    return True, f"paths agree on {len(words)} codewords + {len(randoms[0])} random words"
+    return True, f"paths agree on {golay.size} codewords + {len(randoms[0])} random words"
 
 
 def _check_flower_features() -> tuple[bool, str]:
@@ -268,9 +238,9 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
     """
     th = hamming_matrix if hamming_matrix is not None else hamming_ntt_matrix()
     tg = golay_matrix if golay_matrix is not None else golay_ntt_matrix()
-    # The isomorphism and addition-only checks share one listing of the
-    # built-in golay code, built on first use.
-    golay_listing = cache(lambda: _codewords(builtin_code("golay")))
+    # One fixed-space code per matrix value: with the built-in tg, the
+    # parameter, isomorphism and addition-only checks share one golay code.
+    fixed_code = cache(code_from_fixed_space)
     checks = [
         ("hamming-matrix-checksum",
          lambda: _check_checksum(th, HAMMING_MATRIX_SHA256)),
@@ -289,11 +259,11 @@ def run_checks(hamming_matrix: MatrixOverGfp | None = None,
         ("hamming-code-parameters",
          lambda: _check_code_parameters(hamming_code(), (7, 4, 3))),
         ("golay-code-parameters",
-         lambda: _check_code_parameters(code_from_fixed_space(tg), (12, 6, 6))),
+         lambda: _check_code_parameters(fixed_code(tg), (12, 6, 6))),
         ("transform-code-isomorphism",
-         lambda: _check_isomorphism(th, tg, golay_listing)),
+         lambda: _check_isomorphism(th, tg, fixed_code(golay_ntt_matrix()))),
         ("golay-addition-only",
-         lambda: _check_addition_only(tg, golay_listing)),
+         lambda: _check_addition_only(tg, fixed_code(golay_ntt_matrix()))),
         ("flower-features", _check_flower_features),
         ("render-determinism", _check_render_determinism),
     ]

@@ -2,8 +2,9 @@
 
 They read the independent transcription in reference_constants and share no
 code with src/, except reference_panel, which puts together cells that
-to_svg draws one by one, and reference_to_svg and reference_to_tikz, which
-set up render's uncached walk on every call and so share its format tables.
+to_svg draws one by one, reference_to_svg and reference_to_tikz, which
+set up render's uncached walk on every call and so share its format tables,
+and reference_isomorphism, which walks codebook listings through mat_vec.
 """
 
 import math
@@ -11,9 +12,11 @@ import random
 from functools import partial
 from itertools import compress, islice
 
+from fieldflower.codes import builtin_code, enumerate_codewords, hamming_code
 from fieldflower.flowergeom import FlowerShape, _petals_and_thorns, _placement, \
     _shade_parities, features
 from fieldflower.gfield import Word, format_word
+from fieldflower.modlinalg import mat_vec
 from fieldflower.render import _SVG, _TIKZ, RenderSpec, _arrow_geometry, _fmt, \
     _require_drawable, _svg_document, to_svg
 from reference_constants import GOLAY_SIGNED_ROWS
@@ -40,6 +43,20 @@ def reference_mat_vec(m, x: Word) -> Word:
     return Word(p, tuple(
         sum(e * v for e, v in zip(row, x.symbols)) % p for row in m.entries
     ))
+
+
+def reference_isomorphism(th, tg, golay=None) -> tuple[bool, str]:
+    """verify's transform-code-isomorphism verdict by walking every codeword:
+    the Hamming listing under th, then the golay listing (the built-in golay
+    code unless another is given) under tg, naming the first codeword moved."""
+    total = 0
+    for m, code in ((th, hamming_code()), (tg, golay or builtin_code("golay"))):
+        words = enumerate_codewords(code)
+        for w in words:
+            if mat_vec(m, w) != w:
+                return False, f"codeword {format_word(w)} is not fixed"
+        total += len(words)
+    return True, f"all {total} codewords are fixed points"
 
 
 def _rank(p: int, rows) -> int:

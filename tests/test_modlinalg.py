@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldflower import modlinalg, verify
+from fieldflower.codes import LinearCode, builtin_code, enumerate_codewords
 from fieldflower.gfield import Word, format_word
 from fieldflower.modlinalg import (
     MatrixOverGfp,
@@ -24,7 +25,7 @@ from fieldflower.modlinalg import (
 )
 from fieldflower.ntt import hamming_ntt_matrix
 from reference_constants import HAMMING_GENERATOR_ROWS, HAMMING_ROWS
-from reference_paths import reference_mat_vec
+from reference_paths import reference_isomorphism, reference_mat_vec
 from test_gfield import ROUND_TRIP_PRIMES
 
 
@@ -153,25 +154,20 @@ def test_shape_and_modulus_mismatches_rejected():
 
 
 def batch_product(m, words):
-    """verify's packed product of the words, one image per word, or None
-    where it declines."""
-    p = words[0].modulus
-    out = verify._packed_product(m, p, verify._rows(p, words))
-    if out is None:
-        return None
+    """verify's packed product of the ternary 12-symbol words, one image per
+    word."""
+    out = verify._packed(m, verify._rows(words))[1]
     size = len(words)
     assert len(out) == m.rows * size
-    return [Word(m.modulus, v)
-            for v in zip(*(out[i:i + size] for i in range(0, len(out), size)))]
+    return [Word(3, v) for v in zip(*(out[i:i + size] for i in range(0, len(out), size)))]
 
 
-def isomorphism_walk(monkeypatch, m, words):
-    """verify's isomorphism check of m on the words (after the Hamming code,
-    which it decides packed), and the products it took word by word."""
+def isomorphism_walk(monkeypatch, m, code):
+    """verify's isomorphism check of m on the code (after the Hamming code,
+    which the built-in matrix fixes), and the products it took word by word."""
     calls = []
     monkeypatch.setattr(verify, "mat_vec", lambda *a: calls.append(a) or mat_vec(*a))
-    rows = verify._rows(words[0].modulus, words)
-    return verify._check_isomorphism(hamming_ntt_matrix(), m, lambda: (words, rows)), calls
+    return verify._check_isomorphism(hamming_ntt_matrix(), m, code), calls
 
 
 def lane_stress(rng, p, rows, n, count):
@@ -187,28 +183,59 @@ def lane_stress(rng, p, rows, n, count):
     return m, words
 
 
-# (p, n, packed): n*(p-1)**2 is 255 at (2, 255), the widest exact lane sum,
-# and 256 at (2, 256), (3, 64), (5, 16) and (17, 1); past p = 256 the words
-# do not fit in bytes.
-@pytest.mark.parametrize("p,n,packed", [
+def fixing(p, v, u):
+    """I + u v^T: it fixes every word orthogonal to v and moves the others."""
+    return MatrixOverGfp(p, tuple(
+        tuple((int(i == j) + a * b) % p for j, b in enumerate(v.symbols))
+        for i, a in enumerate(u.symbols)))
+
+
+# (p, n, fits): fits says whether one byte holds a lane sum of n products of
+# residues mod p, n*(p-1)**2 <= 255, as at (2, 255), (3, 63) and (5, 15); the
+# sum is 256 at (2, 256), (3, 64), (5, 16) and (17, 1), and past p = 256 no
+# symbol fits a byte.  verify packs one product, for 12 columns over GF(3),
+# where it is at most 48.  At every (p, n) the isomorphism check multiplies
+# generator rows and walks a listing only to name its first moved codeword.
+@pytest.mark.parametrize("p,n,fits", [
     (2, 7, True), (3, 12, True), (3, 63, True), (5, 15, True),
     (2, 255, True), (2, 256, False), (3, 64, False), (5, 16, False),
     (17, 1, False), (7, 12, False), (257, 3, False),
 ])
-def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, packed):
+def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, fits):
+    assert fits == (n * (p - 1) ** 2 <= 255 and p <= 256)
     rng = random.Random(p * 1000 + n)
-    m, words = lane_stress(rng, p, 6, n, 40)
-    expected = [reference_mat_vec(m, w) for w in words]
-    if packed:
-        assert batch_product(m, words) == expected
-        return
-    # past the lane bound the packed product declines, and the check walks
-    # the words one by one up to the first that is not fixed
-    assert batch_product(m, words) is None
-    first = next(i for i, (w, y) in enumerate(zip(words, expected)) if y != w)
-    result, calls = isomorphism_walk(monkeypatch, m, words)
-    assert result == (False, f"codeword {format_word(words[first])} is not fixed")
-    assert calls == [(m, w) for w in words[:first + 1]]
+    m, words = lane_stress(rng, p, n, n, 40)
+    if (p, n) == (3, 12):
+        assert batch_product(m, words) == [reference_mat_vec(m, w) for w in words]
+    # a code of k random rows, and matrices that fix all of it (I, and
+    # I + e_0 v^T with v orthogonal to every row), fix its last row and move
+    # its first, which the listing reaches after the multiples of the last,
+    # or are m
+    k = 1 if n == 1 or p > 17 else 2
+    code = LinearCode(matrix_from_words(words[2:2 + k]))
+    g = code.generator
+    unit = Word(p, (1,) + (0,) * (n - 1))
+    fixes_code = null_space(g)
+    fixes_last = [v for v in null_space(MatrixOverGfp(p, g.entries[-1:]))
+                  if mat_vec(g, v).symbols[0]]
+    cases = [identity(n, p), m] + [fixing(p, v, unit) for v in fixes_code[:1] + fixes_last[:1]]
+    listing = enumerate_codewords(code)
+    rows = [Word(p, row) for row in g.entries]
+    for t in cases:
+        expected = reference_isomorphism(hamming_ntt_matrix(), t, code)
+        result, calls = isomorphism_walk(monkeypatch, t, code)
+        assert result == expected
+        # the 4 Hamming rows, then code rows up to the first moved, then the
+        # listing up to its first moved word
+        moved = [w for w in rows if mat_vec(t, w) != w]
+        taken = rows[:rows.index(moved[0]) + 1] if moved else rows
+        if moved:
+            first = next(i for i, w in enumerate(listing) if mat_vec(t, w) != w)
+            taken += listing[:first + 1]
+            assert result == (False, f"codeword {format_word(listing[first])} is not fixed")
+        else:
+            assert result == (True, f"all {16 + p ** k} codewords are fixed points")
+        assert [w for _, w in calls[4:]] == taken
 
 
 # (p, n, lane bytes): n*(p-1)**2 is 255 at (2, 255), (3, 63) is 252, (5, 15)
@@ -289,14 +316,20 @@ def test_batch_product_over_batch_sizes(size):
 
 
 def test_batch_product_rejects_what_mat_vec_rejects(monkeypatch):
-    m = MatrixOverGfp(2, ((1, 0),))
-    for x in (Word(2, (1, 0, 1)), Word(3, (1, 0))):
-        assert batch_product(m, [x]) is None
-        with pytest.raises(ValueError) as check_error:
-            isomorphism_walk(monkeypatch, m, [x])
+    # verify packs a product only for a matrix over GF(3) with 12 columns;
+    # handed another, the golay checks take none and raise mat_vec's error
+    golay, packed, real = builtin_code("golay"), [], verify._packed
+    monkeypatch.setattr(verify, "_packed", lambda *a: packed.append(a) or real(*a))
+    zero = Word(3, (0,) * 12)
+    for m in (identity(12, 2), identity(11, 3), MatrixOverGfp(3, ((1, 0),))):
         with pytest.raises(ValueError) as word_error:
-            mat_vec(m, x)
-        assert str(check_error.value) == str(word_error.value)
+            mat_vec(m, zero)
+        for check in (lambda: verify._check_isomorphism(hamming_ntt_matrix(), m, golay),
+                      lambda: verify._check_addition_only(m, golay)):
+            with pytest.raises(ValueError) as check_error:
+                check()
+            assert str(check_error.value) == str(word_error.value)
+    assert packed == []
 
 
 def test_same_row_space_invariant_under_row_operations():

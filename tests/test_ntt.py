@@ -116,7 +116,7 @@ def test_transform_linearity_on_random_tuples(transform, seed, count):
 
 def batched_addition_only(words):
     """verify's packed addition-only images of the words, one per word."""
-    out = verify._packed_addition_only(3, verify._rows(3, words))
+    out = verify._packed(GOLAY.matrix, verify._rows(words))[0]
     size = len(words)
     assert len(out) == 12 * size
     return [Word(3, v) for v in zip(*(out[i:i + size] for i in range(0, len(out), size)))]
@@ -219,13 +219,8 @@ def test_addition_only_rejects_wrong_shape():
         apply_addition_only(Word(3, (0, 1, 2)))
     with pytest.raises(ValueError):
         apply_addition_only(Word(2, (0,) * 12))
-    for p, n in ((3, 3), (2, 12), (3, 13)):
-        words = [Word(p, (0,) * n)] * 2
-        rows = verify._rows(p, words)
-        assert verify._packed_addition_only(p, rows) is None
-        # the check walks the words, and apply_addition_only refuses the first
-        with pytest.raises(ValueError, match="ternary word of length 12"):
-            verify._check_addition_only(GOLAY.matrix, lambda: (words, rows))
+    with pytest.raises(ValueError, match="ternary word of length 12"):
+        apply_addition_only(Word(3, (0,) * 13))
 
 
 def test_fixed_space_hamming():

@@ -7,13 +7,14 @@ from itertools import chain
 import pytest
 
 from fieldflower import ntt, verify
+from fieldflower.codes import code_from_fixed_space, hamming_generator
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.render import RenderSpec, _drawer, to_svg
 from fieldflower.verify import _random_rows, format_report, run_checks
-from reference_paths import reference_random_words
+from reference_paths import reference_isomorphism, reference_random_words
 
 EXPECTED_CHECKS = [
     "hamming-matrix-checksum",
@@ -106,10 +107,10 @@ def _flipped(m, i, j):
 
 HAMMING_ROWS = hamming_ntt_matrix().entries
 
-# The detail strings of the two checks that walk every codeword, under
-# injected matrices, as the per-word implementation reported them: which
-# word is reported first, and which error a mismatched field or shape gives.
-# A non-square Hamming matrix maps 0000000 to a word of another length.
+# The detail strings of the isomorphism and addition-only checks under
+# injected matrices, as a walk of every codeword reports them: which word is
+# reported first, and which error a mismatched field or shape gives.  A
+# non-square Hamming matrix maps 0000000 to a word of another length.
 INJECTED_DETAILS = {
     "corrupted-golay": (
         {"golay_matrix": _flipped(golay_ntt_matrix(), 0, 0)},
@@ -160,6 +161,32 @@ def test_injected_matrix_details(case):
     by_name = {r.name: (r.passed, r.detail) for r in run_checks(**kwargs)}
     assert by_name["transform-code-isomorphism"] == isomorphism
     assert by_name["golay-addition-only"] == addition_only
+
+
+def _outcome(check, *args):
+    """A check's (passed, detail), or the error it raises, as run_checks
+    reports it."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return False, f"raised ValueError: {exc}"
+
+
+def test_isomorphism_on_generator_rows_matches_the_listing_walk():
+    # deciding on generator rows gives the verdict and detail of a walk of
+    # every codeword: on each single-entry flip of the two matrices (49 over
+    # GF(2), 2 * 144 over GF(3)) and on every injected matrix
+    th, tg = hamming_ntt_matrix(), golay_ntt_matrix()
+    pairs = [(_flipped(th, i, j), tg) for i in range(7) for j in range(7)]
+    pairs += [(th, _flipped(_flipped(tg, i, j), i, j) if twice else _flipped(tg, i, j))
+              for i in range(12) for j in range(12) for twice in (False, True)]
+    assert len(pairs) == 337
+    for kwargs, _, _ in INJECTED_DETAILS.values():
+        pairs.append((kwargs.get("hamming_matrix", th), kwargs.get("golay_matrix", tg)))
+    golay = code_from_fixed_space(tg)
+    for pair in pairs:
+        assert _outcome(verify._check_isomorphism, *pair, golay) == \
+            _outcome(reference_isomorphism, *pair)
 
 
 def test_random_words_are_the_seeded_draw():
@@ -236,31 +263,38 @@ def test_golay_matrix_over_gf7(monkeypatch):
                         lambda *a: calls.append(a) or mat_vec(*a))
     results = run_checks(golay_matrix=GF7_MATRIX)
     assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
-    # the isomorphism and addition-only checks each take the first golay
-    # codeword, zero, word by word, and it raises; the 16 Hamming codewords
-    # stay packed
-    zero = Word(3, (0,) * 12)
-    assert [w for _, w in calls if w == zero] == [zero, zero]
-    # the pair, invariant and eigenspace checks take 2 + 1 + 1 + 1 + 4 more
-    assert len(calls) == 2 + 9
+    # the pair, invariant and eigenspace checks take 2 + 1 + 1 + 1 + 4
+    # products; the isomorphism check the 4 Hamming generator rows, then the
+    # first golay generator row, which raises; the addition-only check takes
+    # no packed product over GF(7) and walks from the first golay codeword,
+    # zero, which raises too
+    golay = code_from_fixed_space(golay_ntt_matrix()).generator
+    hamming_rows = [Word(2, row) for row in hamming_generator().entries]
+    assert [w for _, w in calls[9:]] == \
+        hamming_rows + [Word(3, golay.entries[0]), Word(3, (0,) * 12)]
 
 
 def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
-    # golay-code-parameters builds tg's fixed-space code; transform-code-
-    # isomorphism and golay-addition-only share one listing of the built-in
-    # golay code
+    # one fixed-space code per matrix value: with the built-in tg, golay-
+    # code-parameters, transform-code-isomorphism and golay-addition-only
+    # share one golay code, and only golay-addition-only lists it; the
+    # Hamming code is decided on its generator rows and never listed
     calls = []
-    for name in ("code_from_fixed_space", "builtin_code", "enumerate_codewords"):
+    for name in ("code_from_fixed_space", "enumerate_codewords"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
                             lambda *a, real=real, name=name: calls.append((name,) + a) or real(*a))
     assert [(r.passed, r.detail) for r in run_checks()] == \
         [(r.passed, r.detail) for r in fresh_results]
-    assert [c[0] for c in calls if c[0] != "enumerate_codewords"] == \
-        ["code_from_fixed_space", "builtin_code"]
-    assert ("builtin_code", "golay") in calls
-    # one listing of the Hamming code and one of the golay code
-    assert sum(1 for c in calls if c[0] == "enumerate_codewords") == 2
+    golay = code_from_fixed_space(golay_ntt_matrix())
+    assert calls == [("code_from_fixed_space", golay_ntt_matrix()),
+                     ("enumerate_codewords", golay)]
+    # an injected tg builds its own code beside the built-in one
+    calls.clear()
+    tg = _flipped(golay_ntt_matrix(), 0, 0)
+    run_checks(golay_matrix=tg)
+    assert [c for c in calls if c[0] == "code_from_fixed_space"] == \
+        [("code_from_fixed_space", tg), ("code_from_fixed_space", golay_ntt_matrix())]
 
 
 def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
