@@ -102,11 +102,15 @@ def _same_field(a, b) -> None:
 class FieldElement:
     """A residue in GF(p), with 0 <= value < modulus."""
 
+    __slots__ = ("value", "modulus")  # as Word's, which says why
     value: int
     modulus: int
 
     def __post_init__(self) -> None:
         _residues(self.modulus, (self.value,))
+
+    def __reduce__(self):
+        return FieldElement, (self.value, self.modulus)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         _same_field(self, other)
@@ -135,10 +139,15 @@ class FieldElement:
         return f"FieldElement({self.value} mod {self.modulus})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Word:
     """An immutable length-N sequence of residues over GF(p)."""
 
+    # Slots named here rather than by slots=True, whose rebuilt class makes
+    # CPython 3.11's frozen __setattr__ raise TypeError on a new attribute.
+    # A pickle rebuilds the Word through its constructor, since setting a
+    # frozen slot raises.
+    __slots__ = ("modulus", "symbols")
     modulus: int
     symbols: tuple[int, ...]
 
@@ -146,6 +155,9 @@ class Word:
         object.__setattr__(self, "symbols", _residues(self.modulus, self.symbols))
         if len(self.symbols) == 0:
             raise ValueError("a word must have at least one symbol")
+
+    def __reduce__(self):
+        return Word, (self.modulus, self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -11,31 +11,25 @@ purpose, and the two are required to agree everywhere.
 matrix's packed columns.  Both built-in transforms fit its one-byte lanes,
 so each image is reduced by one `bytes.translate`.
 
-The signed matrix `_GOLAY_SIGNED_ROWS` is kept once and packed in two
-forms, both evaluated by additions and subtractions only.  In both, a
-one-byte lane holds one output symbol plus the offset `_OFFSET`.  The offset
+The signed matrix `_GOLAY_SIGNED_ROWS` is packed once, by columns, and
+evaluated by additions only.  `_COLUMNS[j][v]` is v times signed column j,
+one byte lane per output row (row 0 in the top lane), formed as c_j + c_j
+for v = 2.  `apply_addition_only` sums the entry of each symbol onto
+`_OFFSET_LANES`, which holds the offset `_OFFSET` in every lane.  The offset
 is a multiple of 3, so it leaves every residue alone, and at least 2 * (the
 most -1 entries in a row), so no lane ends below 0; a lane ends at most
-_OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255, so none carries
-into the next, and one `bytes.translate` reduces every lane mod 3.
-
-- Rows, for batches: `_signed_sums` adds, per output row, the packed inputs
-  under its +1 entries and subtracts those under its -1 entries.  `verify`
-  packs one lane per word.
-- Columns, for one word: `_COLUMNS[j][v]` is v times signed column j, one
-  lane per output row (row 0 in the top lane), formed as c_j + c_j for
-  v = 2.  `apply_addition_only` sums the entry of each symbol onto
-  `_OFFSET_LANES`.  A partial sum may have negative lanes, which borrow from
-  the lane above, but the whole sum is sum_i (_OFFSET + s_i) * 256**(11 - i),
-  with s_i the signed sum of row i and every _OFFSET + s_i in 0..22; so its
-  12 big-endian bytes are exactly those lanes.
+_OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255.  A partial sum
+may have negative lanes, which borrow from the lane above, but the whole sum
+is sum_i (_OFFSET + s_i) * 256**(11 - i), with s_i the signed sum of row i
+and every _OFFSET + s_i in 0..22; so its 12 big-endian bytes are exactly
+those lanes, and one `bytes.translate` reduces every lane mod 3.  `verify`
+puts the same offset on the lane sums of its packed batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .gfield import FieldElement, Word, _reduced_word
 from .modlinalg import MatrixOverGfp, _residue_table, mat_vec, null_space
@@ -68,15 +62,6 @@ _GOLAY_SIGNED_ROWS = (
     (1, -1, -1, 0, -1, 0, 0, 1, 1, 0, 0, 1),
 )
 
-
-# Per row of the signed form: a getter for the symbols under its +1 entries
-# and one for those under its -1 entries.  Every row has at least two of
-# each, so each getter returns a tuple.
-_SIGNED_GETTERS = tuple(
-    (itemgetter(*(j for j, e in enumerate(row) if e == 1)),
-     itemgetter(*(j for j, e in enumerate(row) if e == -1)))
-    for row in _GOLAY_SIGNED_ROWS
-)
 
 # The least multiple of 3 that is at least 2 * (the most -1 entries in a row).
 _OFFSET = 3 * -(-2 * max(row.count(-1) for row in _GOLAY_SIGNED_ROWS) // 3)
@@ -135,20 +120,6 @@ def apply(transform: Transform | MatrixOverGfp, x: Word) -> Word:
     return mat_vec(_matrix_of(transform), x)
 
 
-def _signed_sums(xs: Sequence[int], lanes: int) -> Iterator[int]:
-    """The 12-point transform by additions and subtractions only, in rows:
-    xs[j] packs symbol j of `lanes` words, one byte lane each, and output
-    row i, plus _OFFSET in every lane, packs symbol i of every image before
-    its reduction mod 3."""
-    offset = int.from_bytes(bytes([_OFFSET]) * lanes, "little")
-    return (sum(plus(xs)) - sum(minus(xs)) + offset for plus, minus in _SIGNED_GETTERS)
-
-
-def _require_golay_shape(x: Word) -> None:
-    if x.modulus != 3 or len(x) != 12:
-        raise ValueError("expected a ternary word of length 12")
-
-
 def apply_addition_only(x: Word) -> Word:
     """Evaluate the 12-point ternary transform without any multiplication.
 
@@ -157,7 +128,8 @@ def apply_addition_only(x: Word) -> Word:
     column from `_COLUMNS`; their sum, on the offset lanes, holds all 12
     accumulations, reduced mod 3 at the end by one translate.
     """
-    _require_golay_shape(x)
+    if x.modulus != 3 or len(x) != 12:
+        raise ValueError("expected a ternary word of length 12")
     sums = sum(map(tuple.__getitem__, _COLUMNS, x.symbols), _OFFSET_LANES)
     return _reduced_word(3, tuple(sums.to_bytes(12, "big").translate(_residue_table(3))))
 

@@ -18,8 +18,10 @@ packs the 729 golay codewords, then 10,000 seeded random words drawn
 straight into packed rows: row j holds symbol j of every word, one byte per
 word, and read as one int it is a lane vector, word b in bits 8b..8b+7.
 Output row i of the product is one lane sum, sum_j M[i][j] * X_j, at most
-12 * 2**2 = 48, and the addition-only path is `ntt._signed_sums` on the same
-ints; both are reduced mod 3 by one `bytes.translate`.  The product is
+12 * 2**2 = 48.  The addition-only row i adds the same ints under the +1
+entries of signed row i, subtracts those under its -1 entries and puts
+`ntt._OFFSET` on every lane, which keeps each lane in 0..22; both are
+reduced mod 3 by one `bytes.translate`.  The product is
 packed only for a matrix over GF(3) with 12 columns.  Unless the packed
 images agree, the words go in order through `apply_addition_only` and
 `mat_vec`, which name the first that fails or raise their error.
@@ -49,8 +51,8 @@ from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
 from .modlinalg import MatrixOverGfp, _residue_table, format_matrix, mat_vec, \
     matrix_from_words, same_row_space
-from .ntt import _signed_sums, apply_addition_only, fixed_space, golay_ntt_matrix, \
-    hamming_ntt_matrix
+from .ntt import _OFFSET, apply_addition_only, fixed_space, golay_ntt_matrix, \
+    golay_ntt_signed_rows, hamming_ntt_matrix
 from .render import RenderSpec, _drawer, _flower_svg, panel, to_svg
 
 HAMMING_MATRIX_SHA256 = \
@@ -174,11 +176,15 @@ def _rows(words) -> tuple[bytes, ...]:
 def _packed(m: MatrixOverGfp, rows: tuple[bytes, ...]) -> tuple[bytes, ...]:
     """apply_addition_only(w) and mat_vec(m, w) of every ternary 12-symbol
     word w packed in rows, each as its rows joined; m is over GF(3) with 12
-    columns, so a lane sum of the product is at most 12 * 2**2 = 48."""
+    columns, so a lane sum of the product is at most 12 * 2**2 = 48.  The
+    first sums the signed rows by additions and subtractions only."""
     size, xs = len(rows[0]), [int.from_bytes(row, "little") for row in rows]
+    offset = int.from_bytes(bytes([_OFFSET]) * size, "little")
+    signed = (sum(v if e == 1 else -v for e, v in zip(row, xs) if e) + offset
+              for row in golay_ntt_signed_rows())
     product = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
     return tuple(b"".join([s.to_bytes(size, "little") for s in sums]).translate(_residue_table(3))
-                 for sums in (_signed_sums(xs, size), product))
+                 for sums in (signed, product))
 
 
 def _check_addition_only(tg: MatrixOverGfp, golay: LinearCode) -> tuple[bool, str]:

@@ -179,11 +179,26 @@ def test_word_is_slotted_and_frozen():
         w.symbols = (1, 1, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.modulus = 5
-    # No slot to take a new attribute.  CPython 3.11's frozen __setattr__
-    # raises TypeError here, from super() on the pre-slots class.
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         w.extra = 1
     assert w == Word(3, (0, 2, 1))
+    assert [f.name for f in dataclasses.fields(Word)] == ["modulus", "symbols"]
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_field_element_is_slotted_frozen_and_pickles(protocol):
+    a = FieldElement(4, 7)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.value = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.extra = 1
+    assert [f.name for f in dataclasses.fields(FieldElement)] == ["value", "modulus"]
+    for x in (a, FieldElement(0, 2), FieldElement(2**61 - 2, 2**61 - 1)):
+        back = pickle.loads(pickle.dumps(x, protocol=protocol))
+        assert type(back) is FieldElement
+        assert back == x and hash(back) == hash(x)
+        assert (back.value, back.modulus) == (x.value, x.modulus)
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))

@@ -7,7 +7,7 @@ from itertools import chain
 import pytest
 
 from fieldflower import ntt, verify
-from fieldflower.codes import code_from_fixed_space, hamming_generator
+from fieldflower.codes import code_from_fixed_space, enumerate_codewords, hamming_generator
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
@@ -87,6 +87,26 @@ def test_a_wrong_column_table_entry_trips_the_addition_only_check(monkeypatch):
     by_name = {r.name: (r.passed, r.detail) for r in run_checks()}
     assert by_name["golay-addition-only"] == (False, "paths disagree on 000002000000")
     assert by_name["transform-code-isomorphism"][0]
+
+
+def test_a_wrong_signed_row_entry_only_sends_the_batch_word_by_word(monkeypatch):
+    # the packed images only decide: with one signed entry flipped they
+    # differ, so every word goes through apply_addition_only and mat_vec,
+    # which agree, and the check passes without naming a word
+    signed = [list(row) for row in ntt.golay_ntt_signed_rows()]
+    signed[0][1] = -signed[0][1]
+    monkeypatch.setattr(verify, "golay_ntt_signed_rows", lambda: tuple(map(tuple, signed)))
+    tg, golay = golay_ntt_matrix(), code_from_fixed_space(golay_ntt_matrix())
+    rows = tuple(map(bytes.__add__, verify._rows(enumerate_codewords(golay)), _random_rows()))
+    added, product = verify._packed(tg, rows)
+    assert added != product
+    seen = []
+    monkeypatch.setattr(verify, "apply_addition_only",
+                        lambda w: seen.append(w) or ntt.apply_addition_only(w))
+    assert verify._check_addition_only(tg, golay) == \
+        (True, "paths agree on 729 codewords + 10000 random words")
+    units = [Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2)]
+    assert seen == [Word(3, v) for v in zip(*rows)] + units
 
 
 def test_format_report_shape(fresh_results):
