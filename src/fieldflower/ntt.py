@@ -22,8 +22,7 @@ _OFFSET + 2 * (the most +1 entries in a row) = 22 <= 255.  A partial sum
 may have negative lanes, which borrow from the lane above, but the whole sum
 is sum_i (_OFFSET + s_i) * 256**(11 - i), with s_i the signed sum of row i
 and every _OFFSET + s_i in 0..22; so its 12 big-endian bytes are exactly
-those lanes, and one `bytes.translate` reduces every lane mod 3.  `verify`
-puts the same offset on the lane sums of its packed batch.
+those lanes, and one `bytes.translate` reduces every lane mod 3.
 """
 
 from __future__ import annotations

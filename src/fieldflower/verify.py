@@ -14,20 +14,17 @@ test: a matrix that moves one of their codewords fails the isomorphism check.
 A linear map fixes a code exactly when it fixes each generator row, so the
 isomorphism check multiplies the 4 + 6 rows and lists a code only to name,
 in listing order, the first codeword it moves.  The addition-only check
-packs the 729 golay codewords, then 10,000 seeded random words drawn
-straight into packed rows: row j holds symbol j of every word, one byte per
-word, and read as one int it is a lane vector, word b in bits 8b..8b+7.
-Output row i of the product is one lane sum, sum_j M[i][j] * X_j, at most
-12 * 2**2 = 48.  The addition-only row i adds the same ints under the +1
-entries of signed row i, subtracts those under its -1 entries and puts
-`ntt._OFFSET` on every lane, which keeps each lane in 0..22; both are
-reduced mod 3 by one `bytes.translate`.  The product is
-packed only for a matrix over GF(3) with 12 columns.  Unless the packed
-images agree, the words go in order through `apply_addition_only` and
-`mat_vec`, which name the first that fails or raise their error.
-`apply_addition_only` sums a table of the signed columns, a form the packed
-rows never read, so the check also runs it, against `mat_vec`, on the 24
-words v * e_j (v = 1, 2), one per table entry.
+compares `apply_addition_only` with `mat_vec(tg, .)` on the 729 golay
+codewords and then 10,000 seeded random words, one rng.randrange(3) per
+symbol.  Both maps are linear over GF(3) and those words span GF(3)^12, so
+the two agree on all of them exactly when tg is the signed matrix
+`golay_ntt_signed_rows()` reduced mod 3: the check compares the 144
+entries.  Only when they differ does it list the code and draw the words,
+and walk them in order through `apply_addition_only` and `mat_vec`, which
+name the first that fails or raise their error.  `apply_addition_only`
+sums a table of the signed columns, which the entry comparison never
+reads, so the check always runs it, against `mat_vec`, on the 24 words
+v * e_j (v = 1, 2), one per table entry.
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -43,15 +40,14 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from operator import eq
 
 from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
     hamming_code, hamming_generator, minimum_distance
 from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
-from .modlinalg import MatrixOverGfp, _residue_table, format_matrix, mat_vec, \
-    matrix_from_words, same_row_space
-from .ntt import _OFFSET, apply_addition_only, fixed_space, golay_ntt_matrix, \
+from .modlinalg import MatrixOverGfp, format_matrix, mat_vec, matrix_from_words, \
+    same_row_space
+from .ntt import apply_addition_only, fixed_space, golay_ntt_matrix, \
     golay_ntt_signed_rows, hamming_ntt_matrix
 from .render import RenderSpec, _drawer, _flower_svg, panel, to_svg
 
@@ -70,8 +66,7 @@ _GOLAY_PAIRS = (
 _GOLAY_INVARIANTS = ("100000011111", "010000101221", "001000110122")
 
 _RNG_SEED = 12345
-_TOP_TWO_BITS = bytes(b >> 6 for b in range(256))
-_DRAWN_AGAIN = bytes(range(0xC0, 0x100))  # the bytes whose top two bits are 3
+_RANDOM_WORDS = 10000
 
 
 @dataclass(frozen=True)
@@ -143,63 +138,28 @@ def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
     return True, f"all {hamming.size + golay.size} codewords are fixed points"
 
 
-def _random_rows() -> tuple[bytes, ...]:
-    """The 10,000 seeded ternary 12-symbol words the addition-only check
-    runs after the codewords, packed: row j holds symbol j of every word.
-
-    They are the draws of rng.randrange(3), which takes getrandbits(2) and
-    draws again on 3.  getrandbits(2) is the top two bits of one 32-bit
-    output, and getrandbits(32 * m) is m outputs, the first least
-    significant; so byte 3 of each little-endian 4-byte group, shifted
-    right by 6, is one draw, and a byte whose top two bits are 3 is drawn
-    again.  Consecutive calls continue one stream of outputs, so the draw
-    takes at most 4096 outputs (16 KB) a call: blocks that small stay below
-    the allocator's mmap threshold, and each call reuses freed memory
-    instead of mapping and zeroing fresh pages.
-    """
+def _random_words():
+    """The seeded ternary 12-symbol words the addition-only check walks
+    after the codewords, one rng.randrange(3) per symbol."""
     rng = random.Random(_RNG_SEED)
-    need, kept, parts = 12 * 10000, 0, []
-    while kept < need:
-        m = min(4096, need - kept)
-        draws = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        parts.append(draws.translate(_TOP_TWO_BITS, _DRAWN_AGAIN))
-        kept += len(parts[-1])
-    stream = b"".join(parts)
-    return tuple(stream[j:need:12] for j in range(12))
-
-
-def _rows(words) -> tuple[bytes, ...]:
-    """The words packed: row j holds symbol j of every word, one byte each."""
-    return tuple(map(bytes, zip(*(w.symbols for w in words))))
-
-
-def _packed(m: MatrixOverGfp, rows: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """apply_addition_only(w) and mat_vec(m, w) of every ternary 12-symbol
-    word w packed in rows, each as its rows joined; m is over GF(3) with 12
-    columns, so a lane sum of the product is at most 12 * 2**2 = 48.  The
-    first sums the signed rows by additions and subtractions only."""
-    size, xs = len(rows[0]), [int.from_bytes(row, "little") for row in rows]
-    offset = int.from_bytes(bytes([_OFFSET]) * size, "little")
-    signed = (sum(v if e == 1 else -v for e, v in zip(row, xs) if e) + offset
-              for row in golay_ntt_signed_rows())
-    product = (sum(e * v for e, v in zip(row, xs) if e) for row in m.entries)
-    return tuple(b"".join([s.to_bytes(size, "little") for s in sums]).translate(_residue_table(3))
-                 for sums in (signed, product))
+    for _ in range(_RANDOM_WORDS):
+        yield Word(3, tuple(rng.randrange(3) for _ in range(12)))
 
 
 def _check_addition_only(tg: MatrixOverGfp, golay: LinearCode) -> tuple[bool, str]:
-    randoms = _random_rows()
-    rows = tuple(map(bytes.__add__, _rows(enumerate_codewords(golay)), randoms))
-    agree = tg.modulus == 3 and tg.cols == 12 and eq(*_packed(tg, rows))
-    walked = () if agree else (Word(3, v) for v in zip(*rows))  # codewords first
-    # the packed rows never reach apply_addition_only's column table; the
-    # words v * e_j read each of its nonzero entries once, on the offset lanes
+    # both paths are linear and the walked words span GF(3)^12, so they agree
+    # on every walked word exactly when tg is the signed matrix mod 3
+    agree = tg.modulus == 3 and tg.entries == tuple(
+        tuple(e % 3 for e in row) for row in golay_ntt_signed_rows())
+    walked = () if agree else chain(enumerate_codewords(golay), _random_words())
+    # the entries never reach apply_addition_only's column table; the words
+    # v * e_j read each of its nonzero entries once
     units = (Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2))
     w = next((w for w in chain(walked, units)
               if apply_addition_only(w) != mat_vec(tg, w)), None)
     if w is not None:
         return False, f"paths disagree on {format_word(w)}"
-    return True, f"paths agree on {golay.size} codewords + {len(randoms[0])} random words"
+    return True, f"paths agree on {golay.size} codewords + {_RANDOM_WORDS} random words"
 
 
 def _check_flower_features() -> tuple[bool, str]:

@@ -4,12 +4,14 @@ They read the independent transcription in reference_constants and share no
 code with src/, except reference_panel, which puts together cells that
 to_svg draws one by one, reference_to_svg and reference_to_tikz, which
 set up render's uncached walk on every call and so share its format tables,
-and reference_isomorphism, which walks codebook listings through mat_vec.
+reference_isomorphism, which walks codebook listings through mat_vec, and
+reference_addition_only_check, which walks words through apply_addition_only
+and mat_vec.
 """
 
 import math
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import compress, islice
 
 from fieldflower.codes import builtin_code, enumerate_codewords, hamming_code
@@ -17,6 +19,7 @@ from fieldflower.flowergeom import FlowerShape, _petals_and_thorns, _placement, 
     _shade_parities, features
 from fieldflower.gfield import Word, format_word
 from fieldflower.modlinalg import mat_vec
+from fieldflower.ntt import apply_addition_only
 from fieldflower.render import _SVG, _TIKZ, RenderSpec, _arrow_geometry, _fmt, \
     _require_drawable, _svg_document, to_svg
 from reference_constants import GOLAY_SIGNED_ROWS
@@ -57,6 +60,31 @@ def reference_isomorphism(th, tg, golay=None) -> tuple[bool, str]:
                 return False, f"codeword {format_word(w)} is not fixed"
         total += len(words)
     return True, f"all {total} codewords are fixed points"
+
+
+@cache
+def _seeded_words() -> tuple[Word, ...]:
+    return tuple(Word(3, v) for v in reference_random_words())
+
+
+def reference_addition_only_check(tg, golay, signed_rows) -> tuple[bool, str]:
+    """verify's golay-addition-only verdict by evaluating every word: unless
+    tg is over GF(3) with 12 columns and the signed rows, summed symbol by
+    symbol, give reference_mat_vec(tg, w) on each golay codeword and seeded
+    word w, those words go in order through apply_addition_only and mat_vec;
+    then the 24 words v * e_j do, naming the first word the two map apart."""
+    words = enumerate_codewords(golay) + list(_seeded_words())
+
+    def signed(w):
+        return Word(3, tuple(sum(e * v for e, v in zip(row, w.symbols)) % 3
+                             for row in signed_rows))
+    agree = tg.modulus == 3 and tg.cols == 12 and all(
+        signed(w) == reference_mat_vec(tg, w) for w in words)
+    units = [Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2)]
+    for w in ([] if agree else words) + units:
+        if apply_addition_only(w) != mat_vec(tg, w):
+            return False, f"paths disagree on {format_word(w)}"
+    return True, f"paths agree on {golay.size} codewords + {len(_seeded_words())} random words"
 
 
 def _rank(p: int, rows) -> int:

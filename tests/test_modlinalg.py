@@ -153,15 +153,6 @@ def test_shape_and_modulus_mismatches_rejected():
         mat_vec(a, Word(2, (1, 0, 1)))
 
 
-def batch_product(m, words):
-    """verify's packed product of the ternary 12-symbol words, one image per
-    word."""
-    out = verify._packed(m, verify._rows(words))[1]
-    size = len(words)
-    assert len(out) == m.rows * size
-    return [Word(3, v) for v in zip(*(out[i:i + size] for i in range(0, len(out), size)))]
-
-
 def isomorphism_walk(monkeypatch, m, code):
     """verify's isomorphism check of m on the code (after the Hamming code,
     which the built-in matrix fixes), and the products it took word by word."""
@@ -193,8 +184,7 @@ def fixing(p, v, u):
 # (p, n, fits): fits says whether one byte holds a lane sum of n products of
 # residues mod p, n*(p-1)**2 <= 255, as at (2, 255), (3, 63) and (5, 15); the
 # sum is 256 at (2, 256), (3, 64), (5, 16) and (17, 1), and past p = 256 no
-# symbol fits a byte.  verify packs one product, for 12 columns over GF(3),
-# where it is at most 48.  At every (p, n) the isomorphism check multiplies
+# symbol fits a byte.  At every (p, n) the isomorphism check multiplies
 # generator rows and walks a listing only to name its first moved codeword.
 @pytest.mark.parametrize("p,n,fits", [
     (2, 7, True), (3, 12, True), (3, 63, True), (5, 15, True),
@@ -205,8 +195,6 @@ def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, fits):
     assert fits == (n * (p - 1) ** 2 <= 255 and p <= 256)
     rng = random.Random(p * 1000 + n)
     m, words = lane_stress(rng, p, n, n, 40)
-    if (p, n) == (3, 12):
-        assert batch_product(m, words) == [reference_mat_vec(m, w) for w in words]
     # a code of k random rows, and matrices that fix all of it (I, and
     # I + e_0 v^T with v orthogonal to every row), fix its last row and move
     # its first, which the listing reaches after the multiples of the last,
@@ -307,19 +295,10 @@ def test_packed_columns_do_not_leak():
         assert mat_vec(wide, y) == reference_mat_vec(wide, y)
 
 
-@pytest.mark.parametrize("size", [1, 2, 729, 10729])
-def test_batch_product_over_batch_sizes(size):
-    rng = random.Random(size)
-    m, words = lane_stress(rng, 3, 12, 12, max(size, 2))
-    words = words[:size]
-    assert batch_product(m, words) == [mat_vec(m, w) for w in words]
-
-
-def test_batch_product_rejects_what_mat_vec_rejects(monkeypatch):
-    # verify packs a product only for a matrix over GF(3) with 12 columns;
-    # handed another, the golay checks take none and raise mat_vec's error
-    golay, packed, real = builtin_code("golay"), [], verify._packed
-    monkeypatch.setattr(verify, "_packed", lambda *a: packed.append(a) or real(*a))
+def test_batch_product_rejects_what_mat_vec_rejects():
+    # handed a matrix that is not 12 x 12 over GF(3), the golay checks
+    # raise mat_vec's error
+    golay = builtin_code("golay")
     zero = Word(3, (0,) * 12)
     for m in (identity(12, 2), identity(11, 3), MatrixOverGfp(3, ((1, 0),))):
         with pytest.raises(ValueError) as word_error:
@@ -329,7 +308,6 @@ def test_batch_product_rejects_what_mat_vec_rejects(monkeypatch):
             with pytest.raises(ValueError) as check_error:
                 check()
             assert str(check_error.value) == str(word_error.value)
-    assert packed == []
 
 
 def test_same_row_space_invariant_under_row_operations():

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import deque
 from itertools import chain
 
 import pytest
@@ -13,8 +14,9 @@ from fieldflower.gfield import Word, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.render import RenderSpec, _drawer, to_svg
-from fieldflower.verify import _random_rows, format_report, run_checks
-from reference_paths import reference_isomorphism, reference_random_words
+from fieldflower.verify import _random_words, format_report, run_checks
+from reference_paths import _rank, reference_addition_only_check, reference_isomorphism, \
+    reference_random_words
 
 EXPECTED_CHECKS = [
     "hamming-matrix-checksum",
@@ -79,8 +81,8 @@ def test_corrupted_golay_matrix_trips_the_golay_checks():
 
 
 def test_a_wrong_column_table_entry_trips_the_addition_only_check(monkeypatch):
-    # the packed rows agree with the product on every word, and only the
-    # per-word column table is wrong: 2 * e_5 reads the bad entry
+    # the signed rows are the matrix mod 3, and only the per-word column
+    # table is wrong: 2 * e_5 reads the bad entry
     columns = list(ntt._COLUMNS)
     columns[5] = (0, columns[5][1], columns[5][1])
     monkeypatch.setattr(ntt, "_COLUMNS", tuple(columns))
@@ -90,23 +92,21 @@ def test_a_wrong_column_table_entry_trips_the_addition_only_check(monkeypatch):
 
 
 def test_a_wrong_signed_row_entry_only_sends_the_batch_word_by_word(monkeypatch):
-    # the packed images only decide: with one signed entry flipped they
-    # differ, so every word goes through apply_addition_only and mat_vec,
-    # which agree, and the check passes without naming a word
+    # the entries only decide: with one signed entry flipped they differ,
+    # so every word goes through apply_addition_only and mat_vec, which
+    # agree, and the check passes without naming a word
     signed = [list(row) for row in ntt.golay_ntt_signed_rows()]
     signed[0][1] = -signed[0][1]
     monkeypatch.setattr(verify, "golay_ntt_signed_rows", lambda: tuple(map(tuple, signed)))
     tg, golay = golay_ntt_matrix(), code_from_fixed_space(golay_ntt_matrix())
-    rows = tuple(map(bytes.__add__, verify._rows(enumerate_codewords(golay)), _random_rows()))
-    added, product = verify._packed(tg, rows)
-    assert added != product
     seen = []
     monkeypatch.setattr(verify, "apply_addition_only",
                         lambda w: seen.append(w) or ntt.apply_addition_only(w))
     assert verify._check_addition_only(tg, golay) == \
         (True, "paths agree on 729 codewords + 10000 random words")
     units = [Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2)]
-    assert seen == [Word(3, v) for v in zip(*rows)] + units
+    assert seen == enumerate_codewords(golay) + \
+        [Word(3, v) for v in reference_random_words()] + units
 
 
 def test_format_report_shape(fresh_results):
@@ -210,35 +210,33 @@ def test_isomorphism_on_generator_rows_matches_the_listing_walk():
 
 
 def test_random_words_are_the_seeded_draw():
-    rows = _random_rows()
-    assert len(rows) == 12
-    assert all(len(row) == 10000 for row in rows)
-    words = list(zip(*rows))
+    words = [w.symbols for w in _random_words()]
+    assert len(words) == 10000
+    assert all(len(w) == 12 for w in words)
     digest = hashlib.sha256(bytes(chain.from_iterable(words))).hexdigest()
     assert digest == \
         "ea27fbeeef6ce72996bada924ce25885c77f177c001d463d0f8f4f0bf5bece90"
 
 
 def test_random_rows_are_the_per_symbol_draw_packed():
-    assert _random_rows() == tuple(map(bytes, zip(*reference_random_words())))
+    assert [w.symbols for w in _random_words()] == reference_random_words()
 
 
 def test_random_rows_peak_stays_small():
-    # Drawn 16 KB at a time, the 120,000 draws never hold a block of all of
-    # them beside its bytes: about 480 KB each when drawn at once.
-    _random_rows()
+    # Drawn a word at a time, the 120,000 draws are never held at once.
+    deque(_random_words(), maxlen=0)
     tracemalloc.start()
     try:
-        _random_rows()
+        deque(_random_words(), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024
 
 
-# A 12x12 matrix over GF(7) fixing e_0 and e_1: n(p-1)**2 = 432 lies past the
-# 8-bit lane bound, so no packed product decides for it, and every product it
-# takes part in is computed word by word.
+# A 12x12 matrix over GF(7) fixing e_0 and e_1: it is not over GF(3), so no
+# entry comparison decides for it, and every product it takes part in is
+# computed word by word.
 GF7_MATRIX = MatrixOverGfp(7, (
     (1, 0, 3, 5, 0, 0, 6, 4, 0, 2, 4, 0),
     (0, 1, 0, 0, 3, 3, 0, 1, 0, 4, 3, 0),
@@ -285,30 +283,71 @@ def test_golay_matrix_over_gf7(monkeypatch):
     assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
     # the pair, invariant and eigenspace checks take 2 + 1 + 1 + 1 + 4
     # products; the isomorphism check the 4 Hamming generator rows, then the
-    # first golay generator row, which raises; the addition-only check takes
-    # no packed product over GF(7) and walks from the first golay codeword,
-    # zero, which raises too
+    # first golay generator row, which raises; the addition-only check
+    # compares no entries over GF(7) and walks from the first golay
+    # codeword, zero, which raises too
     golay = code_from_fixed_space(golay_ntt_matrix()).generator
     hamming_rows = [Word(2, row) for row in hamming_generator().entries]
     assert [w for _, w in calls[9:]] == \
         hamming_rows + [Word(3, golay.entries[0]), Word(3, (0,) * 12)]
 
 
+def test_addition_only_on_the_entries_matches_the_word_by_word_decision(monkeypatch):
+    # comparing the 144 entries gives the verdict, detail or error of
+    # comparing the signed rows with the product on all 10,729 words: on tg,
+    # its 288 single-entry changes, the injected golay matrices, GF7_MATRIX,
+    # -I and identity(3, 3), and on one signed-entry flip per row
+    tg, golay = golay_ntt_matrix(), code_from_fixed_space(golay_ntt_matrix())
+    signed = ntt.golay_ntt_signed_rows()
+    minus_identity = MatrixOverGfp(3, tuple(
+        tuple(2 * v for v in row) for row in identity(12, 3).entries))
+    matrices = [tg] + [_flipped(_flipped(tg, i, j), i, j) if twice else _flipped(tg, i, j)
+                       for i in range(12) for j in range(12) for twice in (False, True)]
+    matrices += [kwargs["golay_matrix"] for kwargs, _, _ in INJECTED_DETAILS.values()
+                 if "golay_matrix" in kwargs]
+    matrices += [GF7_MATRIX, minus_identity, identity(3, 3)]
+    matrices = list(dict.fromkeys(matrices))
+    assert len(matrices) == 292
+    for m in matrices:
+        assert _outcome(verify._check_addition_only, m, golay) == \
+            _outcome(reference_addition_only_check, m, golay, signed)
+    for i, row in enumerate(signed):
+        j = next(j % 12 for j in range(i, i + 12) if row[j % 12])
+        flipped = [list(r) for r in signed]
+        flipped[i][j] = -flipped[i][j]
+        flipped = tuple(map(tuple, flipped))
+        monkeypatch.setattr(verify, "golay_ntt_signed_rows", lambda: flipped)
+        assert _outcome(verify._check_addition_only, tg, golay) == \
+            _outcome(reference_addition_only_check, tg, golay, flipped) == \
+            (True, "paths agree on 729 codewords + 10000 random words")
+
+
+def test_walked_words_span_the_ternary_12_space():
+    # the golay codewords and the seeded words have rank 12 over GF(3), so
+    # two linear maps agree on all of them exactly when their matrices agree
+    golay = code_from_fixed_space(golay_ntt_matrix())
+    words = [w.symbols for w in enumerate_codewords(golay)] + reference_random_words()
+    assert len(words) == 10729
+    assert _rank(3, words) == 12
+
+
 def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
     # one fixed-space code per matrix value: with the built-in tg, golay-
     # code-parameters, transform-code-isomorphism and golay-addition-only
-    # share one golay code, and only golay-addition-only lists it; the
-    # Hamming code is decided on its generator rows and never listed
+    # share one golay code, and none lists it; the addition-only check
+    # decides on the entries, runs apply_addition_only on the 24 unit words
+    # only and never draws the seeded words
     calls = []
-    for name in ("code_from_fixed_space", "enumerate_codewords"):
+    for name in ("code_from_fixed_space", "enumerate_codewords",
+                 "apply_addition_only", "_random_words"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
                             lambda *a, real=real, name=name: calls.append((name,) + a) or real(*a))
     assert [(r.passed, r.detail) for r in run_checks()] == \
         [(r.passed, r.detail) for r in fresh_results]
-    golay = code_from_fixed_space(golay_ntt_matrix())
-    assert calls == [("code_from_fixed_space", golay_ntt_matrix()),
-                     ("enumerate_codewords", golay)]
+    units = [Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2)]
+    assert calls == [("code_from_fixed_space", golay_ntt_matrix())] + \
+        [("apply_addition_only", w) for w in units]
     # an injected tg builds its own code beside the built-in one
     calls.clear()
     tg = _flipped(golay_ntt_matrix(), 0, 0)
