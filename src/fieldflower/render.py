@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import compress
-from string import hexdigits
 
 from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
 from .gfield import Word, _require_prime, format_word
@@ -27,6 +26,7 @@ _RING_COLOR = "B0B0B0"
 _ARROW_COLOR = "808080"
 _OUTLINE_COLOR = "404040"
 _LABEL_COLOR = "333333"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 # A cell of n symbols over GF(p) has n axes and p-1 grid rings; a longer word
 # or a larger p is refused before drawing.  So is a panel whose cells could
@@ -67,7 +67,7 @@ class RenderSpec:
 
 def _clean_color(color: str) -> str:
     c = color.removeprefix("#")
-    if len(c) != 6 or not all(ch in hexdigits for ch in c):
+    if len(c) != 6 or not all(ch in _HEX_DIGITS for ch in c):
         raise ValueError(f"color must be 6 hex digits, got {color!r}")
     return c.upper()
 

@@ -1,7 +1,14 @@
-"""The names the package exports, and the oldest Python it runs on, pinned."""
+"""The names the package exports, the modules each one loads, and the oldest
+Python the package runs on, pinned."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fieldflower
 
@@ -66,7 +73,46 @@ def test_public_api_is_the_recorded_list():
     assert fieldflower.__all__ == PUBLIC_API
     assert len(set(fieldflower.__all__)) == len(fieldflower.__all__)
     for name in fieldflower.__all__:
-        assert getattr(fieldflower, name, None) is not None, name
+        value = getattr(fieldflower, name, None)
+        assert value is not None, name
+        home = importlib.import_module(f"fieldflower.{fieldflower._HOME[name]}")
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        # kept as a global, so the module __getattr__ runs once per name
+        assert vars(fieldflower)[name] is value, name
+    star = {}
+    exec("from fieldflower import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(PUBLIC_API)
+    assert set(PUBLIC_API) <= set(dir(fieldflower))
+    with pytest.raises(AttributeError) as info:
+        fieldflower.nope
+    assert str(info.value) == "module 'fieldflower' has no attribute 'nope'"
+    assert getattr(fieldflower, "nope", None) is None
+
+
+# The fieldflower modules loaded by importing the package and touching one
+# name (None: touching none), and nothing more.
+LOADS = [
+    (None, []),
+    ("RenderSpec", ["flowergeom", "gfield", "render"]),
+    ("minimum_distance", ["codes", "gfield", "modlinalg", "ntt"]),
+    ("run_checks",
+     ["codes", "flowergeom", "gfield", "modlinalg", "ntt", "render", "verify"]),
+]
+
+
+@pytest.mark.parametrize("name, modules", LOADS)
+def test_a_name_loads_only_the_modules_it_reaches(name, modules):
+    # A fresh interpreter, since this one has imported every module by now.
+    code = ("import sys, fieldflower\n"
+            + (f"assert {name!r} not in vars(fieldflower)\nfieldflower.{name}\n" if name else "")
+            + "print(sorted(m.split('.', 1)[1] for m in sys.modules"
+              " if m.startswith('fieldflower.')))")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == modules
 
 
 def test_int_byte_conversions_name_their_byte_order():

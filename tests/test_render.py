@@ -46,6 +46,16 @@ def test_spec_validation():
                 RenderSpec(**{name: bad})
     spec = RenderSpec(light_color="#aabbcc")
     assert spec.light_color == "AABBCC"
+    # A colour digit is one of the 22 ASCII hex digits, no other character:
+    # each substitution over U+0000-U+00FF and a few non-ASCII digits.
+    for ch in [chr(i) for i in range(256)] + ["٣", "Ａ", "²"]:
+        for pos in range(6):
+            color = "0a0A0a"[:pos] + ch + "0a0A0a"[pos + 1:]
+            if ch in "0123456789abcdefABCDEF":
+                assert render._clean_color(color) == color.upper()
+            else:
+                with pytest.raises(ValueError):
+                    render._clean_color(color)
 
 
 def test_to_svg_is_deterministic():
