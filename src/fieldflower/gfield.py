@@ -260,7 +260,8 @@ def format_word(word: Word) -> str:
 
 def parse_word_list(text: str, p: int) -> list[Word]:
     """Parse a word-list: one word per line, '#' comments, blank lines
-    skipped.  An error names its line, counting every line from 1."""
+    skipped.  A bad word's error names its line, counting every line from 1."""
+    _require_prime(p)
     words = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -268,7 +269,6 @@ def parse_word_list(text: str, p: int) -> list[Word]:
             try:
                 words.append(parse_word(line, p))
             except ValueError as exc:
-                _require_prime(p)  # a bad modulus is no line's fault
                 raise ValueError(f"line {number}: {exc}") from None
     return words
 

@@ -30,10 +30,12 @@ _HEX_DIGITS = "0123456789abcdefABCDEF"
 
 # A cell of n symbols over GF(p) has n axes and p-1 grid rings; a longer word
 # or a larger p is refused before drawing.  So is a panel whose cells could
-# draw more primitives in all; at the bound a panel peaks at 42-90 MB.
+# draw more primitives in all, or with more columns (which could only be
+# empty); at the bound a panel peaks at 42-90 MB with sizes up to MAX_SPEC_SIZE.
 MAX_AXES = 256
 MAX_RINGS = 1000
 MAX_PANEL_PRIMITIVES = 250_000
+MAX_SPEC_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class RenderSpec:
     """Visual constants for one rendering; all fields overridable from the CLI.
 
     canvas is the side length of one cell in abstract units, radius_scale the
-    units per field value.  Colors are 6-hex-digit RGB, with or without a
-    leading '#'.
+    units per field value; each of the four sizes is in (0, MAX_SPEC_SIZE].
+    Colors are 6-hex-digit RGB, with or without a leading '#'.
     """
 
     canvas: float = 240.0
@@ -57,10 +59,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         for name in ("canvas", "radius_scale", "stroke_width", "marker_radius"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(
-                    f"{name} must be finite and strictly positive, got {v}"
-                )
+            if not 0 < v <= MAX_SPEC_SIZE:
+                raise ValueError(f"{name} must be positive and at most {MAX_SPEC_SIZE}, got {v}")
         object.__setattr__(self, "light_color", _clean_color(self.light_color))
         object.__setattr__(self, "dark_color", _clean_color(self.dark_color))
 
@@ -325,14 +325,16 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
     its drawer: one grid text, one plan per nonzero pattern (petal starts and
     shades, thorns, markers) and, when n*p <= 512, each (k, x_k) placed
     once, with its outline vertex and marker text.  A panel whose cells
-    could draw more than MAX_PANEL_PRIMITIVES primitives is refused before
-    drawing.
+    could draw more than MAX_PANEL_PRIMITIVES primitives, or with more
+    columns, is refused before drawing.
     """
     spec = spec or RenderSpec()
     if not words:
         raise ValueError("panel needs at least one word")
     if columns < 1:
         raise ValueError(f"columns must be at least 1, got {columns}")
+    if columns > MAX_PANEL_PRIMITIVES:
+        raise ValueError(f"columns past the bound of {MAX_PANEL_PRIMITIVES} could only be empty")
     n, p = len(words[0]), words[0].modulus
     for w in words:
         if len(w) != n or w.modulus != p:

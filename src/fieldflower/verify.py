@@ -11,20 +11,18 @@ built-in codes, the Hamming generator's and the fixed space of the built-in
 GOLAY (which its checksum pins), never the fixed space of a matrix under
 test: a matrix that moves one of their codewords fails the isomorphism check.
 
-A linear map fixes a code exactly when it fixes each generator row, so the
-isomorphism check multiplies the 4 + 6 rows and lists a code only to name,
-in listing order, the first codeword it moves.  The addition-only check
-compares `apply_addition_only` with `mat_vec(tg, .)` on the 729 golay
-codewords and then 10,000 seeded random words, one rng.randrange(3) per
-symbol.  Both maps are linear over GF(3) and those words span GF(3)^12, so
-the two agree on all of them exactly when tg is the signed matrix
-`golay_ntt_signed_rows()` reduced mod 3: the check compares the 144
-entries.  Only when they differ does it list the code and draw the words,
-and walk them in order through `apply_addition_only` and `mat_vec`, which
-name the first that fails or raise their error.  `apply_addition_only`
-sums a table of the signed columns, which the entry comparison never
-reads, so the check always runs it, against `mat_vec`, on the 24 words
-v * e_j (v = 1, 2), one per table entry.
+Two linear maps agree on a code exactly when they agree on its generator
+rows.  `enumerate_codewords` lists messages in order, first row most
+significant, so the first codeword on which they differ is the zero word if
+their images differ in length, else the last row they differ on: every
+message listed before that row's unit message combines only later rows.
+Both checks walk `_first_words`, the zero word and then the rows last first,
+and list no code.  The addition-only check compares `apply_addition_only`
+with `mat_vec(tg, .)`; the 729 golay codewords and the 10,000 seeded words
+its detail names span GF(3)^12, so the two agree on them exactly when tg is
+`golay_ntt_signed_rows()` mod 3, and only when those 144 entries differ does
+it walk `_first_words`.  It always runs `apply_addition_only`, whose table of
+signed columns the entries never reach, on the 24 words v * e_j (v = 1, 2).
 
 The nominal minimum distance of the 12-point transform's fixed-space code is
 6; the actual distance of the code generated by the built-in matrix is 5
@@ -36,13 +34,12 @@ is deliberate: the check records the claim, not the behavior.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
-from .codes import LinearCode, code_from_fixed_space, enumerate_codewords, \
-    hamming_code, hamming_generator, minimum_distance
+from .codes import LinearCode, code_from_fixed_space, hamming_code, hamming_generator, \
+    minimum_distance
 from .flowergeom import features
 from .gfield import Word, _all_binary_7, format_word, parse_word
 from .modlinalg import MatrixOverGfp, format_matrix, mat_vec, matrix_from_words, \
@@ -65,7 +62,6 @@ _GOLAY_PAIRS = (
 )
 _GOLAY_INVARIANTS = ("100000011111", "010000101221", "001000110122")
 
-_RNG_SEED = 12345
 _RANDOM_WORDS = 10000
 
 
@@ -126,32 +122,30 @@ def _check_code_parameters(code: LinearCode,
     return False, f"{label}, expected {want}"
 
 
+def _first_words(code: LinearCode):
+    """The zero word, then the generator rows, last first: the first of these
+    on which two linear maps differ is the first listed codeword they do."""
+    yield Word(code.modulus, (0,) * code.length)
+    for row in reversed(code.generator.entries):
+        yield Word(code.modulus, row)
+
+
 def _check_isomorphism(th: MatrixOverGfp, tg: MatrixOverGfp,
                        golay: LinearCode) -> tuple[bool, str]:
     hamming = hamming_code()
     for m, code in ((th, hamming), (tg, golay)):
-        # m fixes the code exactly when it fixes each generator row; the
-        # listing only names the first codeword it moves
-        if _moved(m, (Word(code.modulus, row) for row in code.generator.entries)) is not None:
-            w = _moved(m, enumerate_codewords(code))
+        w = _moved(m, _first_words(code))
+        if w is not None:
             return False, f"codeword {format_word(w)} is not fixed"
     return True, f"all {hamming.size + golay.size} codewords are fixed points"
 
 
-def _random_words():
-    """The seeded ternary 12-symbol words the addition-only check walks
-    after the codewords, one rng.randrange(3) per symbol."""
-    rng = random.Random(_RNG_SEED)
-    for _ in range(_RANDOM_WORDS):
-        yield Word(3, tuple(rng.randrange(3) for _ in range(12)))
-
-
 def _check_addition_only(tg: MatrixOverGfp, golay: LinearCode) -> tuple[bool, str]:
-    # both paths are linear and the walked words span GF(3)^12, so they agree
-    # on every walked word exactly when tg is the signed matrix mod 3
+    # both paths are linear, so they agree on words spanning GF(3)^12
+    # exactly when tg is the signed matrix mod 3
     agree = tg.modulus == 3 and tg.entries == tuple(
         tuple(e % 3 for e in row) for row in golay_ntt_signed_rows())
-    walked = () if agree else chain(enumerate_codewords(golay), _random_words())
+    walked = () if agree else _first_words(golay)
     # the entries never reach apply_addition_only's column table; the words
     # v * e_j read each of its nonzero entries once
     units = (Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2))

@@ -324,10 +324,14 @@ def test_every_render_flag_reaches_its_field(capsys, tmp_path, argv, expected):
     ("--dark-color", "+12345"),
     ("--canvas", "inf"),
     ("--marker-radius", "nan"),
+    ("--radius-scale", "1e306"),
+    ("--canvas", "10000.001"),
+    ("--stroke-width", "1e400"),
 ])
 def test_render_bad_spec_exit_2(capsys, tmp_path, flags):
     out_file = tmp_path / "bad.svg"
-    code, _, err = run_cli(capsys, "render", "1011", "--out", str(out_file), *flags)
+    code, _, err = run_cli(capsys, "render", "1,0,5,6", "--p", "997",
+                           "--out", str(out_file), *flags)
     assert code == 2
     assert "error:" in err
     assert not out_file.exists()
@@ -433,6 +437,15 @@ def test_panel_past_the_primitive_bound_refused(capsys, tmp_path):
     assert peak < 256 * 1024
 
 
+def test_panel_columns_past_the_primitive_bound_refused(capsys, tmp_path):
+    out_file = tmp_path / "out.svg"
+    code, out, err = run_cli(capsys, "panel", "all-binary-7", "--columns", "1" + "0" * 400,
+                             "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert f"error: columns past the bound of {MAX_PANEL_PRIMITIVES} could only be empty" in err
+    assert not out_file.exists()
+
+
 def test_panel_all_binary_7(capsys, tmp_path):
     out_file = tmp_path / "panel.svg"
     code, out, _ = run_cli(
@@ -501,6 +514,19 @@ def test_panel_bad_modulus_names_no_line(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "modulus must be a prime int, got 4" in err
     assert "line" not in err
+
+
+@pytest.mark.parametrize("p, message", [
+    ("4", "modulus must be a prime int, got 4"),
+    ("3", "panel needs at least one word"),
+])
+def test_panel_of_no_words_checks_the_modulus_first(capsys, tmp_path, p, message):
+    listing = tmp_path / "empty.txt"
+    listing.write_text("# no words\n\n")
+    out_file = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, "panel", str(listing), "--p", p, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
 
 
 def test_panel_missing_file_exit_2(capsys, tmp_path):

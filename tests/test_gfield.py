@@ -326,6 +326,17 @@ def test_parse_word_list_skips_comments_and_blanks():
     assert [format_word(w) for w in words] == ["0011000", "1100001"]
 
 
+def test_parse_word_list_checks_the_modulus_before_any_line():
+    # a bad modulus is no line's fault, and is refused even with no words
+    for text in ("", "# only a comment\n\n", "0011000\n", "# c\n01x\n"):
+        with pytest.raises(ValueError) as exc:
+            parse_word_list(text, 4)
+        assert str(exc.value) == "modulus must be a prime int, got 4"
+    assert parse_word_list("# only a comment\n\n", 3) == []
+    with pytest.raises(ValueError, match="^line 2: invalid symbol 'x' at position 2"):
+        parse_word_list("# c\n01x\n", 3)
+
+
 @st.composite
 def word_lists(draw):
     """Words over one GF(p), and their list text with '#' comment lines and

@@ -184,14 +184,14 @@ def fixing(p, v, u):
 # (p, n, fits): fits says whether one byte holds a lane sum of n products of
 # residues mod p, n*(p-1)**2 <= 255, as at (2, 255), (3, 63) and (5, 15); the
 # sum is 256 at (2, 256), (3, 64), (5, 16) and (17, 1), and past p = 256 no
-# symbol fits a byte.  At every (p, n) the isomorphism check multiplies
-# generator rows and walks a listing only to name its first moved codeword.
+# symbol fits a byte.  At every (p, n) the isomorphism check multiplies the
+# zero word and the generator rows, last first, and lists no code.
 @pytest.mark.parametrize("p,n,fits", [
     (2, 7, True), (3, 12, True), (3, 63, True), (5, 15, True),
     (2, 255, True), (2, 256, False), (3, 64, False), (5, 16, False),
     (17, 1, False), (7, 12, False), (257, 3, False),
 ])
-def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, fits):
+def test_isomorphism_on_rows_last_first_matches_the_listing_walk(monkeypatch, p, n, fits):
     assert fits == (n * (p - 1) ** 2 <= 255 and p <= 256)
     rng = random.Random(p * 1000 + n)
     m, words = lane_stress(rng, p, n, n, 40)
@@ -208,22 +208,22 @@ def test_batch_product_matches_per_word_mat_vec(monkeypatch, p, n, fits):
                   if mat_vec(g, v).symbols[0]]
     cases = [identity(n, p), m] + [fixing(p, v, unit) for v in fixes_code[:1] + fixes_last[:1]]
     listing = enumerate_codewords(code)
-    rows = [Word(p, row) for row in g.entries]
+    walk = [Word(p, (0,) * n)] + [Word(p, row) for row in reversed(g.entries)]
     for t in cases:
         expected = reference_isomorphism(hamming_ntt_matrix(), t, code)
         result, calls = isomorphism_walk(monkeypatch, t, code)
         assert result == expected
-        # the 4 Hamming rows, then code rows up to the first moved, then the
-        # listing up to its first moved word
-        moved = [w for w in rows if mat_vec(t, w) != w]
-        taken = rows[:rows.index(moved[0]) + 1] if moved else rows
+        # the Hamming zero word and 4 rows, then the code's zero word and
+        # rows, last first, up to the first moved, which is the listing's
+        moved = [w for w in walk if mat_vec(t, w) != w]
+        taken = walk[:walk.index(moved[0]) + 1] if moved else walk
         if moved:
-            first = next(i for i, w in enumerate(listing) if mat_vec(t, w) != w)
-            taken += listing[:first + 1]
-            assert result == (False, f"codeword {format_word(listing[first])} is not fixed")
+            first = next(w for w in listing if mat_vec(t, w) != w)
+            assert moved[0] == first
+            assert result == (False, f"codeword {format_word(first)} is not fixed")
         else:
             assert result == (True, f"all {16 + p ** k} codewords are fixed points")
-        assert [w for _, w in calls[4:]] == taken
+        assert [w for _, w in calls[5:]] == taken
 
 
 # (p, n, lane bytes): n*(p-1)**2 is 255 at (2, 255), (3, 63) is 252, (5, 15)

@@ -14,8 +14,8 @@ import pytest
 from fieldflower import render
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, format_word, parse_word
-from fieldflower.render import MAX_AXES, MAX_PANEL_PRIMITIVES, MAX_RINGS, RenderSpec, \
-    _cell_plan, _drawer, _require_drawable, panel, render_grid, to_svg, to_tikz
+from fieldflower.render import MAX_AXES, MAX_PANEL_PRIMITIVES, MAX_RINGS, MAX_SPEC_SIZE, \
+    RenderSpec, _cell_plan, _drawer, _require_drawable, panel, render_grid, to_svg, to_tikz
 import reference_constants as ref
 from reference_paths import reference_panel, reference_to_svg, reference_to_tikz
 
@@ -41,9 +41,11 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             RenderSpec(light_color=color)
     for name in ("canvas", "radius_scale", "stroke_width", "marker_radius"):
-        for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError):
+        for bad in (float("inf"), float("-inf"), float("nan"), 0, -1e-300,
+                    MAX_SPEC_SIZE * (1 + 2**-52), 1e306, 10**400):
+            with pytest.raises(ValueError, match=f"at most {MAX_SPEC_SIZE}"):
                 RenderSpec(**{name: bad})
+        assert getattr(RenderSpec(**{name: MAX_SPEC_SIZE}), name) == MAX_SPEC_SIZE
     spec = RenderSpec(light_color="#aabbcc")
     assert spec.light_color == "AABBCC"
     # A colour digit is one of the 22 ASCII hex digits, no other character:
@@ -254,6 +256,19 @@ def test_panel_input_validation():
         panel([Word(2, (1, 0)), Word(2, (1, 0, 1))], columns=2)
     with pytest.raises(ValueError):
         panel([Word(2, (1, 0)), Word(3, (1, 0))], columns=2)
+
+
+def test_panel_columns_past_the_primitive_bound_refused(monkeypatch):
+    # a panel never has that many cells, so such columns could only be
+    # empty; columns * canvas would not even fit a float at 10**400
+    word = Word(2, (1, 0))
+    assert panel([word], columns=MAX_PANEL_PRIMITIVES).startswith(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{MAX_PANEL_PRIMITIVES * 240}.000000"'
+        .encode())
+    monkeypatch.setattr(render, "_drawer", None)  # refused before any cell is drawn
+    for columns in (MAX_PANEL_PRIMITIVES + 1, 10**400):
+        with pytest.raises(ValueError, match=f"columns past the bound of {MAX_PANEL_PRIMITIVES}"):
+            panel([word], columns=columns)
 
 
 def test_ternary_panel():

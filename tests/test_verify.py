@@ -1,22 +1,23 @@
 """The built-in verification suite, including its deliberate red check."""
 
 import hashlib
-import tracemalloc
-from collections import deque
-from itertools import chain
+import random
+from itertools import chain, combinations
 
 import pytest
 
-from fieldflower import ntt, verify
+from fieldflower import codes, ntt, verify
 from fieldflower.codes import code_from_fixed_space, enumerate_codewords, hamming_generator
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
-from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec
+from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec, null_space
 from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.render import RenderSpec, _drawer, to_svg
-from fieldflower.verify import _random_words, format_report, run_checks
+from fieldflower.verify import format_report, run_checks
 from reference_paths import _rank, reference_addition_only_check, reference_isomorphism, \
     reference_random_words
+from test_codes import differential_code, random_full_rank_code
+from test_modlinalg import fixing
 
 EXPECTED_CHECKS = [
     "hamming-matrix-checksum",
@@ -93,8 +94,9 @@ def test_a_wrong_column_table_entry_trips_the_addition_only_check(monkeypatch):
 
 def test_a_wrong_signed_row_entry_only_sends_the_batch_word_by_word(monkeypatch):
     # the entries only decide: with one signed entry flipped they differ,
-    # so every word goes through apply_addition_only and mat_vec, which
-    # agree, and the check passes without naming a word
+    # so the zero word, the golay rows (last first) and the unit words go
+    # through apply_addition_only and mat_vec, which agree, and the check
+    # passes without naming a word
     signed = [list(row) for row in ntt.golay_ntt_signed_rows()]
     signed[0][1] = -signed[0][1]
     monkeypatch.setattr(verify, "golay_ntt_signed_rows", lambda: tuple(map(tuple, signed)))
@@ -105,8 +107,8 @@ def test_a_wrong_signed_row_entry_only_sends_the_batch_word_by_word(monkeypatch)
     assert verify._check_addition_only(tg, golay) == \
         (True, "paths agree on 729 codewords + 10000 random words")
     units = [Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2)]
-    assert seen == enumerate_codewords(golay) + \
-        [Word(3, v) for v in reference_random_words()] + units
+    assert seen == [Word(3, (0,) * 12)] + \
+        [Word(3, row) for row in reversed(golay.generator.entries)] + units
 
 
 def test_format_report_shape(fresh_results):
@@ -210,28 +212,13 @@ def test_isomorphism_on_generator_rows_matches_the_listing_walk():
 
 
 def test_random_words_are_the_seeded_draw():
-    words = [w.symbols for w in _random_words()]
+    # the 10,000 words the addition-only success detail names
+    words = reference_random_words()
     assert len(words) == 10000
     assert all(len(w) == 12 for w in words)
     digest = hashlib.sha256(bytes(chain.from_iterable(words))).hexdigest()
     assert digest == \
         "ea27fbeeef6ce72996bada924ce25885c77f177c001d463d0f8f4f0bf5bece90"
-
-
-def test_random_rows_are_the_per_symbol_draw_packed():
-    assert [w.symbols for w in _random_words()] == reference_random_words()
-
-
-def test_random_rows_peak_stays_small():
-    # Drawn a word at a time, the 120,000 draws are never held at once.
-    deque(_random_words(), maxlen=0)
-    tracemalloc.start()
-    try:
-        deque(_random_words(), maxlen=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * 1024
 
 
 # A 12x12 matrix over GF(7) fixing e_0 and e_1: it is not over GF(3), so no
@@ -282,14 +269,13 @@ def test_golay_matrix_over_gf7(monkeypatch):
     results = run_checks(golay_matrix=GF7_MATRIX)
     assert [(r.name, r.passed, r.detail) for r in results] == GF7_RESULTS
     # the pair, invariant and eigenspace checks take 2 + 1 + 1 + 1 + 4
-    # products; the isomorphism check the 4 Hamming generator rows, then the
-    # first golay generator row, which raises; the addition-only check
-    # compares no entries over GF(7) and walks from the first golay
-    # codeword, zero, which raises too
-    golay = code_from_fixed_space(golay_ntt_matrix()).generator
-    hamming_rows = [Word(2, row) for row in hamming_generator().entries]
+    # products; the isomorphism check the Hamming zero word and 4 generator
+    # rows, last first, then the golay zero word, which raises; the
+    # addition-only check compares no entries over GF(7) and walks from the
+    # golay zero word, which raises too
+    hamming_rows = [Word(2, row) for row in reversed(hamming_generator().entries)]
     assert [w for _, w in calls[9:]] == \
-        hamming_rows + [Word(3, golay.entries[0]), Word(3, (0,) * 12)]
+        [Word(2, (0,) * 7)] + hamming_rows + [Word(3, (0,) * 12)] * 2
 
 
 def test_addition_only_on_the_entries_matches_the_word_by_word_decision(monkeypatch):
@@ -334,12 +320,13 @@ def test_walked_words_span_the_ternary_12_space():
 def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
     # one fixed-space code per matrix value: with the built-in tg, golay-
     # code-parameters, transform-code-isomorphism and golay-addition-only
-    # share one golay code, and none lists it; the addition-only check
-    # decides on the entries, runs apply_addition_only on the 24 unit words
-    # only and never draws the seeded words
+    # share one golay code; verify has no listing and no seeded draw, and
+    # the addition-only check decides on the entries and runs
+    # apply_addition_only on the 24 unit words only
+    for name in ("enumerate_codewords", "_random_words", "random", "_RNG_SEED"):
+        assert not hasattr(verify, name)
     calls = []
-    for name in ("code_from_fixed_space", "enumerate_codewords",
-                 "apply_addition_only", "_random_words"):
+    for name in ("code_from_fixed_space", "apply_addition_only"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
                             lambda *a, real=real, name=name: calls.append((name,) + a) or real(*a))
@@ -354,6 +341,88 @@ def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
     run_checks(golay_matrix=tg)
     assert [c for c in calls if c[0] == "code_from_fixed_space"] == \
         [("code_from_fixed_space", tg), ("code_from_fixed_space", golay_ntt_matrix())]
+
+
+# golay_ntt_matrix() with the parity-check row h = 022222100000 added to row
+# 0: h is orthogonal to every golay codeword, so the matrix fixes the code,
+# but it differs from the signed matrix, so the addition-only check names
+# the first unit word it maps apart from apply_addition_only.  The listing
+# walk of reference_addition_only_check names a seeded word instead.
+PARITY_CHECK_ROW = (0, 2, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0)
+PARITY_SHIFTED = MatrixOverGfp(3, (
+    tuple((a + b) % 3 for a, b in zip(golay_ntt_matrix().entries[0], PARITY_CHECK_ROW)),
+) + golay_ntt_matrix().entries[1:])
+
+
+def test_a_matrix_that_differs_only_off_the_code_is_named_by_a_unit_word():
+    golay = code_from_fixed_space(golay_ntt_matrix())
+    assert all(sum(a * b for a, b in zip(row, PARITY_CHECK_ROW)) % 3 == 0
+               for row in golay.generator.entries)
+    by_name = {r.name: (r.passed, r.detail) for r in run_checks(golay_matrix=PARITY_SHIFTED)}
+    assert by_name["transform-code-isomorphism"] == (True, "all 745 codewords are fixed points")
+    assert by_name["golay-addition-only"] == (False, "paths disagree on 010000000000")
+    assert reference_addition_only_check(PARITY_SHIFTED, golay, ntt.golay_ntt_signed_rows()) == \
+        (False, "paths disagree on 112202201220")
+
+
+def test_no_check_lists_a_code(monkeypatch, fresh_results):
+    # every detail is named without a listing: the default run, each
+    # injected matrix, GF7_MATRIX and PARITY_SHIFTED give their pinned
+    # details with enumerate_codewords raising
+    def refuse(code):
+        raise AssertionError("a code was listed")
+    monkeypatch.setattr(codes, "enumerate_codewords", refuse)
+    assert run_checks() == fresh_results
+    for kwargs, isomorphism, addition_only in INJECTED_DETAILS.values():
+        by_name = {r.name: (r.passed, r.detail) for r in run_checks(**kwargs)}
+        assert by_name["transform-code-isomorphism"] == isomorphism
+        assert by_name["golay-addition-only"] == addition_only
+    assert [(r.name, r.passed, r.detail) for r in run_checks(golay_matrix=GF7_MATRIX)] == \
+        GF7_RESULTS
+    by_name = {r.name: (r.passed, r.detail) for r in run_checks(golay_matrix=PARITY_SHIFTED)}
+    assert by_name["golay-addition-only"] == (False, "paths disagree on 010000000000")
+
+
+def _first_apart(a, b, words):
+    """The first of the words that a and b map apart, or None."""
+    return next((w for w in words if mat_vec(a, w) != mat_vec(b, w)), None)
+
+
+def _row_fixing_maps(rng, code):
+    """I, four maps I + u v^T with v orthogonal to a random subset of the
+    generator rows, which they fix (the others move where v . row != 0),
+    and one non-square map: I with a row appended."""
+    p, n, rows = code.modulus, code.length, code.generator.entries
+    maps = [identity(n, p)]
+    for _ in range(4):
+        kept = [row for row in rows if rng.random() < 0.5]
+        vs = null_space(MatrixOverGfp(p, tuple(kept))) if kept else \
+            [Word(p, tuple(rng.randrange(p) for _ in range(n)))]
+        if vs:
+            u = Word(p, tuple(rng.randrange(p) for _ in range(n)))
+            maps.append(fixing(p, rng.choice(vs), u))
+    maps.append(MatrixOverGfp(p, identity(n, p).entries + (rows[0],)))
+    return maps
+
+
+def test_first_words_name_the_first_listed_codeword_two_maps_differ_on():
+    # over random codes of GF(2, 3, 5, 7, 257), for each pair of maps that
+    # fix some generator rows and move others (I among them) and for a
+    # non-square map, the first of the zero word and the rows, last first,
+    # that the two map apart is the first such word of the listing
+    rng = random.Random(30)
+    code_list = [differential_code(seed) for seed in range(48)]
+    code_list += [random_full_rank_code(rng, 257, k, n) for k, n in ((1, 3), (2, 2), (2, 4))]
+    named = set()
+    for code in code_list:
+        listing = enumerate_codewords(code)
+        rows = [Word(code.modulus, row) for row in code.generator.entries]
+        for a, b in combinations(_row_fixing_maps(rng, code), 2):
+            first = _first_apart(a, b, verify._first_words(code))
+            assert first == _first_apart(a, b, listing)
+            named.add("none" if first is None else "zero" if not any(first.symbols)
+                      else "last row" if first == rows[-1] else "earlier row")
+    assert named == {"none", "zero", "last row", "earlier row"}
 
 
 def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
