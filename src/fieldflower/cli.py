@@ -1,8 +1,9 @@
 """Command-line surface: transforms, codes, rendering, and verification.
 
 Exit code contract: 0 on success, 1 when a verification check fails, 2 on
-usage errors (bad arguments, unparseable words, I/O trouble).  All words on
-stdin/stdout use the canonical digit-string form with x_0 leftmost.
+usage errors (bad arguments, unparseable words, I/O trouble, a stdout
+closed before the output was written).  All words on stdin/stdout use the
+canonical digit-string form with x_0 leftmost.
 """
 
 from __future__ import annotations
@@ -212,8 +213,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if report:
-        print(report.rstrip("\n"))
+    try:
+        if report:
+            print(report.rstrip("\n"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     return code
 
 

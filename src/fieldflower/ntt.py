@@ -28,6 +28,7 @@ those lanes, and one `bytes.translate` reduces every lane mod 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .gfield import FieldElement, Word, _reduced_word
@@ -133,9 +134,12 @@ def apply_addition_only(x: Word) -> Word:
     return _reduced_word(3, tuple(sums.to_bytes(12, "big").translate(_residue_table(3))))
 
 
-# eigen_spectrum takes one null space per lambda in GF(p): about 0.46 ms each
-# for a 12x12 matrix (Python 3.11, one core of a 2-vCPU host), so p <= 4096 keeps
-# that sweep near 2 s; elimination is n**3, so p*n**3 <= 4096*12**3 bounds every n.
+# eigen_spectrum tries every lambda in GF(p) on the characteristic polynomial
+# (Horner, p*n steps; p <= 4096 bounds them) and takes a null space, n**3, at
+# each root only (roots*n**3 <= 4096*12**3).  The polynomial costs about one
+# null space, so it needs n**3 <= 4096*12**3 too.  On one core of a 2-vCPU host
+# (Python 3.11) a 12x12 spectrum at p = 4093 takes 6-8 ms, 51 null spaces of a
+# 51x51 matrix 0.4 s, and the polynomial of a 192x192 one 0.9 s.
 MAX_SPECTRUM_MODULUS = 4096
 MAX_SPECTRUM_WORK = MAX_SPECTRUM_MODULUS * 12**3
 
@@ -167,13 +171,76 @@ def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
     return EigenSpace(FieldElement(lam, p), tuple(null_space(shifted)))
 
 
-def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
-    """All nonempty eigenspaces, found by sweeping every lambda in GF(p).
+def _char_poly(m: MatrixOverGfp) -> list[int]:
+    """det(xI - M) over GF(p), its coefficients from x**n (always 1) down.
 
-    The sweep is exhaustive rather than clever: trying each candidate
-    eigenvalue against a null-space computation is trivially correct.  A
-    sweep past MAX_SPECTRUM_MODULUS or MAX_SPECTRUM_WORK is refused before
-    any of them.  Spaces are returned in ascending eigenvalue order.
+    A copy of M is brought to upper Hessenberg form H by similarity
+    transforms, which keep the polynomial.  In each column c the pivot is
+    the first nonzero entry from the subdiagonal row s = c + 1 down; its row
+    and column are swapped with row and column s, and each entry below it
+    is cleared by a row operation whose compensating column operations are
+    summed into column s.  The leading blocks of H then give det(xI - H) by
+    the recurrence of Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9.
+    """
+    p, n = m.modulus, m.rows
+    h = [list(row) for row in m.entries]
+    for c in range(n - 2):
+        s = c + 1
+        i = next((i for i in range(s, n) if h[i][c]), n)
+        if i == n:
+            continue
+        if i != s:
+            h[s], h[i] = h[i], h[s]
+            for row in h:
+                row[s], row[i] = row[i], row[s]
+        inv, pivot = pow(h[s][c], p - 2, p), h[s][c:]
+        us = [h[i][c] * inv % p for i in range(s + 1, n)]
+        for i, u in enumerate(us, s + 1):
+            if u:
+                h[i][c:] = [(x - u * y) % p for x, y in zip(h[i][c:], pivot)]
+        if any(us):
+            for row in h:
+                row[s] = (row[s] + sum(map(mul, us, row[s + 1:]))) % p
+    # polys[k] = det(xI - H_k), H_k the leading k x k block, x**0 first:
+    # polys[k+1] = x*polys[k] - sum_i h[i][k] * h[i+1][i]...h[k][k-1] * polys[i]
+    polys = [[1]]
+    for k in range(n):
+        f, t = [0, *polys[k]], 1
+        for i in range(k, -1, -1):
+            if i < k:
+                t = t * h[i + 1][i] % p
+                if not t:
+                    break
+            a = h[i][k] * t % p
+            if a:
+                f[:i + 1] = [(x - a * y) % p for x, y in zip(f, polys[i])]
+        polys.append(f)
+    return polys[n][::-1]
+
+
+def _roots(coefficients: list[int], p: int) -> list[int]:
+    """Every lambda in GF(p), ascending, at which the polynomial (its
+    coefficients from the highest degree down) is 0, by Horner's rule."""
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for a in coefficients:
+            acc = (acc * lam + a) % p
+        if not acc:
+            roots.append(lam)
+    return roots
+
+
+def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
+    """All nonempty eigenspaces, in ascending eigenvalue order.
+
+    The eigenvalues are the roots of the characteristic polynomial, found by
+    trying each lambda in GF(p) on it; one null space is then taken at each
+    root, and none anywhere else.  A modulus past MAX_SPECTRUM_MODULUS, or a
+    matrix whose polynomial would already be past MAX_SPECTRUM_WORK, is
+    refused before any work; so are null spaces past MAX_SPECTRUM_WORK
+    (roots*n**3), once the roots are known and before the first of them.
     """
     m = _matrix_of(transform)
     p, n = m.modulus, m.rows
@@ -181,11 +248,15 @@ def eigen_spectrum(transform: Transform | MatrixOverGfp) -> list[EigenSpace]:
         raise ValueError(f"the spectrum would try all {p} values of GF({p}), "
                          f"past the bound of p <= {MAX_SPECTRUM_MODULUS}")
     _require_square(m)
-    if p * n**3 > MAX_SPECTRUM_WORK:
-        raise ValueError(f"the spectrum of a {n}x{n} matrix over GF({p}) is "
-                         f"past the bound of p*n**3 <= {MAX_SPECTRUM_WORK}")
-    spaces = (_eigen_space_for(m, lam) for lam in range(p))
-    return [space for space in spaces if space.dimension >= 1]
+    if n**3 > MAX_SPECTRUM_WORK:
+        raise ValueError(f"the characteristic polynomial of a {n}x{n} matrix is "
+                         f"past the bound of n**3 <= {MAX_SPECTRUM_WORK}")
+    roots = _roots(_char_poly(m), p)
+    if len(roots) * n**3 > MAX_SPECTRUM_WORK:
+        raise ValueError(f"the spectrum of a {n}x{n} matrix over GF({p}) takes one "
+                         f"null space per eigenvalue, {len(roots)} in all, past "
+                         f"the bound of roots*n**3 <= {MAX_SPECTRUM_WORK}")
+    return [_eigen_space_for(m, lam) for lam in roots]
 
 
 def fixed_space(transform: Transform | MatrixOverGfp) -> EigenSpace:

@@ -4,9 +4,10 @@ They read the independent transcription in reference_constants and share no
 code with src/, except reference_panel, which puts together cells that
 to_svg draws one by one, reference_to_svg and reference_to_tikz, which
 set up render's uncached walk on every call and so share its format tables,
-reference_isomorphism, which walks codebook listings through mat_vec, and
+reference_isomorphism, which walks codebook listings through mat_vec,
 reference_addition_only_check, which walks words through apply_addition_only
-and mat_vec.
+and mat_vec, and reference_eigen_spectrum, which takes ntt's eigenspace of
+every lambda in GF(p).
 """
 
 import math
@@ -19,7 +20,7 @@ from fieldflower.flowergeom import FlowerShape, _petals_and_thorns, _placement, 
     _shade_parities, features
 from fieldflower.gfield import Word, format_word
 from fieldflower.modlinalg import mat_vec
-from fieldflower.ntt import apply_addition_only
+from fieldflower.ntt import _eigen_space_for, apply_addition_only
 from fieldflower.render import _SVG, _TIKZ, RenderSpec, _arrow_geometry, _fmt, \
     _require_drawable, _svg_document, to_svg
 from reference_constants import GOLAY_SIGNED_ROWS
@@ -102,6 +103,30 @@ def _rank(p: int, rows) -> int:
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def reference_eigen_spectrum(m):
+    """eigen_spectrum by sweeping: the eigenspace of every lambda in GF(p),
+    each one null space, keeping the nonempty ones in ascending order."""
+    spaces = (_eigen_space_for(m, lam) for lam in range(m.modulus))
+    return [space for space in spaces if space.dimension >= 1]
+
+
+def eigen_space_certified(m, space) -> bool:
+    """A certificate for one eigenspace of the square matrix m, by mat_vec
+    and _rank only: M*b = lambda*b for every basis vector b, the basis is
+    independent, and its size is n - rank(M - lambda*I)."""
+    p, n, lam = m.modulus, len(m.entries), space.eigenvalue.value
+    if space.eigenvalue.modulus != p or any(b.modulus != p for b in space.basis):
+        return False
+    if any(mat_vec(m, b).symbols != tuple(lam * v % p for v in b.symbols)
+           for b in space.basis):
+        return False
+    if space.basis and _rank(p, [b.symbols for b in space.basis]) != len(space.basis):
+        return False
+    shifted = [[(e - lam) % p if i == j else e for j, e in enumerate(row)]
+               for i, row in enumerate(m.entries)]
+    return space.dimension == n - _rank(p, shifted)
 
 
 def reference_is_codeword(code, word: Word) -> bool:

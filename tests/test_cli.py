@@ -183,18 +183,96 @@ def test_spectrum_modulus_past_the_bound_refused(capsys, tmp_path):
     assert f"past the bound of p <= {MAX_SPECTRUM_MODULUS}" in err
 
 
+def diagonal_text(n, p, values):
+    """Matrix text for the n x n diagonal matrix over GF(p) whose entry i is
+    1 + i % values: the identity for values = 1."""
+    return f"p={p}\n" + ";\n".join(
+        " ".join(str(1 + i % values) if i == j else "0" for j in range(n)) for i in range(n)
+    ) + "\n"
+
+
 def test_spectrum_work_past_the_bound_refused(capsys, tmp_path):
-    # a 100x100 matrix over GF(4093) would sweep for minutes; p*n**3 is
-    # past the bound, so it exits 2 before the first null space
+    # one null space per eigenvalue, roots*n**3 <= MAX_SPECTRUM_WORK: the
+    # 100x100 identity over GF(4093) has one root and is admitted; a diagonal
+    # matrix with 8 distinct entries has 8 and exits 2 before the first
     n, p = 100, 4093
     f = tmp_path / "wide.txt"
-    f.write_text(f"p={p}\n" + ";\n".join(
-        " ".join("1" if i == j else "0" for j in range(n)) for i in range(n)) + "\n")
+    f.write_text(diagonal_text(n, p, 1))
+    code, out, _ = run_cli(capsys, "spectrum", "--matrix-file", str(f))
+    lines = out.splitlines()
+    assert (code, lines[0], len(lines)) == (0, "lambda=1 dim=100", 101)
+    assert lines[1] == ",".join(["1"] + ["0"] * 99)  # over GF(p > 10), commas
+    f.write_text(diagonal_text(n, p, 8))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "spectrum", "--matrix-file", str(f))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert f"past the bound of p*n**3 <= {MAX_SPECTRUM_WORK}" in err
+    assert err == (f"error: the spectrum of a 100x100 matrix over GF(4093) takes one "
+                   f"null space per eigenvalue, 8 in all, past the bound of "
+                   f"roots*n**3 <= {MAX_SPECTRUM_WORK}\n")
+
+
+# sha256 of `spectrum golay` stdout: each eigenvalue, its dimension and
+# its canonical basis, byte for byte.
+SPECTRUM_GOLAY_SHA256 = "6238e975ad3e17c7b54d857a2b9b29c7c6e33b2c0e5235dcd944d17b45c328a9"
+
+
+def test_spectrum_golay_golden_stdout(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "golay")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == SPECTRUM_GOLAY_SHA256
+
+
+@pytest.mark.parametrize("text", ["p=2\n0 1;\n1 1\n", "p=3\n0 2;\n1 0\n"])
+def test_spectrum_with_no_eigenvalue_in_the_base_field(capsys, tmp_path, text):
+    # x**2 + x + 1 over GF(2) and x**2 + 1 over GF(3) are irreducible
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "spectrum", "--matrix-file", str(f))
+    assert (code, out, err) == (0, "no eigenvalues in the base field\n", "")
+
+
+class ClosedStdout:
+    """A stdout whose reader is gone, at the first write or only at flush."""
+
+    def __init__(self, fails_at):
+        self.fails_at = fails_at
+
+    def write(self, text):
+        if self.fails_at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails_at", ["write", "flush"])
+def test_closed_stdout_exits_2(capsys, monkeypatch, fails_at):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout(fails_at))
+    code = main(["spectrum", "golay"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: stdout was closed before the output was written\n"
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback():
+    # stdout is a pipe whose read end is closed before the command starts:
+    # one error line, no traceback, nothing reported at interpreter exit
+    src = str(Path(fieldflower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fieldflower", "spectrum", "golay"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout was closed before the output was written\n"
 
 
 @pytest.mark.parametrize("rows,cols,message", [

@@ -331,6 +331,14 @@ def test_same_row_space_handles_scaled_rows_over_gf3():
     assert same_row_space(a, b)
 
 
+def test_same_row_space_rejects_mismatched_column_counts():
+    a = MatrixOverGfp(3, ((1, 2, 0), (0, 1, 1)))
+    with pytest.raises(ValueError, match="column count mismatch: 3 vs 2"):
+        same_row_space(a, MatrixOverGfp(3, ((1, 2), (0, 1))))
+    with pytest.raises(ValueError):
+        same_row_space(a, MatrixOverGfp(5, ((1, 2, 0),)))
+
+
 @st.composite
 def text_matrices(draw):
     """A matrix of up to 6x6 over one of the round-trip moduli."""

@@ -39,7 +39,8 @@ from fieldflower.ntt import (
     hamming_ntt_matrix,
 )
 import reference_constants as ref
-from reference_paths import reference_addition_only
+from reference_paths import eigen_space_certified, reference_addition_only, \
+    reference_eigen_spectrum
 
 
 def test_builtin_matrices_match_reference_transcription():
@@ -275,30 +276,156 @@ def test_eigen_spectrum_modulus_past_the_bound_refused(monkeypatch):
         fixed_space(identity(1, 4099))
 
 
+def diagonal(n, p, r):
+    """The n x n diagonal matrix over GF(p) whose entry i is i % r: its
+    eigenvalues are exactly 0..r-1."""
+    return MatrixOverGfp(p, tuple(
+        tuple(i % r if i == j else 0 for j in range(n)) for i in range(n)
+    ))
+
+
+def counted_null_spaces(monkeypatch):
+    """Patch ntt's null_space to record each matrix it gets and return []."""
+    taken = []
+    monkeypatch.setattr(ntt, "null_space", lambda m: taken.append(m) or [])
+    return taken
+
+
 @pytest.mark.parametrize("n, admitted, refused", [
     (12, 4093, 4099), (13, 3221, 3229), (20, 883, 887), (100, 7, 11), (150, 2, 3),
 ])
 def test_eigen_spectrum_work_past_the_bound_refused(monkeypatch, n, admitted, refused):
-    # a sweep may do no more elimination than a 12x12 one at p = 4096:
-    # p*n**3 <= 4096*12**3; `admitted` and `refused` are the primes either side
+    # the null spaces taken, one per root of the characteristic polynomial,
+    # may do no more elimination than 4096 of a 12x12 matrix:
+    # roots*n**3 <= 4096*12**3.  `admitted` and `refused` are the primes
+    # either side of the old bound p*n**3, which counted every lambda in
+    # GF(p); at either one a diagonal matrix with r distinct entries has r
+    # roots, and up to `most` of them are admitted
     assert MAX_SPECTRUM_WORK == 4096 * 12**3
-    taken = []
+    most = MAX_SPECTRUM_WORK // n**3
+    taken = counted_null_spaces(monkeypatch)
+    for p in (admitted, refused):
+        if p > MAX_SPECTRUM_MODULUS:
+            with pytest.raises(ValueError, match=f"GF\\({p}\\), past the bound of p <= 4096"):
+                eigen_spectrum(identity(n, p))
+            assert taken == []
+            continue
+        for r in sorted({1, min(n, p, most)}):
+            spaces = eigen_spectrum(diagonal(n, p, r))
+            assert [s.eigenvalue.value for s in spaces] == list(range(r))
+            assert len(taken) == r
+            taken.clear()
+        if most < min(n, p):
+            message = (f"{n}x{n} matrix over GF\\({p}\\) takes one null space per "
+                       f"eigenvalue, {most + 1} in all, past the bound of "
+                       f"roots\\*n\\*\\*3 <= 7077888")
+            with pytest.raises(ValueError, match=message):
+                eigen_spectrum(diagonal(n, p, most + 1))
+            assert taken == []
 
-    def counted_null_space(m):
-        taken.append(m)
-        return []
 
-    monkeypatch.setattr(ntt, "null_space", counted_null_space)
-    assert eigen_spectrum(identity(n, admitted)) == []
-    assert len(taken) == admitted
-    taken.clear()
-    message = (f"{n}x{n} matrix over GF\\({refused}\\) is "
-               f"past the bound of p\\*n\\*\\*3 <= 7077888")
-    if refused > MAX_SPECTRUM_MODULUS:
-        message = f"GF\\({refused}\\), past the bound of p <= 4096"
-    with pytest.raises(ValueError, match=message):
-        eigen_spectrum(identity(n, refused))
-    assert taken == []
+def test_eigen_spectrum_polynomial_past_the_work_bound_refused(monkeypatch):
+    # the characteristic polynomial costs about one null space, so a matrix
+    # whose n**3 alone is past the bound is refused before it; such a matrix
+    # was past the old bound p*n**3 at every p
+    assert 192**3 <= MAX_SPECTRUM_WORK < 193**3
+    taken = counted_null_spaces(monkeypatch)
+    assert [s.eigenvalue.value for s in eigen_spectrum(identity(192, 2))] == [1]
+    assert len(taken) == 1
+
+    def no_polynomial(m):
+        raise AssertionError("polynomial taken past the bound")
+
+    monkeypatch.setattr(ntt, "_char_poly", no_polynomial)
+    with pytest.raises(ValueError, match="193x193 matrix is past the bound of "
+                                         "n\\*\\*3 <= 7077888"):
+        eigen_spectrum(identity(193, 2))
+
+
+def spectrum_cases(rng, p, n):
+    """Seeded n x n matrices over GF(p), one of each kind, by name."""
+    def rand():
+        return rng.randrange(p)
+
+    def conjugated(rows):
+        # similarity by elementary operations and swaps: the same spectrum,
+        # with the structure hidden from the Hessenberg reduction
+        rows = [list(row) for row in rows]
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                continue
+            if rng.random() < 0.3:
+                rows[i], rows[j] = rows[j], rows[i]
+                for row in rows:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                u = rand()
+                rows[i] = [(a + u * b) % p for a, b in zip(rows[i], rows[j])]
+                for row in rows:
+                    row[j] = (row[j] - u * row[i]) % p
+        return rows
+
+    planted = rng.sample(range(p), min(p, 3))
+    triangular = [[rng.choice(planted) if i == j else rand() if j > i else 0
+                   for j in range(n)] for i in range(n)]
+    rank = rng.randrange(n)
+    basis = [[rand() for _ in range(n)] for _ in range(rank)]
+    perm = rng.sample(range(n), n)
+    cases = {
+        "random": [[rand() for _ in range(n)] for _ in range(n)],
+        "sparse": [[rand() if rng.random() < 0.2 else 0 for _ in range(n)]
+                   for _ in range(n)],
+        "zero": [[0] * n for _ in range(n)],
+        "identity": identity(n, p).entries,
+        "permutation": [[int(j == perm[i]) for j in range(n)] for i in range(n)],
+        "nilpotent": conjugated([[rand() if j > i else 0 for j in range(n)]
+                                 for i in range(n)]),
+        "rank-deficient": [[sum(rand() * b[j] for b in basis) % p for j in range(n)]
+                           for _ in range(n)],
+        "triangular": triangular,
+        "similar": conjugated(triangular),
+    }
+    return {kind: MatrixOverGfp(p, rows) for kind, rows in cases.items()}
+
+
+# The sweep takes p null spaces, about 1 s for a dense 12x12 matrix at
+# p = 4093; so at that prime it takes one kind at each of a few sizes
+SWEPT_AT_4093 = ((1, "random"), (2, "similar"), (3, "permutation"), (4, "nilpotent"),
+                 (5, "rank-deficient"), (6, "triangular"), (12, "similar"))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 4093])
+def test_eigen_spectrum_matches_the_sweep(p):
+    rng = random.Random(3100 + p)
+    pairs = SWEPT_AT_4093 if p == 4093 else [(n, None) for n in range(1, 13)]
+    for n, only in pairs:
+        for kind, m in spectrum_cases(rng, p, n).items():
+            if only in (None, kind):
+                assert eigen_spectrum(m) == reference_eigen_spectrum(m), (kind, n, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 4093])
+def test_every_eigen_space_is_certified(p):
+    # M*b = lambda*b on each basis vector and dim = n - rank(M - lambda*I),
+    # checked by mat_vec and the reference rank, at every size up to 12x12;
+    # where the eigenvalues are known (the planted diagonal of the triangular
+    # kinds), they are exactly those found
+    rng = random.Random(3200 + p)
+    for n in range(1, 13):
+        cases = spectrum_cases(rng, p, n)
+        planted = sorted({row[i] for i, row in enumerate(cases["triangular"].entries)})
+        known = {"zero": [0], "identity": [1], "nilpotent": [0],
+                 "triangular": planted, "similar": planted}
+        for kind, m in cases.items():
+            spaces = eigen_spectrum(m)
+            assert all(s.dimension and eigen_space_certified(m, s) for s in spaces), \
+                (kind, n, p)
+            if kind in known:
+                assert [s.eigenvalue.value for s in spaces] == known[kind], (kind, n, p)
+    for t in (HAMMING, GOLAY):
+        assert all(eigen_space_certified(t.matrix, s) for s in eigen_spectrum(t))
+    assert eigen_space_certified(GOLAY.matrix, fixed_space(GOLAY))
 
 
 def test_eigen_spectrum_checks_squareness_before_any_null_space(monkeypatch):
