@@ -7,16 +7,17 @@ twice must produce identical bytes; golden-file tests depend on it.
 
 One walk, _drawer, decides which primitives a cell has and in what order; SVG
 and TikZ differ only in the format table that turns each primitive into text.
-Walks are cached across calls per (format, spec, n, p), and cell plans per
-nonzero pattern, in bounded LRU caches that panels and single cells share.
+A cell looks up its points in one table per axis and its plan per pattern, in
+caches panels share; every SVG is assembled as bytes, a panel cell by cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import compress, product
+from operator import getitem
 
 from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
 from .gfield import Word, _require_prime, format_word
@@ -31,7 +32,7 @@ _HEX_DIGITS = "0123456789abcdefABCDEF"
 # A cell of n symbols over GF(p) has n axes and p-1 grid rings; a longer word
 # or a larger p is refused before drawing.  So is a panel whose cells could
 # draw more primitives in all, or with more columns (which could only be
-# empty); at the bound a panel peaks at 42-90 MB with sizes up to MAX_SPEC_SIZE.
+# empty); at the bound a panel peaks at 34-90 MB with sizes up to MAX_SPEC_SIZE.
 MAX_AXES = 256
 MAX_RINGS = 1000
 MAX_PANEL_PRIMITIVES = 250_000
@@ -209,17 +210,29 @@ def _cell_plan(support: tuple[bool, ...]):
             list(compress(range(len(support)), support)))
 
 
+class _Axis(dict):
+    """A drawer's points on one axis by symbol value; place(v) fills a miss, kept if keep."""
+
+    __slots__ = ("place", "keep")
+
+    def __missing__(self, v):
+        point = self.place(v)
+        if self.keep:
+            self[v] = point
+        return point
+
+
 @lru_cache(maxsize=1024)
 def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
     """The drawing walk for cells of n symbols over GF(p), in format fmt.
 
-    Returns (grid, cell): the joined grid text (axes, rings, arrow), "" if
+    Returns (head, cell): [the joined grid text (axes, rings, arrow)], [] if
     not spec.grid, and cell(word), the word's primitives in the fixed order
-    grid (one item), petals, outline, thorns, markers, label.  Callers check
-    _require_drawable first.  A drawer of n*p <= 512 places each
-    (k, x_k) once, with its outline vertex and marker.  Callers that cycle
-    through a few hundred keys (48 words x 4 specs x 2 formats is 384)
-    still hit.
+    head, petals, outline, thorns, markers, label.  Callers check
+    _require_drawable first.  A cell's points, each (point, outline vertex,
+    marker text), come from one _Axis per axis, and a drawer of n*p <= 512
+    keeps, so places once, each (k, x_k).  Callers that cycle through a few
+    hundred keys (48 words x 4 specs x 2 formats is 384) still hit.
     """
     f = _FORMATS[fmt]
     at, c, s = f["at"], spec.canvas / 2, spec.radius_scale
@@ -234,68 +247,66 @@ def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
         start, end, r, a0, a1, wings = _arrow_geometry(n, p, spec)
         lines.append(f["arrow"](at(c, *start), at(c, *end), _fmt(r), a0, a1,
                                 [at(c, *wing) for wing in wings], w))
-    grid = "\n".join(lines)
+    head = ["\n".join(lines)] if lines else []
     shades = (f["color"](spec.light_color), f["color"](spec.dark_color))
-    dark = shades[1]
     w, mr = _fmt(spec.stroke_width), _fmt(spec.marker_radius)
     petal, outline, vertex, thorn, marker = (
         f["petal"], f["outline"], f["vertex"], f["thorn"], f["marker"])
     o_vertex = vertex(o)
 
     def place(k, v):
-        if not v:  # a zero symbol sits on the centre
-            return o, o_vertex, None
         _, x, y = _placement(k, v, n)
         q = at(c, s * x, s * y)
-        return q, vertex(q), marker(q, mr, dark, k)
+        return q, vertex(q), marker(q, mr, shades[1], k)
 
-    # Placed points are kept while all n*p of them fit in 512 entries, a few
-    # hundred bytes each, so a drawer's memo stays under about 300 KB.  A
-    # larger drawer places each point afresh: random words would rarely meet
-    # a point twice in a memo of that size.
-    if n * p <= 512:
-        place = cache(place)
+    # Points are kept while all n*p fit in 512 entries, a few hundred bytes
+    # each, so a drawer's tables stay under about 300 KB; random words would
+    # rarely meet a point twice in larger tables, so those place afresh.
+    axes = [_Axis({0: (o, o_vertex, None)}) for _ in range(n)]  # zero sits on the centre
+    for k, axis in enumerate(axes):
+        axis.place, axis.keep = partial(place, k), n * p <= 512
 
     def cell(word):
         x = word.symbols
-        pts = list(map(place, range(n), x))
         starts, parities, lone, nonzero = _cell_plan(tuple(map(bool, x)))
-        out = [grid] if grid else []
-        out += [petal(o_vertex, pts[k][1], pts[(k + 1) % n][1], shades[d], i)
-                for i, (k, d) in enumerate(zip(starts, parities))]
-        # The all-zero word has every point on the origin; its outline would
-        # be a degenerate dot, so it is omitted entirely.
+        out = head.copy()
+        # The all-zero word, every point on the origin, draws no petal or dot.
         if nonzero:
+            pts = list(map(getitem, axes, x))
+            out += [petal(o_vertex, pts[k][1], pts[k + 1 - n][1], shades[d], i)
+                    for i, (k, d) in enumerate(zip(starts, parities))]
             out.append(outline([q[1] for q in pts], w))
-        out += [thorn(o, pts[k][0], dark, w, i) for i, k in enumerate(lone)]
-        out += [pts[k][2] for k in nonzero]
+            out += [thorn(o, pts[k][0], shades[1], w, i) for i, k in enumerate(lone)]
+            out += [pts[k][2] for k in nonzero]
         if spec.label:
             out.append(f["label"](o, spec, p, format_word(word)))
         return out
 
-    return grid, cell
+    return head, cell
 
 
 def _one_cell(fmt: str, spec: RenderSpec, shape: FlowerShape,
               setup=_drawer) -> list[str]:
-    """shape.word's primitives, from the drawer setup(fmt, spec, n, p)
-    returns: the cached _drawer, or _drawer.__wrapped__ for one set up
-    afresh."""
+    """shape.word's primitives, by the drawer setup(fmt, spec, n, p) returns:
+    the cached _drawer, or _drawer.__wrapped__ for one set up afresh."""
     word = shape.word
     _require_drawable(len(word), word.modulus)
     return setup(fmt, spec, len(word), word.modulus)[1](word)
 
 
-def _svg_document(width: float, height: float, body: list[str]) -> bytes:
+def _svg_document(width: float, height: float, body) -> bytes:
+    """The SVG document around body's text pieces, each encoded as it comes; "" adds no line."""
     w, h = _fmt(width), _fmt(height)
-    return "\n".join([
+    return b"\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">', *body, "</svg>", ""]).encode("ascii")
+        f'viewBox="0 0 {w} {h}">'.encode(), *map(str.encode, filter(None, body)),
+        b"</svg>", b""])
 
 
 def _flower_svg(shape: FlowerShape, spec: RenderSpec, setup=_drawer) -> bytes:
     """to_svg's document, its cell drawn as _one_cell draws it with setup."""
-    return _svg_document(spec.canvas, spec.canvas, _one_cell("svg", spec, shape, setup))
+    return _svg_document(spec.canvas, spec.canvas,
+                         ["\n".join(_one_cell("svg", spec, shape, setup))])
 
 
 def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
@@ -312,7 +323,7 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
     _require_prime(p)
     spec = replace(spec or RenderSpec(), grid=True)
     _require_drawable(n, p)
-    return _svg_document(spec.canvas, spec.canvas, [_drawer("svg", spec, n, p)[0]])
+    return _svg_document(spec.canvas, spec.canvas, _drawer("svg", spec, n, p)[0])
 
 
 def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
@@ -321,12 +332,10 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
 
     Cells are rendered serially.  workers is accepted for compatibility and
     ignored: threads only slowed this pure-Python string building down.  The
-    bytes equal those of each cell drawn alone by to_svg, and the cells share
-    its drawer: one grid text, one plan per nonzero pattern (petal starts and
-    shades, thorns, markers) and, when n*p <= 512, each (k, x_k) placed
-    once, with its outline vertex and marker text.  A panel whose cells
-    could draw more than MAX_PANEL_PRIMITIVES primitives, or with more
-    columns, is refused before drawing.
+    cells share to_svg's drawer, its grid text and axis tables, and equal its
+    cells byte for byte.  Each cell's group is encoded as it is drawn, so the
+    document exists only as bytes.  A panel whose cells could draw more than
+    MAX_PANEL_PRIMITIVES primitives, or with more columns, is refused first.
     """
     spec = spec or RenderSpec()
     if not words:
@@ -343,18 +352,19 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
                 f"got ({len(w)}, GF({w.modulus})) next to ({n}, GF({p}))"
             )
     _require_drawable(n, p, len(words))
-    cell = _drawer("svg", spec, n, p)[1]
-    # Every cell of a column shares its x offset, and of a row its y offset.
-    xs = [_fmt(i * spec.canvas) for i in range(min(columns, len(words)))]
-    body = []
-    for r in range(0, len(words), columns):
-        y = _fmt(r // columns * spec.canvas)
-        for x, w in zip(xs, words[r:r + columns]):
-            body.append(f'<g class="cell" transform="translate({x} {y})">')
-            body.extend(cell(w))
-            body.append("</g>")
+    return _panel(words, columns, spec)
+
+
+def _panel(words: list[Word], columns: int, spec: RenderSpec, setup=_drawer) -> bytes:
+    """panel's document, drawn by setup's drawer; callers check the bounds."""
+    cell = setup("svg", spec, len(words[0]), words[0].modulus)[1]
     rows = -(-len(words) // columns)
-    return _svg_document(columns * spec.canvas, rows * spec.canvas, body)
+    # Every cell of a column shares its x offset, and of a row its y offset.
+    offsets = product([_fmt(r * spec.canvas) for r in range(rows)],
+                     [_fmt(i * spec.canvas) for i in range(min(columns, len(words)))])
+    groups = ("\n".join([f'<g class="cell" transform="translate({x} {y})">', *cell(w), "</g>"])
+              for (y, x), w in zip(offsets, words))
+    return _svg_document(columns * spec.canvas, rows * spec.canvas, groups)
 
 
 def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:

@@ -486,6 +486,33 @@ def test_minimum_distance_of_adversarial_codes():
     assert minimum_distance(random_full_rank_code(random.Random(3), 5, 4, 4)) == 1
 
 
+def test_minimum_distance_past_rank_deficient_information_sets(monkeypatch):
+    # The ranks r of the G_j the search builds, in order.
+    ranks, init = [], codes._InformationSet.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        ranks.append(self.r)
+    monkeypatch.setattr(codes._InformationSet, "__init__", counted)
+    # [I_3 | v v | 0]_2 with v = 111: at w = 1 the least weight is 3 against
+    # a bound of 2, and G_2 has rank 1 < k - w = 2, so the search moves on
+    # to w = 2, where the first two rows sum to 110000
+    code = LinearCode(MatrixOverGfp(2, ((1, 0, 0, 1, 1, 0),
+                                        (0, 1, 0, 1, 1, 0),
+                                        (0, 0, 1, 1, 1, 0))))
+    assert minimum_distance(code) == listed_min_weight(code) == 2
+    assert ranks == [3, 1]
+    # [I_4 | A | 0 0 0 0]_5: G_2 takes A's three columns as pivots, so G_3
+    # has only the zero columns left, and rank 0
+    a = ((1, 4, 2, 3), (3, 1, 2, 4), (3, 1, 1, 3))
+    code = LinearCode(MatrixOverGfp(5, tuple(
+        tuple(int(i == j) for j in range(4)) + tuple(c[i] for c in a) + (0,) * 4
+        for i in range(4))))
+    ranks.clear()
+    assert minimum_distance(code) == listed_min_weight(code) == 3
+    assert ranks == [4, 3, 0]
+
+
 def reference_message_weights(p, rows, level):
     """The weight of u*rows for every message u of this weight whose first
     nonzero symbol is 1, in any order."""

@@ -376,6 +376,46 @@ def test_panel_of_every_word_matches_cells_drawn_one_by_one(n, p, spec):
     assert panel(words, 10, spec) == reference_panel(words, 10, spec)
 
 
+FLOWER_RENDER_PANEL_SHA256 = "ad4ae5a220540560d9608d7d9a19dff49038c21b827e1e267b6f1c4c657a2669"
+
+
+def flower_render_panel() -> tuple[list[Word], bytes]:
+    """The 2,187 ternary 7-words in 27 columns with the default spec, as the
+    benchmark's flower_render draws them, and their panel."""
+    words = [Word(3, digits) for digits in itertools.product(range(3), repeat=7)]
+    return words, panel(words, 27)
+
+
+def test_panel_of_all_ternary_7_words_matches_cells_drawn_one_by_one():
+    words, data = flower_render_panel()
+    assert data == reference_panel(words, 27, RenderSpec())
+    assert hashlib.sha256(data).hexdigest() == FLOWER_RENDER_PANEL_SHA256
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=SPEC_IDS)
+def test_panel_past_the_kept_points_matches_cells_drawn_one_by_one(spec):
+    # 48 * 11 = 528 points is past the 512 a drawer keeps, so every cell
+    # places its points afresh; a label over GF(11) is comma-separated
+    rng = random.Random(32)
+    words = [Word(11, tuple(rng.randrange(11) for _ in range(48))) for _ in range(12)]
+    words += [Word(11, (0,) * 48), Word(11, (10,) * 48), words[0]]
+    assert "," in format_word(words[0])
+    assert panel(words, 4, spec) == reference_panel(words, 4, spec)
+
+
+def test_panel_peak_memory_stays_near_its_document():
+    # cell groups are encoded as they are drawn, so the panel's text never
+    # exists whole: the peak is the encoded groups and the joined document
+    words, data = flower_render_panel()
+    tracemalloc.start()
+    try:
+        panel(words, 27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * len(data)
+
+
 def test_panels_past_the_primitive_bound_refused(monkeypatch):
     # a cell of n symbols over GF(p) counts 3n + n//2 + p + 3 primitives
     for n, p, cells in ((7, 3, 3 ** 7), (7, 2, 128), (4, 3, 81), (MAX_AXES, 997, 1)):

@@ -11,7 +11,7 @@ from fieldflower.codes import code_from_fixed_space, enumerate_codewords, hammin
 from fieldflower.flowergeom import features
 from fieldflower.gfield import Word, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec, null_space
-from fieldflower.ntt import golay_ntt_matrix, hamming_ntt_matrix
+from fieldflower.ntt import fixed_space, golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.render import RenderSpec, _drawer, to_svg
 from fieldflower.verify import format_report, run_checks
 from reference_paths import _rank, reference_addition_only_check, reference_isomorphism, \
@@ -442,7 +442,8 @@ def test_a_golay_code_that_cannot_be_built_fails_each_check_that_uses_it():
 
 def test_render_determinism_compares_a_fresh_drawer_with_a_cached_one(monkeypatch):
     # with the check's key already cached, both to_svg calls are hits; the
-    # check sets the walk up afresh beside them, and evicts no drawer
+    # check sets the walk up afresh beside them and beside the two panels,
+    # and evicts no drawer
     spec = RenderSpec()
     to_svg(features(parse_word("1010110", 2)), spec)
     other = RenderSpec(grid=False)
@@ -453,7 +454,7 @@ def test_render_determinism_compares_a_fresh_drawer_with_a_cached_one(monkeypatc
     monkeypatch.setattr(_drawer, "__wrapped__", lambda *a: fresh.append(a) or real(*a))
     assert verify._check_render_determinism() == \
         (True, "repeat and parallel renders byte-identical")
-    assert fresh == [("svg", spec, 7, 2)]
+    assert fresh == [("svg", spec, 7, 2)] * 2
     # the second to_svg and both 7-symbol panels hit too, and the drawers
     # cached before the check are still cached after it
     info = _drawer.cache_info()
@@ -470,6 +471,46 @@ def test_a_fresh_drawer_that_draws_otherwise_fails_render_determinism(monkeypatc
         return grid, lambda word: cell(word)[:-1]
     monkeypatch.setattr(_drawer, "__wrapped__", drifted)
     assert verify._check_render_determinism() == (False, "repeated to_svg runs differ")
+
+
+def test_a_fresh_drawer_that_draws_the_panel_words_otherwise_fails_render_determinism(
+        monkeypatch):
+    # a drift on every word but the figure word 1010110 passes the to_svg
+    # half; only the panel of the first 8 binary 7-words shows it
+    real, figure = _drawer.__wrapped__, parse_word("1010110", 2)
+
+    def drifted(*key):
+        head, cell = real(*key)
+        return head, lambda word: cell(word) if word == figure else cell(word)[:-1]
+    monkeypatch.setattr(_drawer, "__wrapped__", drifted)
+    assert verify._check_render_determinism() == (False, "repeated panel runs differ")
+
+
+def test_a_fixed_space_that_misses_a_moved_generator_row_fails(monkeypatch):
+    # the true fixed space shares the generator's row space, so only a wrong
+    # fixed_space can pass the first two tests while th moves a row: the
+    # flipped entry (0, 0) moves every row with x_0 = 1, the first of them
+    th = _flipped(hamming_ntt_matrix(), 0, 0)
+    space = fixed_space(hamming_ntt_matrix())
+    monkeypatch.setattr(verify, "fixed_space", lambda m: space)
+    assert verify._check_eigen_generator(th) == \
+        (False, "generator row (1, 1, 0, 0, 0, 0, 1) is not a fixed point")
+
+
+def test_wrong_features_fail_the_flower_features_check(monkeypatch):
+    # in the 128-word sweep, 1010110 (index 86) drawn as the zero word
+    real, figure, zero = features, parse_word("1010110", 2), Word(2, (0,) * 7)
+    monkeypatch.setattr(verify, "features", lambda w: real(zero if w == figure else w))
+    assert verify._check_flower_features() == (False, "counts wrong for word index 86")
+    # right in the sweep, wrong for the figure words after it
+    calls = []
+
+    def late(w):
+        calls.append(w)
+        return real(w if len(calls) <= 128 else zero)
+    monkeypatch.setattr(verify, "features", late)
+    assert verify._check_flower_features() == \
+        (False, "0000101: got 0 petals 0 thorns, expected 0/2")
 
 
 def test_caches_keep_inputs_not_verdicts(fresh_results):
