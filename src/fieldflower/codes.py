@@ -64,13 +64,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
 from math import comb
+from operator import itemgetter
 from struct import Struct
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .gfield import Word, _reduced_words, _require_prime, _same_field
 from .modlinalg import (
-    MatrixOverGfp, RrefResult, _fields_only, mat_vec, matrix_from_words, null_space,
-    rref)
+    MatrixOverGfp, RrefResult, _eliminate, _fields_only, _lanes, mat_vec,
+    matrix_from_words, null_space, rref)
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -168,17 +169,6 @@ def _check_enumerable(code: LinearCode) -> None:
         )
 
 
-def _lanes(p: int, n: int, words: int = 1) -> tuple[str, int, int, int, int]:
-    """Layout of `words` words of n symbols of GF(p) as one int: the lane
-    format, its width W, and ONE, TOP and BIAS: 1, 2**(W-1) and 2**(W-1) - p
-    in every lane.  W is the narrowest of 8, 16 and 32 with p <= 2**(W-1),
-    room for the bias, and n < 2**W, room for a word's weight."""
-    fmt, w = next((f, w) for f, w in (("B", 8), ("H", 16), ("I", 32))
-                  if p <= 1 << w - 1 and n < 1 << w)
-    one = ((1 << w * n * words) - 1) // ((1 << w) - 1)
-    return fmt, w, one, one << w - 1, ((1 << w - 1) - p) * one
-
-
 def _shape(p: int, n: int, k: int) -> tuple[int, int]:
     """`enumerate_codewords`' blocks for k rows: (h, m), rows[:h] the outer
     rows, and m words a block, the inner span or _BLOCK_LANES lanes of it."""
@@ -269,13 +259,14 @@ class _InformationSet:
     weight w plus the weight of u*rows.  `level` is the largest w whose
     messages have all been weighed."""
 
-    def __init__(self, p: int, reduced: RrefResult, unused: list[int]) -> None:
-        pivots = set(reduced.pivot_columns)
-        free = [c for c in range(reduced.rref.cols) if c not in pivots]
+    def __init__(self, p: int, reduced: Sequence[tuple[int, ...]],
+                 pivot_columns: Iterable[int], unused: list[int]) -> None:
+        pivots = set(pivot_columns)
+        free = [c for c in range(len(reduced[0])) if c not in pivots]
         self.p, self.level = p, 0
         self.r = len(pivots.intersection(range(len(unused))))
         self.unused = [c for i, c in enumerate(unused) if i not in pivots]
-        self.rows = tuple(tuple(row[c] for c in free) for row in reduced.rref.entries)
+        self.rows = tuple(tuple(row[c] for c in free) for row in reduced)
 
     @cached_property
     def _packed(self):
@@ -332,14 +323,6 @@ class _InformationSet:
             yield memoryview(sums.to_bytes(c * size, sys.byteorder)).cast(fmt)[first::n]
 
 
-def _columns_first(g: MatrixOverGfp, columns: list[int]) -> MatrixOverGfp:
-    """g with `columns` moved in front of the others, each part in order."""
-    taken = set(columns)
-    order = columns + [c for c in range(g.cols) if c not in taken]
-    return MatrixOverGfp(g.modulus, tuple(tuple(row[c] for c in order)
-                                          for row in g.entries))
-
-
 def minimum_distance(code: LinearCode) -> int:
     """Minimum Hamming distance, by the Brouwer-Zimmermann search.
 
@@ -361,8 +344,12 @@ def minimum_distance(code: LinearCode) -> int:
                 # G_j one level deeper adds without an elimination.
                 if len(unused) <= k - w:
                     break
-                reduced = rref(_columns_first(code.generator, unused)) if sets else code._reduced
-                g = _InformationSet(p, reduced, unused)
+                if sets:  # the generator with the unused columns moved first
+                    order = itemgetter(*unused, *sorted(set(range(n)).difference(unused)))
+                    reduced, pivots = _eliminate(p, list(map(order, code.generator.entries)))
+                else:
+                    reduced, pivots = code._reduced.rref.entries, code._reduced.pivot_columns
+                g = _InformationSet(p, reduced, pivots, unused)
                 if not g.r:
                     unused = []
                     break

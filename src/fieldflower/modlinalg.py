@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import chain, islice
 from operator import mul
+from struct import Struct
 from typing import Sequence
 
 from .gfield import Word, _is_decimal, _reduced_word, _residues, _same_field
@@ -132,18 +133,82 @@ def _residue_table(p: int) -> bytes:
     return bytes(v % p for v in range(256))
 
 
-def rref(m: MatrixOverGfp) -> RrefResult:
-    """Gauss-Jordan elimination with deterministic pivoting.
+def _lanes(p: int, n: int, words: int = 1) -> tuple[str, int, int, int, int]:
+    """Layout of `words` words of n symbols of GF(p) as one int: the lane
+    format, its width W, and ONE, TOP and BIAS: 1, 2**(W-1) and 2**(W-1) - p
+    in every lane.  W is the narrowest of 8, 16 and 32 with p <= 2**(W-1),
+    room for the bias, and n < 2**W, room for a word's weight."""
+    for fmt, w in ("B", 8), ("H", 16), ("I", 32):
+        if p <= 1 << w - 1 and n < 1 << w:
+            break
+    else:
+        raise ValueError(f"no lane holds words of {n} symbols over GF({p})")
+    one = ((1 << w * n * words) - 1) // ((1 << w) - 1)
+    return fmt, w, one, one << w - 1, ((1 << w - 1) - p) * one
 
-    The pivot in each column is the first nonzero entry scanning the
-    remaining rows top-down; columns are processed left to right.
-    """
-    p = m.modulus
-    a = [list(row) for row in m.entries]
+
+# The largest modulus whose rows are eliminated packed (see the module
+# docstring); larger ones take the list loop, `_gauss_jordan`.
+_PACKED_MAX = 61
+
+
+def _eliminate(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The reduced rows and pivot columns of Gauss-Jordan elimination of
+    residue rows over GF(p): the pivot in each column, left to right, is the
+    first nonzero entry of the remaining rows, top-down."""
+    if p > _PACKED_MAX:
+        return _gauss_jordan(p, rows)
+    n = len(rows[0])
+    fmt, w, _, top, bias = _lanes(p, n)
+    row_format, mask = Struct(f"<{n}{fmt}"), (1 << w) - 1
+    a = [int.from_bytes(row_format.pack(*row), "little") for row in rows]
+
+    def times(c: int, x: int) -> int:
+        """c*x reduced lane-wise, for 0 < c < p, by double-and-add."""
+        y = x
+        for bit in bin(c)[3:]:
+            y += y
+            y -= p * (((y + bias) & top) >> w - 1)
+            if bit == "1":
+                y += x
+                y -= p * (((y + bias) & top) >> w - 1)
+        return y
+
+    pivots: list[int] = []
+    for c in range(n):
+        r, shift = len(pivots), c * w
+        for i in range(r, len(a)):
+            if a[i] >> shift & mask:
+                break
+        else:
+            continue
+        a[r], a[i] = a[i], a[r]
+        row = a[r]
+        if (e := row >> shift & mask) != 1:
+            row = a[r] = times(pow(e, p - 2, p), row)
+        # other - f*row is other + (p-f)*row, one multiple per distinct f
+        multiples: dict[int, int] = {}
+        for i, other in enumerate(a):
+            if (f := other >> shift & mask) and i != r:
+                if (x := multiples.get(f)) is None:
+                    x = multiples[f] = times(p - f, row)
+                s = other + x
+                a[i] = s - p * (((s + bias) & top) >> w - 1)
+        pivots.append(c)
+        if r + 1 == len(a):
+            break
+    size = n * w // 8
+    return [row_format.unpack(x.to_bytes(size, "little")) for x in a], pivots
+
+
+def _gauss_jordan(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """`_eliminate` on lists of ints, with Fermat inverses: the path for
+    every modulus past _PACKED_MAX, and the oracle of the packed one."""
+    a = [list(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        for i in range(r, m.rows):
+    for c in range(len(a[0])):
+        for i in range(r, len(a)):
             if a[i][c]:
                 break
         else:
@@ -163,10 +228,20 @@ def rref(m: MatrixOverGfp) -> RrefResult:
                 other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(a):
             break
-    reduced = MatrixOverGfp(p, tuple(tuple(row) for row in a))
-    return RrefResult(rref=reduced, rank=r, pivot_columns=tuple(pivots))
+    return [tuple(row) for row in a], pivots
+
+
+def rref(m: MatrixOverGfp) -> RrefResult:
+    """Gauss-Jordan elimination with deterministic pivoting.
+
+    The pivot in each column is the first nonzero entry scanning the
+    remaining rows top-down; columns are processed left to right.
+    """
+    rows, pivots = _eliminate(m.modulus, m.entries)
+    return RrefResult(rref=MatrixOverGfp(m.modulus, tuple(rows)), rank=len(pivots),
+                      pivot_columns=tuple(pivots))
 
 
 def null_space(m: MatrixOverGfp) -> list[Word]:

@@ -6,8 +6,9 @@ to_svg draws one by one, reference_to_svg and reference_to_tikz, which
 set up render's uncached walk on every call and so share its format tables,
 reference_isomorphism, which walks codebook listings through mat_vec,
 reference_addition_only_check, which walks words through apply_addition_only
-and mat_vec, and reference_eigen_spectrum, which takes ntt's eigenspace of
-every lambda in GF(p).
+and mat_vec, reference_eigen_spectrum, which takes ntt's eigenspace of
+every lambda in GF(p), and rref_certified, which checks by mat_vec an rref
+of the augmented matrix.
 """
 
 import math
@@ -19,7 +20,7 @@ from fieldflower.codes import builtin_code, enumerate_codewords, hamming_code
 from fieldflower.flowergeom import FlowerShape, _petals_and_thorns, _placement, \
     _shade_parities, features
 from fieldflower.gfield import Word, format_word
-from fieldflower.modlinalg import mat_vec
+from fieldflower.modlinalg import MatrixOverGfp, mat_vec, rref
 from fieldflower.ntt import _eigen_space_for, apply_addition_only
 from fieldflower.render import _SVG, _TIKZ, RenderSpec, _arrow_geometry, _fmt, \
     _require_drawable, _svg_document, to_svg
@@ -103,6 +104,30 @@ def _rank(p: int, rows) -> int:
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def rref_certified(m, result) -> bool:
+    """A certificate for result = rref(m), from rref([M | I]) = [R | T]:
+    T*M equals result's rows, each row of T*M taken by mat_vec of M
+    transposed; those rows are in reduced echelon shape on result's pivot
+    columns; and T has full rank by _rank.  Row-equivalent to M and
+    reduced, they are M's one rref."""
+    p, k, n = m.modulus, m.rows, m.cols
+    augmented = rref(MatrixOverGfp(p, tuple(
+        row + tuple(int(i == j) for j in range(k)) for i, row in enumerate(m.entries))))
+    t = [row[n:] for row in augmented.rref.entries]
+    transposed = MatrixOverGfp(p, tuple(zip(*m.entries)))
+    reduced, pivots = result.rref.entries, result.pivot_columns
+    if [mat_vec(transposed, Word(p, row)).symbols for row in t] != list(reduced):
+        return False
+    if result.rank != len(pivots) or list(pivots) != sorted(set(pivots)):
+        return False
+    if any(map(any, reduced[len(pivots):])):
+        return False
+    for i, c in enumerate(pivots):
+        if any(reduced[i][:c]) or [row[c] for row in reduced] != [int(j == i) for j in range(k)]:
+            return False
+    return _rank(p, t) == k
 
 
 def reference_eigen_spectrum(m):

@@ -238,8 +238,8 @@ def test_enumeration_guard(monkeypatch):
     # p=2 and p=3 fit 8-bit lanes; no lane width holds a prime past 2**31
     bigs = [LinearCode(identity(k, p)) for p, k in ((2, 24), (3, 15), (2147483659, 1))]
     # nor is an information set of the distance search built: neither G_1,
-    # from the code's own rref, nor a later one, from a new rref
-    for name in ("_span", "_block_sums", "_InformationSet", "rref"):
+    # from the code's own rref, nor a later one, from a new elimination
+    for name in ("_span", "_block_sums", "_InformationSet", "rref", "_eliminate"):
         monkeypatch.setattr(codes, name, no_span)
     for big in bigs:
         assert big.size > ENUMERATION_LIMIT
@@ -466,9 +466,11 @@ def test_minimum_distance_of_adversarial_codes():
     for seed, d in ((0, 1), (2, 2)):
         code = random_full_rank_code(random.Random(seed), 3, 12, 14)
         assert minimum_distance(code) == parity_check_distance(code) == d
-    # A random [40,10]_2 code: four disjoint information sets.
-    code = random_full_rank_code(random.Random(1), 2, 10, 40)
-    assert minimum_distance(code) == listed_min_weight(code)
+    # Random [40,10]_2 codes: four disjoint information sets.
+    for seed in (1, 7):
+        code = random_full_rank_code(random.Random(seed), 2, 10, 40)
+        assert minimum_distance(code) == listed_min_weight(code)
+    assert minimum_distance(code) == 9
     # Zero columns are never pivots, so the search runs out of columns.
     code = random_full_rank_code(random.Random(5), 3, 4, 11, zero_cols={0, 3, 7, 10})
     assert minimum_distance(code) == listed_min_weight(code)
@@ -534,8 +536,9 @@ def test_message_weights_match_the_reference(monkeypatch, lanes):
         code = differential_code(seed)
         if code.dimension == code.length:
             continue
-        g = codes._InformationSet(code.modulus, rref(code.generator),
-                                  list(range(code.length)))
+        reduced = rref(code.generator)
+        g = codes._InformationSet(code.modulus, reduced.rref.entries,
+                                  reduced.pivot_columns, list(range(code.length)))
         for level in range(1, code.dimension + 1):
             got = sorted(itertools.chain.from_iterable(g.weights(level)))
             assert got == reference_message_weights(code.modulus, g.rows, level), (seed, level)

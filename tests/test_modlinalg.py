@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from fieldflower.codes import LinearCode, builtin_code, enumerate_codewords
 from fieldflower.gfield import Word, format_word
 from fieldflower.modlinalg import (
     MatrixOverGfp,
+    RrefResult,
     format_matrix,
     identity,
     mat_vec,
@@ -25,7 +27,7 @@ from fieldflower.modlinalg import (
 )
 from fieldflower.ntt import hamming_ntt_matrix
 from reference_constants import HAMMING_GENERATOR_ROWS, HAMMING_ROWS
-from reference_paths import reference_isomorphism, reference_mat_vec
+from reference_paths import reference_isomorphism, reference_mat_vec, rref_certified
 from test_gfield import ROUND_TRIP_PRIMES
 
 
@@ -83,6 +85,60 @@ def test_rref_of_zero_matrix():
     assert r.rref == m
     assert r.rank == 0
     assert r.pivot_columns == ()
+
+
+def _next_prime(q):
+    return next(c for c in itertools.count(q + 1)
+                if all(c % d for d in range(2, math.isqrt(c) + 1)))
+
+
+# Moduli on both sides of the packed rows' cutoff; 2**64 - 59, the largest
+# accepted prime, is past every lane width.
+ELIMINATION_PRIMES = (2, 3, 5, 7, 13, 61, _next_prime(modlinalg._PACKED_MAX), 127,
+                      2**31 - 1, 2**61 - 1, 2**64 - 59)
+
+
+def elimination_inputs(rng, p):
+    """Residue rows of each shape an elimination meets: 1x1, 1xn, nx1, wide,
+    tall, sparse, zero, identity, planted dependent rows, and 260 columns,
+    where lanes are 16 bits wide."""
+    def draw(k, n, zeros=0.0):
+        return [[0 if rng.random() < zeros else rng.randrange(p) for _ in range(n)]
+                for _ in range(k)]
+    planted, c = draw(10, 16), rng.randrange(1, p)
+    planted[4] = [(x + c * y) % p for x, y in zip(planted[0], planted[2])]
+    planted[7] = [c * x % p for x in planted[1]]
+    planted[9] = planted[4]
+    return [draw(1, 1), draw(1, 23), draw(23, 1), draw(12, 40), draw(40, 12),
+            draw(12, 40, zeros=0.8), draw(5, 9, zeros=1.0),
+            [[int(i == j) for j in range(9)] for i in range(9)], planted, draw(6, 260)]
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+def test_rref_matches_the_list_loop(monkeypatch, p):
+    # rref against the list loop, the path past the cutoff and the oracle
+    # below it: pivots, rank and rows.
+    inputs = elimination_inputs(random.Random(p), p)
+    for rows in inputs:
+        reduced, pivots = modlinalg._gauss_jordan(p, rows)
+        got = rref(MatrixOverGfp(p, tuple(map(tuple, rows))))
+        assert got == RrefResult(MatrixOverGfp(p, tuple(reduced)), len(pivots), tuple(pivots))
+    # Packed rows hold every p <= 2**31, so past the cutoff they agree too.
+    if p <= 2**31:
+        monkeypatch.setattr(modlinalg, "_PACKED_MAX", p)
+        for rows in inputs:
+            assert modlinalg._eliminate(p, rows) == modlinalg._gauss_jordan(p, rows)
+
+
+@pytest.mark.parametrize("p, n", [(2, 100), (2, 200), (3, 100), (3, 200), (2**61 - 1, 100)])
+def test_rref_certificate_on_large_matrices(p, n):
+    rng = random.Random(n)
+    m = MatrixOverGfp(p, tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)))
+    result = rref(m)
+    assert rref_certified(m, result)
+    if n == 100:  # the certificate refuses the rows out of order
+        swapped = MatrixOverGfp(p, result.rref.entries[::-1])
+        assert not rref_certified(m, dataclasses.replace(result, rref=swapped))
 
 
 def test_null_space_of_identity_is_empty():
