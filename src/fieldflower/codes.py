@@ -10,10 +10,11 @@ Sloane, ch. 1), built at the code's first membership test and kept on it.
 Minimum distance is found by the Brouwer-Zimmermann search (A. Zimmermann,
 1996, as described by M. Grassl, "Searching for linear codes with large
 minimum distance", 2006), which looks at low-weight messages only.  G_1 is
-the generator's rref, kept on the code from its rank check; G_j is the rref
-of the generator with the columns that no earlier G_j took as pivots moved
-first, so that r_j of its k pivots lie among them (r_1 = k, and r_j never
-grows).  For w = 1, 2, ..., the messages of weight w of each G_j, first
+the generator's rref, kept on the code from its rank check; G_j is the
+generator's rows, reordered by one itemgetter so that the columns no earlier
+G_j took as pivots come first, eliminated by `modlinalg._eliminate` with no
+matrix built, so that r_j of its k pivots lie among them (r_1 = k, and r_j
+never grows).  For w = 1, 2, ..., the messages of weight w of each G_j, first
 nonzero symbol 1, are weighed, and U is the least weight seen.  A codeword
 not yet seen has a message of weight above w_j in every G_j weighed up to
 w_j, so at least w_j + 1 - (k - r_j) nonzero symbols on the r_j pivots of
@@ -28,7 +29,8 @@ prefix of w - 1 rows, its tail the multiples of the rows after its last.
 
 Both walks sum packed words in blocks.  A word of n symbols is packed into an
 int, symbol j in lane j of W bits, with W the narrowest of 8, 16 and 32 such
-that p <= 2**(W-1) and n < 2**W.  `_block_sums` takes (head, tail) pairs, a
+that p <= 2**(W-1) and n < 2**W: `modlinalg._lanes`, the layout that
+elimination shares.  `_block_sums` takes (head, tail) pairs, a
 head one packed word and a tail packed words end to end, repeats each head's
 bytes once per word of its tail, and adds the two as ints, m words a block,
 word i at bit i*n*W; a block runs on from one pair into the next.  Lanes of a
@@ -251,13 +253,14 @@ def enumerate_codewords(code: LinearCode) -> list[Word]:
 
 
 class _InformationSet:
-    """G_j of the minimum-distance search: a generator of the code in rref,
-    its columns reordered so that the columns no earlier G_j used come
-    first.  r of its k pivots lie among those, and `unused` lists the ones
-    still unused after it.  `rows` are its rows cut to the n - k columns
-    that are not pivots, so a message u of weight w gives a codeword of
-    weight w plus the weight of u*rows.  `level` is the largest w whose
-    messages have all been weighed."""
+    """G_j of the minimum-distance search, from the reduced rows and pivot
+    columns of a generator of the code whose columns were reordered so that
+    the `unused` ones, which no earlier G_j used, come first.  r of its k
+    pivots lie among those, and `unused` lists the ones still unused after
+    it.  `rows` are its rows cut to the n - k columns that are not pivots,
+    so a message u of weight w gives a codeword of weight w plus the weight
+    of u*rows.  `level` is the largest w whose messages have all been
+    weighed."""
 
     def __init__(self, p: int, reduced: Sequence[tuple[int, ...]],
                  pivot_columns: Iterable[int], unused: list[int]) -> None:

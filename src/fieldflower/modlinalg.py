@@ -1,9 +1,17 @@
 """Dense linear algebra over GF(p).
 
-Matrices are immutable tuples of residue rows.  Elimination is plain
-Gauss-Jordan with Fermat inverses over exact Python integers, correct for
-every accepted modulus (any prime below 2**64); the built-in transforms are
-small (p = 2 and 3, dimensions <= 16), so this is also fast.
+Matrices are immutable tuples of residue rows.  Elimination is
+Gauss-Jordan with Fermat inverses, exact for every accepted modulus (any
+prime below 2**64), in one of two forms chosen by the modulus (`_eliminate`).
+For p <= _PACKED_MAX (61) each row is one int, entry j in lane j of the
+`_lanes` layout that the codebook walks in `codes` also use, and a row
+operation adds one multiple c*row of the pivot row and reduces every lane
+at once: a lane of the sum lies in 0..2p-2, adding 2**(W-1) - p sets its top
+bit exactly when it is p or more, and p is subtracted there.  c*row is built
+by double-and-add, about log2(c) such steps, once per pivot for each factor
+c.  Past 61 those steps cost more than the list loop's products and `% p`,
+and no lane holds a p past 2**31, so larger moduli run the list loop,
+`_gauss_jordan`, which the tests also use as the packed rows' oracle.
 All pivot choices are deterministic (first nonzero entry scanning rows
 top-down, columns left-to-right) so that downstream output, in particular
 canonical null-space bases, is byte-reproducible.
@@ -147,8 +155,10 @@ def _lanes(p: int, n: int, words: int = 1) -> tuple[str, int, int, int, int]:
     return fmt, w, one, one << w - 1, ((1 << w - 1) - p) * one
 
 
-# The largest modulus whose rows are eliminated packed (see the module
-# docstring); larger ones take the list loop, `_gauss_jordan`.
+# The largest modulus eliminated on packed rows (see the module docstring).
+# Measured against the list loop, packed rows win at 12x24 up to p = 61
+# (1.08x) and lose from p = 127 (0.79x); at 100x100 over GF(2) and GF(3)
+# they are 7-8x faster, and at 3x3 they are slower for every p (0.55-0.8x).
 _PACKED_MAX = 61
 
 
@@ -278,9 +288,10 @@ def same_row_space(a: MatrixOverGfp, b: MatrixOverGfp) -> bool:
     return _nonzero_rows(rref(a).rref) == _nonzero_rows(rref(b).rref)
 
 
-# fixed_space of a dense random 200x200 matrix takes about 0.3 s over GF(2)
-# and 1.7-2.5 s over GF(2**61 - 1) (Python 3.11, one core of a 2-vCPU host);
-# elimination is n**3, so the bound holds every admitted one near 2 s.
+# fixed_space of a dense random 200x200 matrix takes about 0.02 s over GF(2)
+# and GF(3), on packed rows, and 1.7-2.5 s over GF(2**61 - 1), on lists of
+# ints (Python 3.11, one core of a 2-vCPU host); elimination is n**3, so the
+# bound holds every admitted one near 2 s.
 MAX_MATRIX_DIM = 200
 
 # One row of matrix text: a `;`-separated chunk from its first character that

@@ -381,6 +381,9 @@ def test_lane_boundary_cases_straddle_the_switches():
     widths = [codes._lanes(p, 4)[1] for p in _LANE_BOUNDARY_K]
     assert widths == [8, 16, 16, 32]
     assert [codes._lanes(2, n)[1] for n in _LANE_BOUNDARY_N + (300,)] == [8, 16, 16]
+    # past 2**31 no lane holds the bias, and the layout says so
+    with pytest.raises(ValueError, match="no lane holds"):
+        codes._lanes(2**31 + 11, 4)
 
 
 @st.composite

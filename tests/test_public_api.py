@@ -95,10 +95,10 @@ def test_public_api_is_the_recorded_list():
 LOADS = [
     (None, []),
     ("RenderSpec", ["flowergeom", "gfield", "render"]),
-    ("rref", ["gfield", "modlinalg"]),
     ("minimum_distance", ["codes", "gfield", "modlinalg", "ntt"]),
     ("run_checks",
      ["codes", "flowergeom", "gfield", "modlinalg", "ntt", "render", "verify"]),
+    ("rref", ["gfield", "modlinalg"]),
 ]
 
 
