@@ -27,23 +27,13 @@ adds without an elimination.  Messages are weighed in packed blocks (below) on
 the n - k columns that are not pivots, which carry the message: a head is a
 prefix of w - 1 rows, its tail the multiples of the rows after its last.
 
-Both walks sum packed words in blocks.  A word of n symbols is packed into an
-int, symbol j in lane j of W bits, with W the narrowest of 8, 16 and 32 such
-that p <= 2**(W-1) and n < 2**W: `modlinalg._lanes`, the layout that
-elimination shares.  `_block_sums` takes (head, tail) pairs, a
-head one packed word and a tail packed words end to end, repeats each head's
-bytes once per word of its tail, and adds the two as ints, m words a block,
-word i at bit i*n*W; a block runs on from one pair into the next.  Lanes of a
-sum lie in 0..2p-2; adding 2**(W-1) - p to each sets its top bit exactly when
-it is p or more, without a carry into the next lane, so subtracting p where
-the top bit is set reduces it.  A bias of 2**(W-1) - 1 instead sets the top
-bit of each nonzero lane.  Those bits, moved to the bottom of their lanes and
-multiplied by a 1 in each of n lanes, sum each word's bits into its last lane:
-its weight, which cannot carry out of the lane because n < 2**W.  A codebook
-walk splits the k generator rows into an outer part g[:k//2] and an inner part
-g[k//2:], each codeword hi + lo, one word from the span of each, in message
-order: the heads are the outer span, every tail is the inner span, packed
-once, and a block holds the inner span or _BLOCK_LANES lanes of it.
+Both walks add words in the `modlinalg._Lanes` layout, whose docstring
+explains the lane widths, the bias reduction and the weight sum, a block of
+`_block_sums` at a time.  A codebook walk splits the k generator rows into
+an outer part g[:k//2] and an inner part g[k//2:], each codeword hi + lo, one
+word from the span of each, in message order: the heads are the outer span,
+every tail is the inner span, packed once, and a block holds the inner span
+or _BLOCK_LANES lanes of it.
 
 A listing is built with automatic cyclic garbage collection paused
 (`gc.disable()` around the block loop of `enumerate_codewords`), and each
@@ -67,13 +57,12 @@ from functools import cached_property
 from itertools import count, repeat
 from math import comb
 from operator import itemgetter
-from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .gfield import Word, _reduced_words, _require_prime, _same_field
 from .modlinalg import (
-    MatrixOverGfp, RrefResult, _eliminate, _fields_only, _lanes, mat_vec,
-    matrix_from_words, null_space, rref)
+    MatrixOverGfp, RrefResult, _eliminate, _fields_only, _Lanes, _word_lanes,
+    mat_vec, matrix_from_words, null_space, rref)
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -182,32 +171,28 @@ def _span(p: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[int]:
     """Yield every sum c_0*r_0 + c_1*r_1 + ... over GF(p), packed, for c in
     lexicographic order with the first row most significant: each multiple
     of the first row plus each word of the span of the rest, listed once."""
-    n = len(rows[0])
-    fmt, w, _, top, bias = _lanes(p, n)
-    pack = Struct(f"<{n}{fmt}").pack
+    lanes = _word_lanes(p, len(rows[0]))
     rest = list(_span(p, rows[1:])) if len(rows) > 1 else [0]
-    for c in range(p):
-        hi = int.from_bytes(pack(*[c * x % p for x in rows[0]]), "little")
+    for hi in lanes.multiples(lanes.pack(rows[0])):
         for lo in rest:
-            s = hi + lo
-            yield s - p * (((s + bias) & top) >> w - 1)
+            yield lanes.reduce(hi + lo)
 
 
-def _block_sums(p: int, size: int, m: int, lanes: tuple[str, int, int, int, int],
-                pairs: Iterable[tuple[int, bytes]]) -> Iterator[tuple[int, int]]:
-    """Yield (c, s): the next c words head + x, x each word of a tail, pair by
-    pair, as one int s with word i at byte i*size, reduced lane-wise; every
-    block but the last holds m words, and `lanes` is `_lanes(p, n, m)`."""
-    _, w, _, top, bias = lanes
-    room, heads, tails, last = m * size, [], [], (b"", 0)
+def _block_sums(m: int, lanes: _Lanes, pairs: Iterable[tuple[int, bytes]]
+                ) -> Iterator[tuple[int, int]]:
+    """Yield (c, s): the next c words head + x, pair by pair, a head one
+    packed word and x each word of its tail, packed end to end, as one int s
+    with word i at byte i*size, reduced lane-wise; a block runs on from one
+    pair into the next, every block but the last holds m words, and `lanes`
+    lays out m words."""
+    size, room, heads, tails, last = lanes.size, m * lanes.size, [], [], (b"", 0)
 
     def block() -> int:
         # A codebook walk's blocks are mostly one whole tail, so its int is kept.
         nonlocal last
         if (lows := b"".join(tails)) is not last[0]:
             last = lows, int.from_bytes(lows, "little")
-        s = int.from_bytes(b"".join(heads), "little") + last[1]
-        return s - p * (((s + bias) & top) >> w - 1)
+        return lanes.reduce(int.from_bytes(b"".join(heads), "little") + last[1])
 
     for head, tail in pairs:
         head, a, end = head.to_bytes(size, "little"), 0, len(tail)
@@ -232,18 +217,18 @@ def enumerate_codewords(code: LinearCode) -> list[Word]:
     p, n, rows = code.modulus, code.length, code.generator.entries
     _require_prime(p)
     h, m = _shape(p, n, len(rows))
-    fmt, w, _, top, bias = lanes = _lanes(p, n, m)
-    size, unpack, words = n * w // 8, Struct(f"<{n}{fmt}").iter_unpack, []
+    lanes, words = _Lanes(p, n, m), []
+    size, unpack = lanes.size, lanes.struct.iter_unpack
     inner = (lo.to_bytes(size, "little") for lo in _span(p, rows[h:]))
     # With one row the outer span is 0 alone, and the inner span streams.
     pairs = zip(_span(p, rows[:h]), repeat(b"".join(inner))) if h else zip(repeat(0), inner)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for c, s in _block_sums(p, size, m, lanes, pairs):
+        for c, s in _block_sums(m, lanes, pairs):
             # A lane with its top bit set, or biased to it, holds a symbol >= p.
-            if bad := (s | s + bias) & top:
-                k = len(words) + ((bad & -bad).bit_length() - 1) // (n * w)
+            if bad := (s | s + lanes.bias) & lanes.top:
+                k = len(words) + ((bad & -bad).bit_length() - 1) // (n * lanes.w)
                 raise ValueError(f"codeword {k} has a symbol >= {p}")
             words += _reduced_words(p, unpack(s.to_bytes(c * size, "little")))
     finally:
@@ -273,33 +258,24 @@ class _InformationSet:
 
     @cached_property
     def _packed(self):
-        """Built at the first level above 1: `_lanes` of one word; multiples[i],
+        """Built at the first level above 1: the one-word `_Lanes`; multiples[i],
         the packed c*row_i for c = 1..p-1; and all of them as bytes, in order."""
-        p, rows = self.p, self.rows
-        n = len(rows[0])
-        fmt, w, one, top, bias = lanes = _lanes(p, n)
-        pack, multiples = Struct(f"<{n}{fmt}").pack, []
-        for row in rows:
-            x = int.from_bytes(pack(*row), "little")
-            multiples.append([x])
-            for _ in range(p - 2):  # (c+1)*row = c*row + row, reduced
-                s = multiples[-1][-1] + x
-                multiples[-1].append(s - p * (((s + bias) & top) >> w - 1))
-        data = b"".join(x.to_bytes(n * w // 8, "little") for xs in multiples for x in xs)
+        lanes = _word_lanes(self.p, len(self.rows[0]))
+        multiples = [list(lanes.multiples(lanes.pack(row)))[1:] for row in self.rows]
+        data = b"".join(x.to_bytes(lanes.size, "little") for xs in multiples for x in xs)
         return lanes, multiples, data
 
     def _prefixes(self, depth: int, stop: int) -> Iterator[tuple[int, int]]:
         """(i, s): s the reduced sum of rows i_1 < ... < i_depth = i < stop,
         row i_1 times 1 and each other times one of 1..p-1, packed."""
-        p, ((_, w, _, top, bias), multiples, _) = self.p, self._packed
+        lanes, multiples, _ = self._packed
         if depth == 1:
             yield from ((i, multiples[i][0]) for i in range(stop))
             return
         for i, s in self._prefixes(depth - 1, stop - 1):
             for j in range(i + 1, stop):
                 for x in multiples[j]:
-                    x += s
-                    yield j, x - p * (((x + bias) & top) >> w - 1)
+                    yield j, lanes.reduce(s + x)
 
     def weights(self, level: int) -> Iterator[list[int] | memoryview]:
         """The weight of u*rows for every message u of this weight whose
@@ -310,20 +286,20 @@ class _InformationSet:
         if level == 1:
             yield [n - row.count(0) for row in self.rows]
             return
-        (fmt, w, spread, _, _), _, data = self._packed
+        lanes, _, data = self._packed
         m = min(max(1, _BLOCK_LANES // n), comb(k, level) * (p - 1) ** (level - 1))
         # Lanes of the longest block.  A shorter one holds 0 past its end,
         # which stays below the top bit when biased, and weighs 0.
-        _, _, one, top, _ = lanes = _lanes(p, n, m)
-        size, shift, nonzero = n * w // 8, (n - 1) * w, top - one
+        block, w, size = _Lanes(p, n, m), lanes.w, lanes.size
+        shift, nonzero = (n - 1) * w, block.top - block.one
         # Shifted down, word i's weight is in lane i*n: item i*n of the
         # native cast when little-endian, item (m-1-i)*n + n-1 when big-endian.
         first = 0 if sys.byteorder == "little" else n - 1
         pairs = ((s, data[(i + 1) * (p - 1) * size:])
                  for i, s in self._prefixes(level - 1, k - 1))
-        for c, s in _block_sums(p, size, m, lanes, pairs):
-            sums = (((s + nonzero) & top) >> w - 1) * spread >> shift
-            yield memoryview(sums.to_bytes(c * size, sys.byteorder)).cast(fmt)[first::n]
+        for c, s in _block_sums(m, block, pairs):
+            sums = (((s + nonzero) & block.top) >> w - 1) * lanes.one >> shift
+            yield memoryview(sums.to_bytes(c * size, sys.byteorder)).cast(lanes.fmt)[first::n]
 
 
 def minimum_distance(code: LinearCode) -> int:

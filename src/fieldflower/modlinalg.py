@@ -1,20 +1,11 @@
 """Dense linear algebra over GF(p).
 
-Matrices are immutable tuples of residue rows.  Elimination is
-Gauss-Jordan with Fermat inverses, exact for every accepted modulus (any
-prime below 2**64), in one of two forms chosen by the modulus (`_eliminate`).
-For p <= _PACKED_MAX (61) each row is one int, entry j in lane j of the
-`_lanes` layout that the codebook walks in `codes` also use, and a row
-operation adds one multiple c*row of the pivot row and reduces every lane
-at once: a lane of the sum lies in 0..2p-2, adding 2**(W-1) - p sets its top
-bit exactly when it is p or more, and p is subtracted there.  c*row is built
-by double-and-add, about log2(c) such steps, once per pivot for each factor
-c.  Past 61 those steps cost more than the list loop's products and `% p`,
-and no lane holds a p past 2**31, so larger moduli run the list loop,
-`_gauss_jordan`, which the tests also use as the packed rows' oracle.
-All pivot choices are deterministic (first nonzero entry scanning rows
-top-down, columns left-to-right) so that downstream output, in particular
-canonical null-space bases, is byte-reproducible.
+Matrices are immutable tuples of residue rows.  Elimination is Gauss-Jordan
+with Fermat inverses, exact for every accepted modulus (any prime below
+2**64), on rows packed as `_Lanes` for p <= _PACKED_MAX and on lists of ints
+past it (`_eliminate`).  All pivot choices are deterministic (first nonzero
+entry scanning rows top-down, columns left-to-right) so that downstream
+output, in particular canonical null-space bases, is byte-reproducible.
 
 Entries are checked by `gfield._residues` and operands matched by
 `gfield._same_field`; this module has no value check of its own.  A
@@ -36,11 +27,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain, islice
 from operator import mul
 from struct import Struct
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .gfield import Word, _is_decimal, _reduced_word, _residues, _same_field
 
@@ -141,24 +132,69 @@ def _residue_table(p: int) -> bytes:
     return bytes(v % p for v in range(256))
 
 
-def _lanes(p: int, n: int, words: int = 1) -> tuple[str, int, int, int, int]:
-    """Layout of `words` words of n symbols of GF(p) as one int: the lane
-    format, its width W, and ONE, TOP and BIAS: 1, 2**(W-1) and 2**(W-1) - p
-    in every lane.  W is the narrowest of 8, 16 and 32 with p <= 2**(W-1),
-    room for the bias, and n < 2**W, room for a word's weight."""
-    for fmt, w in ("B", 8), ("H", 16), ("I", 32):
-        if p <= 1 << w - 1 and n < 1 << w:
-            break
-    else:
-        raise ValueError(f"no lane holds words of {n} symbols over GF({p})")
-    one = ((1 << w * n * words) - 1) // ((1 << w) - 1)
-    return fmt, w, one, one << w - 1, ((1 << w - 1) - p) * one
+class _Lanes:
+    """`words` words of n symbols of GF(p) as one int, the layout of
+    elimination here and of the walks in `codes`: symbol j of word i in lane
+    i*n + j of W bits, little-endian, W the narrowest of 8, 16 and 32 with
+    p <= 2**(W-1), room for the bias, and n < 2**W, room for a weight.
+    `one`, `top` and `bias` hold 1, 2**(W-1) and 2**(W-1) - p in each lane.
+
+    A lane of a sum of two residue words lies in 0..2p-2; adding `bias` sets
+    its top bit exactly when it is p or more, without a carry into the next
+    lane, so subtracting p where it is set reduces every lane (`reduce`).  A
+    bias of 2**(W-1) - 1 sets the top bit of each nonzero lane instead; moved
+    to the bottom of its lane and times a word's `one`, those bits sum into
+    its last lane: its weight."""
+
+    def __init__(self, p: int, n: int, words: int = 1) -> None:
+        for fmt, w in ("B", 8), ("H", 16), ("I", 32):
+            if p <= 1 << w - 1 and n < 1 << w:
+                break
+        else:
+            raise ValueError(f"no lane holds words of {n} symbols over GF({p})")
+        self.p, self.n, self.fmt, self.w, self.mask = p, n, fmt, w, (1 << w) - 1
+        self.size, self.struct = n * w // 8, Struct(f"<{n}{fmt}")
+        self.one = one = ((1 << w * n * words) - 1) // self.mask
+        self.top, self.bias = one << w - 1, ((1 << w - 1) - p) * one
+
+    def pack(self, row: Sequence[int]) -> int:
+        return int.from_bytes(self.struct.pack(*row), "little")
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        return self.struct.unpack(x.to_bytes(self.size, "little"))
+
+    def reduce(self, s: int) -> int:
+        """s with each lane, in 0..2p-2, reduced mod p."""
+        return s - self.p * (((s + self.bias) & self.top) >> self.w - 1)
+
+    def times(self, c: int, x: int) -> int:
+        """c*x reduced lane-wise, for 0 < c < p, by double-and-add, with
+        `reduce` written out: a call per step costs 10% at p = 61."""
+        p, w, top, bias, y = self.p, self.w - 1, self.top, self.bias, x
+        for bit in bin(c)[3:]:
+            y += y
+            y -= p * (((y + bias) & top) >> w)
+            if bit == "1":
+                y += x
+                y -= p * (((y + bias) & top) >> w)
+        return y
+
+    def multiples(self, x: int) -> Iterator[int]:
+        """Yield c*x reduced lane-wise for c = 0..p-1, each the last plus x."""
+        yield (y := 0)
+        for _ in range(self.p - 1):
+            yield (y := self.reduce(y + x))
 
 
-# The largest modulus eliminated on packed rows (see the module docstring).
-# Measured against the list loop, packed rows win at 12x24 up to p = 61
-# (1.08x) and lose from p = 127 (0.79x); at 100x100 over GF(2) and GF(3)
-# they are 7-8x faster, and at 3x3 they are slower for every p (0.55-0.8x).
+# The one-word layout of (p, n), built once; a block's layout is built per
+# call, as its ints grow with the block.
+_word_lanes = lru_cache(maxsize=64)(_Lanes)
+
+
+# The largest modulus eliminated on packed rows: past it double-and-add
+# costs more than the list loop's products and `% p`, and past 2**31 no lane
+# holds p.  Speed against the list loop: 1.08x at 12x24 and p = 61, 0.79x at
+# p = 127, 7-8x at 100x100 over GF(2) and GF(3), 0.56-0.81x at 3x3 (any p).
 _PACKED_MAX = 61
 
 
@@ -168,24 +204,11 @@ def _eliminate(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, .
     first nonzero entry of the remaining rows, top-down."""
     if p > _PACKED_MAX:
         return _gauss_jordan(p, rows)
-    n = len(rows[0])
-    fmt, w, _, top, bias = _lanes(p, n)
-    row_format, mask = Struct(f"<{n}{fmt}"), (1 << w) - 1
-    a = [int.from_bytes(row_format.pack(*row), "little") for row in rows]
-
-    def times(c: int, x: int) -> int:
-        """c*x reduced lane-wise, for 0 < c < p, by double-and-add."""
-        y = x
-        for bit in bin(c)[3:]:
-            y += y
-            y -= p * (((y + bias) & top) >> w - 1)
-            if bit == "1":
-                y += x
-                y -= p * (((y + bias) & top) >> w - 1)
-        return y
-
+    lanes = _word_lanes(p, len(rows[0]))
+    w, mask, top, bias = lanes.w, lanes.mask, lanes.top, lanes.bias
+    a = list(map(lanes.pack, rows))
     pivots: list[int] = []
-    for c in range(n):
+    for c in range(lanes.n):
         r, shift = len(pivots), c * w
         for i in range(r, len(a)):
             if a[i] >> shift & mask:
@@ -195,20 +218,20 @@ def _eliminate(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, .
         a[r], a[i] = a[i], a[r]
         row = a[r]
         if (e := row >> shift & mask) != 1:
-            row = a[r] = times(pow(e, p - 2, p), row)
-        # other - f*row is other + (p-f)*row, one multiple per distinct f
+            row = a[r] = lanes.times(pow(e, p - 2, p), row)
+        # other - f*row is other + (p-f)*row, one multiple per distinct f; the
+        # add's `reduce` is written out: a call per row costs 4-10% from 10x20
         multiples: dict[int, int] = {}
         for i, other in enumerate(a):
             if (f := other >> shift & mask) and i != r:
                 if (x := multiples.get(f)) is None:
-                    x = multiples[f] = times(p - f, row)
+                    x = multiples[f] = lanes.times(p - f, row)
                 s = other + x
                 a[i] = s - p * (((s + bias) & top) >> w - 1)
         pivots.append(c)
         if r + 1 == len(a):
             break
-    size = n * w // 8
-    return [row_format.unpack(x.to_bytes(size, "little")) for x in a], pivots
+    return list(map(lanes.unpack, a)), pivots
 
 
 def _gauss_jordan(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:

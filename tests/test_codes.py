@@ -378,12 +378,12 @@ def test_a_walk_block_runs_on_into_the_next_outer_word(monkeypatch):
 
 
 def test_lane_boundary_cases_straddle_the_switches():
-    widths = [codes._lanes(p, 4)[1] for p in _LANE_BOUNDARY_K]
+    widths = [codes._Lanes(p, 4).w for p in _LANE_BOUNDARY_K]
     assert widths == [8, 16, 16, 32]
-    assert [codes._lanes(2, n)[1] for n in _LANE_BOUNDARY_N + (300,)] == [8, 16, 16]
+    assert [codes._Lanes(2, n).w for n in _LANE_BOUNDARY_N + (300,)] == [8, 16, 16]
     # past 2**31 no lane holds the bias, and the layout says so
     with pytest.raises(ValueError, match="no lane holds"):
-        codes._lanes(2**31 + 11, 4)
+        codes._Lanes(2**31 + 11, 4)
 
 
 @st.composite
@@ -702,7 +702,7 @@ def test_enumeration_restores_the_collector_when_a_block_is_refused(monkeypatch,
     p = 3
     code = LinearCode(MatrixOverGfp(p, identity(3, p).entries[:1]))
     _, m = codes._shape(p, 3, 1)
-    w = codes._lanes(p, 3, m)[1]
+    w = codes._Lanes(p, 3, m).w
     blocks = ((1, 0), (m, p << w))
     monkeypatch.setattr(codes, "_block_sums", lambda *_: iter(blocks))
     with collector(enabled):
@@ -734,7 +734,7 @@ def test_enumeration_refuses_an_unreduced_packed_word(monkeypatch, p):
     k = 3 if p == 2 else 1
     code = LinearCode(MatrixOverGfp(p, identity(3, p).entries[:k]))
     _, m = codes._shape(p, 3, k)
-    w = codes._lanes(p, 3, m)[1]
+    w = codes._Lanes(p, 3, m).w
     assert m >= 3 and w == {2: 8, 3: 8, 131: 16, 32771: 32}[p]
     built, reduced_words = [], codes._reduced_words
 

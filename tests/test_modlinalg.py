@@ -141,6 +141,43 @@ def test_rref_certificate_on_large_matrices(p, n):
         assert not rref_certified(m, dataclasses.replace(result, rref=swapped))
 
 
+# The lane width W switches at p = 2**(W-1) + 1 and at n = 2**W: moduli and
+# word lengths on each side of each switch, with the width each one needs.
+LANE_MODULI = {2: 8, 3: 8, 127: 8, 131: 16, 32749: 16, 32771: 32, 2**31 - 1: 32}
+LANE_LENGTHS = {1: 8, 255: 8, 256: 16, 65535: 16, 65536: 32}
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in LANE_MODULI for n in (1, 255, 256)]
+                         + [(p, n) for p in (2, 32749) for n in (65535, 65536)])
+def test_lanes_match_the_per_symbol_arithmetic(p, n):
+    # The layout against per-symbol arithmetic mod p: a round trip, the
+    # lane-wise reduction over a block of three words, c*x, and the multiples.
+    rng = random.Random(f"{p},{n}")
+    lanes = modlinalg._word_lanes(p, n)
+    assert lanes is modlinalg._word_lanes(p, n)
+    assert lanes.w == max(LANE_MODULI[p], LANE_LENGTHS[n])
+    row = tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(n))
+    x = lanes.pack(row)
+    assert lanes.unpack(x) == row
+    # A lane of a sum lies in 0..2p-2; 0, p-1, p and 2p-2 in the first,
+    # middle or last lane of the block, every other lane a random sum.
+    block, drawn = modlinalg._Lanes(p, n, 3), [rng.randrange(2 * p - 1) for _ in range(3 * n)]
+    for lane in (0, 3 * n // 2, 3 * n - 1):
+        for v in (0, p - 1, p, 2 * p - 2):
+            sums = drawn.copy()
+            sums[lane] = v
+            s = int.from_bytes(b"".join(block.struct.pack(*sums[i:i + n])
+                                        for i in range(0, 3 * n, n)), "little")
+            reduced = block.reduce(s).to_bytes(3 * block.size, "little")
+            assert [e for word in block.struct.iter_unpack(reduced) for e in word] == \
+                [e % p for e in sums]
+    for c in {1, 2, p - 2, p - 1} - {0}:
+        assert lanes.unpack(lanes.times(c, x)) == tuple(c * e % p for e in row)
+    if p <= 131:  # p ints of n lanes each
+        assert list(map(lanes.unpack, lanes.multiples(x))) == \
+            [tuple(c * e % p for e in row) for c in range(p)]
+
+
 def test_null_space_of_identity_is_empty():
     assert null_space(identity(4, 2)) == []
 

@@ -127,3 +127,13 @@ def test_int_byte_conversions_name_their_byte_order():
              and len(node.args) < 2
              and "byteorder" not in {k.arg for k in node.keywords}]
     assert calls == []
+
+
+def test_only_modlinalg_imports_struct():
+    # The lane layout, `modlinalg._Lanes`, is the one place that packs words
+    # with `struct`; every other module packs through it.
+    importers = sorted(path.stem for path in SRC.glob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
+                       or isinstance(node, ast.ImportFrom) and node.module == "struct")
+    assert importers == ["modlinalg"]
