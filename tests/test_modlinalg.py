@@ -171,9 +171,9 @@ def test_lanes_match_the_per_symbol_arithmetic(p, n):
             reduced = block.reduce(s).to_bytes(3 * block.size, "little")
             assert [e for word in block.struct.iter_unpack(reduced) for e in word] == \
                 [e % p for e in sums]
-    for c in {1, 2, p - 2, p - 1} - {0}:
+    for c in {c for c in (1, 2, p - 2, p - 1) if 0 < c < p}:
         assert lanes.unpack(lanes.times(c, x)) == tuple(c * e % p for e in row)
-    if p <= 131:  # p ints of n lanes each
+    if p <= 131:  # the multiples are p ints of n lanes each
         assert list(map(lanes.unpack, lanes.multiples(x))) == \
             [tuple(c * e % p for e in row) for c in range(p)]
 
