@@ -5,12 +5,12 @@ downstream is exact.  Codeword enumeration walks all p**k codewords, guarded
 by an explicit enumeration cap, which minimum distance also honours.
 Membership is a syndrome test: a word w lies in the code exactly when
 H*w = 0, with H the canonical null space of the generator (MacWilliams &
-Sloane, ch. 1), built at the code's first membership test and kept on it.
+Sloane, ch. 1), read off the elimination of its rank check and kept on it.
 
 Minimum distance is found by the Brouwer-Zimmermann search (A. Zimmermann,
 1996, as described by M. Grassl, "Searching for linear codes with large
 minimum distance", 2006), which looks at low-weight messages only.  G_1 is
-the generator's rref, kept on the code from its rank check; G_j is the
+the reduced generator, kept on the code from its rank check; G_j is the
 generator's rows, reordered by one itemgetter so that the columns no earlier
 G_j took as pivots come first, eliminated by `modlinalg._eliminate` with no
 matrix built, so that r_j of its k pivots lie among them (r_1 = k, and r_j
@@ -61,8 +61,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .gfield import Word, _reduced_words, _require_prime, _same_field
 from .modlinalg import (
-    MatrixOverGfp, RrefResult, _eliminate, _fields_only, _Lanes, _word_lanes,
-    mat_vec, matrix_from_words, null_space, rref)
+    MatrixOverGfp, _eliminate, _fields_only, _Lanes, _null_basis, _word_lanes,
+    mat_vec, matrix_from_words)
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -86,22 +86,23 @@ class LinearCode:
     generator: MatrixOverGfp
 
     def __post_init__(self) -> None:
-        if self._reduced.rank != self.generator.rows:
+        if len(self._reduced[1]) != self.generator.rows:
             raise ValueError("generator rows are linearly dependent")
 
     __getstate__ = _fields_only
 
     @cached_property
-    def _reduced(self) -> RrefResult:
-        """The generator's rref: its rank checks the rows, and it is G_1 of
-        `minimum_distance`."""
-        return rref(self.generator)
+    def _reduced(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The reduced rows and pivot columns of the generator's one
+        elimination: their rank checks the rows, they are G_1 of
+        `minimum_distance`, and H is read off them."""
+        return _eliminate(self.modulus, self.generator.entries)
 
     @cached_property
     def _parity_check(self) -> MatrixOverGfp:
         """H of `is_codeword`: the canonical null space of the generator,
-        built at the first membership test."""
-        return matrix_from_words(null_space(self.generator))
+        read off `_reduced` at the first membership test."""
+        return matrix_from_words(_null_basis(self.modulus, self.length, *self._reduced))
 
     @property
     def modulus(self) -> int:
@@ -327,7 +328,7 @@ def minimum_distance(code: LinearCode) -> int:
                     order = itemgetter(*unused, *sorted(set(range(n)).difference(unused)))
                     reduced, pivots = _eliminate(p, list(map(order, code.generator.entries)))
                 else:
-                    reduced, pivots = code._reduced.rref.entries, code._reduced.pivot_columns
+                    reduced, pivots = code._reduced
                 g = _InformationSet(p, reduced, pivots, unused)
                 if not g.r:
                     unused = []

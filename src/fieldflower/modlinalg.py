@@ -3,9 +3,11 @@
 Matrices are immutable tuples of residue rows.  Elimination is Gauss-Jordan
 with Fermat inverses, exact for every accepted modulus (any prime below
 2**64), on rows packed as `_Lanes` for p <= _PACKED_MAX and on lists of ints
-past it (`_eliminate`).  All pivot choices are deterministic (first nonzero
-entry scanning rows top-down, columns left-to-right) so that downstream
-output, in particular canonical null-space bases, is byte-reproducible.
+past it (`_eliminate`).  Its reduced rows and pivot columns are read directly
+by null spaces, row spaces, `ntt`'s eigenspaces and codes; only `rref` wraps
+them in an `RrefResult`.  Pivot choices are deterministic (first nonzero
+entry scanning rows top-down, columns left-to-right), so that output, in
+particular canonical null-space bases, is byte-reproducible.
 
 Entries are checked by `gfield._residues` and operands matched by
 `gfield._same_field`; this module has no value check of its own.  A
@@ -154,7 +156,7 @@ class _Lanes:
             raise ValueError(f"no lane holds words of {n} symbols over GF({p})")
         self.p, self.n, self.fmt, self.w, self.mask = p, n, fmt, w, (1 << w) - 1
         self.size, self.struct = n * w // 8, Struct(f"<{n}{fmt}")
-        self.one = one = ((1 << w * n * words) - 1) // self.mask
+        self.one = one = int.from_bytes((1).to_bytes(w // 8, "little") * (n * words), "little")
         self.top, self.bias = one << w - 1, ((1 << w - 1) - p) * one
 
     def pack(self, row: Sequence[int]) -> int:
@@ -277,6 +279,20 @@ def rref(m: MatrixOverGfp) -> RrefResult:
                       pivot_columns=tuple(pivots))
 
 
+def _null_basis(p: int, n: int, rows: Sequence[Sequence[int]],
+                pivots: Sequence[int]) -> list[Word]:
+    """`null_space` of an n-column matrix from the rows and pivot columns of
+    its `_eliminate`."""
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-rows[i][f]) % p
+        basis.append(Word(p, tuple(v)))
+    return basis
+
+
 def null_space(m: MatrixOverGfp) -> list[Word]:
     """Canonical basis of {x : Mx = 0}.
 
@@ -284,23 +300,7 @@ def null_space(m: MatrixOverGfp) -> list[Word]:
     variable is pinned to 1 and all other free variables to 0, with pivot
     variables read off the RREF.  Size is cols - rank.
     """
-    p = m.modulus
-    result = rref(m)
-    reduced = result.rref.entries
-    pivots = result.pivot_columns
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-reduced[i][f]) % p
-        basis.append(Word(p, tuple(v)))
-    return basis
-
-
-def _nonzero_rows(m: MatrixOverGfp) -> tuple[tuple[int, ...], ...]:
-    return tuple(row for row in m.entries if any(row))
+    return _null_basis(m.modulus, m.cols, *_eliminate(m.modulus, m.entries))
 
 
 def same_row_space(a: MatrixOverGfp, b: MatrixOverGfp) -> bool:
@@ -308,7 +308,8 @@ def same_row_space(a: MatrixOverGfp, b: MatrixOverGfp) -> bool:
     _same_field(a, b)
     if a.cols != b.cols:
         raise ValueError(f"column count mismatch: {a.cols} vs {b.cols}")
-    return _nonzero_rows(rref(a).rref) == _nonzero_rows(rref(b).rref)
+    (rows_a, pivots_a), (rows_b, pivots_b) = (_eliminate(m.modulus, m.entries) for m in (a, b))
+    return rows_a[:len(pivots_a)] == rows_b[:len(pivots_b)]
 
 
 # fixed_space of a dense random 200x200 matrix takes about 0.02 s over GF(2)

@@ -32,7 +32,7 @@ from operator import mul
 from typing import Sequence
 
 from .gfield import FieldElement, Word, _reduced_word
-from .modlinalg import MatrixOverGfp, _residue_table, mat_vec, null_space
+from .modlinalg import MatrixOverGfp, _eliminate, _null_basis, _residue_table, mat_vec
 
 _HAMMING_ROWS = (
     (0, 1, 0, 1, 1, 0, 0),
@@ -164,11 +164,8 @@ def _require_square(m: MatrixOverGfp) -> None:
 def _eigen_space_for(m: MatrixOverGfp, lam: int) -> EigenSpace:
     """The eigenspace of lam: the null space of M - lam*I (M square)."""
     p = m.modulus
-    shifted = MatrixOverGfp(p, tuple(
-        tuple((e - lam) % p if i == j else e for j, e in enumerate(row))
-        for i, row in enumerate(m.entries)
-    ))
-    return EigenSpace(FieldElement(lam, p), tuple(null_space(shifted)))
+    shifted = [(*row[:i], (row[i] - lam) % p, *row[i + 1:]) for i, row in enumerate(m.entries)]
+    return EigenSpace(FieldElement(lam, p), tuple(_null_basis(p, m.cols, *_eliminate(p, shifted))))
 
 
 def _char_poly(m: MatrixOverGfp) -> list[int]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fieldflower import codes, gfield
+from fieldflower import codes, gfield, modlinalg
 from fieldflower.codes import (
     ENUMERATION_LIMIT,
     LinearCode,
@@ -173,6 +173,26 @@ def test_parity_check_does_not_leak():
             [reference_is_codeword(other, w) for w in words] != expected
 
 
+def test_generator_is_eliminated_once(monkeypatch):
+    # the rank check, H of `is_codeword` and G_1 of `minimum_distance` all
+    # read the one elimination of the generator that the code keeps
+    generator, eliminated = hamming_generator(), []
+
+    def spy(eliminate):
+        def counted(p, rows):
+            eliminated.append(tuple(map(tuple, rows)) == generator.entries)
+            return eliminate(p, rows)
+        return counted
+
+    for module in (modlinalg, codes):
+        monkeypatch.setattr(module, "_eliminate", spy(module._eliminate))
+    code = LinearCode(generator)
+    word = Word(2, ref.HAMMING_GENERATOR_ROWS[0])
+    assert is_codeword(code, word) and is_codeword(code, word)
+    assert minimum_distance(code) == 3
+    assert eliminated.count(True) == 1
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickles_of_used_golay_values_stay_fresh_sized(protocol):
     # One membership test fills golay's parity check (and its packed
@@ -238,8 +258,8 @@ def test_enumeration_guard(monkeypatch):
     # p=2 and p=3 fit 8-bit lanes; no lane width holds a prime past 2**31
     bigs = [LinearCode(identity(k, p)) for p, k in ((2, 24), (3, 15), (2147483659, 1))]
     # nor is an information set of the distance search built: neither G_1,
-    # from the code's own rref, nor a later one, from a new elimination
-    for name in ("_span", "_block_sums", "_InformationSet", "rref", "_eliminate"):
+    # from the code's own elimination, nor a later one, from a new elimination
+    for name in ("_span", "_block_sums", "_InformationSet", "_eliminate"):
         monkeypatch.setattr(codes, name, no_span)
     for big in bigs:
         assert big.size > ENUMERATION_LIMIT

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import tracemalloc
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from fieldflower.modlinalg import (
 )
 from fieldflower.ntt import hamming_ntt_matrix
 from reference_constants import HAMMING_GENERATOR_ROWS, HAMMING_ROWS
-from reference_paths import reference_isomorphism, reference_mat_vec, rref_certified
+from reference_paths import _rank, reference_isomorphism, reference_mat_vec, rref_certified
 from test_gfield import ROUND_TRIP_PRIMES
 
 
@@ -430,6 +431,34 @@ def test_same_row_space_rejects_mismatched_column_counts():
         same_row_space(a, MatrixOverGfp(3, ((1, 2), (0, 1))))
     with pytest.raises(ValueError):
         same_row_space(a, MatrixOverGfp(5, ((1, 2, 0),)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 61, 67, 2**61 - 1])
+def test_same_row_space_matches_the_reference_rank(p):
+    # A and B span the same space iff rank A = rank B = rank of A on B.
+    # Rows are drawn from the span of a few random rows, so both matrices
+    # are often rank-deficient; A has a zero row in the middle, B another
+    # row count, and C is B with one row moved, most often out of the span.
+    # p up to 61 eliminates on packed rows, past it on lists of ints.
+    rng, n, outcomes = random.Random(p), 6, []
+    for _ in range(60):
+        basis = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+
+        def spanned(count):
+            coefficients = [[rng.randrange(p) for _ in basis] for _ in range(count)]
+            return [tuple(sum(map(mul, cs, column)) % p for column in zip(*basis))
+                    for cs in coefficients]
+
+        a, b = spanned(rng.randint(1, 5)), spanned(rng.randint(1, 7))
+        a.insert(len(a) // 2 + 1, (0,) * n)
+        c = list(b)
+        i, j = rng.randrange(len(c)), rng.randrange(n)
+        c[i] = c[i][:j] + ((c[i][j] + 1) % p,) + c[i][j + 1:]
+        for x, y in ((a, b), (b, a), (a, c), (c, b)):
+            expected = _rank(p, x) == _rank(p, y) == _rank(p, x + y)
+            assert same_row_space(MatrixOverGfp(p, x), MatrixOverGfp(p, y)) == expected, (x, y)
+            outcomes.append(expected)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 @st.composite

@@ -264,10 +264,10 @@ def test_eigen_spectrum_modulus_past_the_bound_refused(monkeypatch):
     assert MAX_SPECTRUM_MODULUS == 4096
     assert [s.eigenvalue.value for s in eigen_spectrum(identity(1, 4093))] == [1]
 
-    def no_null_space(m):
+    def no_null_space(p, rows):
         raise AssertionError("null space taken past the bound")
 
-    monkeypatch.setattr(ntt, "null_space", no_null_space)
+    monkeypatch.setattr(ntt, "_eliminate", no_null_space)
     for p in (4099, 2**61 - 1):
         with pytest.raises(ValueError, match=f"GF\\({p}\\), past the bound of p <= 4096"):
             eigen_spectrum(identity(12, p))
@@ -285,9 +285,10 @@ def diagonal(n, p, r):
 
 
 def counted_null_spaces(monkeypatch):
-    """Patch ntt's null_space to record each matrix it gets and return []."""
+    """Patch the elimination of ntt's null spaces to record the rows of each
+    matrix it gets and return no pivots, so every column is free."""
     taken = []
-    monkeypatch.setattr(ntt, "null_space", lambda m: taken.append(m) or [])
+    monkeypatch.setattr(ntt, "_eliminate", lambda p, rows: taken.append(rows) or ([], []))
     return taken
 
 
@@ -429,10 +430,10 @@ def test_every_eigen_space_is_certified(p):
 
 
 def test_eigen_spectrum_checks_squareness_before_any_null_space(monkeypatch):
-    def no_null_space(m):
+    def no_null_space(p, rows):
         raise AssertionError("null space taken before the shape check")
 
-    monkeypatch.setattr(ntt, "null_space", no_null_space)
+    monkeypatch.setattr(ntt, "_eliminate", no_null_space)
     with pytest.raises(ValueError, match="needs a square matrix, got 1x3"):
         eigen_spectrum(MatrixOverGfp(5, ((1, 0, 1),)))
 

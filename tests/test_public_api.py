@@ -137,3 +137,24 @@ def test_only_modlinalg_imports_struct():
                        if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
                        or isinstance(node, ast.ImportFrom) and node.module == "struct")
     assert importers == ["modlinalg"]
+
+
+def test_only_rref_builds_an_rref_result():
+    # `_eliminate`'s reduced rows and pivot columns are the one internal form
+    # of a reduced matrix: the public `rref` alone wraps them in an
+    # `RrefResult`, and no other module imports either name.
+    builders, importers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "RrefResult" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                builders.append((path.stem, getattr(scope, "name", None)))
+            if isinstance(node, ast.ImportFrom) and {"rref", "RrefResult"} & {a.name for a in node.names}:
+                importers.append(path.stem)
+    assert builders == [("modlinalg", "rref")]
+    assert importers == []
