@@ -1,44 +1,12 @@
 """Frozen reference values the tests compare the package against.
 
-The matrix rows here were transcribed separately from the copies in src/ and
-are anchored by the worked examples below: every transform pair and invariant
-word must hold for both copies, and a transcription error in either copy
-would break them (no single-entry perturbation of the 12x12 matrix preserves
-all six ternary equations).  The weight distributions and canonical bases
-were computed by standalone oracle scripts and only then frozen.
+The matrices themselves are the package-free transcriptions in
+benchmarks/oracle.py.  The worked pairs and invariant words below anchor
+them and the package's copies alike: every pair and word must hold for
+both, and no single-entry perturbation of the 12x12 matrix preserves all
+six ternary equations.  The bases, checksums, weight distributions and
+flower counts were computed by standalone oracle runs and only then frozen.
 """
-
-HAMMING_ROWS = (
-    (0, 1, 0, 1, 1, 0, 0),
-    (1, 0, 1, 0, 0, 1, 0),
-    (1, 0, 0, 1, 0, 0, 1),
-    (0, 0, 0, 1, 0, 0, 0),
-    (0, 0, 0, 0, 1, 0, 0),
-    (0, 0, 0, 0, 0, 1, 0),
-    (0, 0, 0, 0, 0, 0, 1),
-)
-
-HAMMING_GENERATOR_ROWS = (
-    (1, 1, 0, 0, 0, 0, 1),
-    (1, 1, 1, 0, 0, 1, 0),
-    (1, 0, 1, 0, 1, 0, 0),
-    (0, 1, 1, 1, 0, 0, 0),
-)
-
-GOLAY_SIGNED_ROWS = (
-    (1, -1, -1, -1, -1, -1, 1, 0, 0, 0, 0, 0),
-    (-1, 1, -1, 1, 1, -1, 0, 1, 0, 0, 0, 0),
-    (-1, -1, 1, -1, 1, 1, 0, 0, 1, 0, 0, 0),
-    (-1, 1, -1, 1, -1, 1, 0, 0, 0, 1, 0, 0),
-    (-1, 1, 1, -1, 1, 1, 0, 0, 0, 0, 1, 0),
-    (-1, -1, 1, 1, -1, 1, 0, 0, 0, 0, 0, 1),
-    (-1, -1, 1, 0, 0, 1, -1, 1, 0, 0, 0, 0),
-    (-1, 1, -1, 1, 0, 0, 1, 1, 1, 0, 0, 0),
-    (-1, 0, 1, -1, 1, 0, 1, 0, 1, 1, 0, 0),
-    (-1, 0, 0, 1, -1, 0, 1, 0, 0, 1, 1, 0),
-    (-1, 1, 0, 0, 1, -1, 1, 0, 0, 0, 1, 1),
-    (1, -1, -1, 0, -1, 0, 0, 1, 1, 0, 0, 1),
-)
 
 # Worked examples: (input, transformed) pairs and invariant words.
 HAMMING_PAIRS = (("0011000", "1111000"),)

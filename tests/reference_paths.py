@@ -1,65 +1,49 @@
-"""Per-word reference evaluators: the oracles for the package's fast paths.
+"""Reference paths that put the package's types around the core's answers.
 
-They read the independent transcription in reference_constants and share no
-code with src/, except reference_panel, which puts together cells that
-to_svg draws one by one, reference_to_svg and reference_to_tikz, which
-set up render's uncached walk on every call and so share its format tables,
-reference_isomorphism, which walks codebook listings through mat_vec,
-reference_addition_only_check, which walks words through apply_addition_only
-and mat_vec, reference_eigen_spectrum, which takes ntt's eigenspace of
-every lambda in GF(p), and rref_certified, which checks by mat_vec an rref
-of the augmented matrix.
+The arithmetic, ranks, codebook listings, eigenspaces, text forms and
+flower rules are those of benchmarks/oracle.py, which imports nothing from
+the package.  What is left here reads or builds Words, codes and shapes:
+certificates for rref and for eigenspaces, the per-word evaluators, the
+verdicts of verify's two golay checks, and the reference renderers, which
+set up render's drawing walk afresh on every call.
 """
 
 import math
 import random
 from functools import cache, partial
-from itertools import compress, islice
+from itertools import compress, islice, product
 
-from fieldflower.codes import builtin_code, enumerate_codewords, hamming_code
-from fieldflower.flowergeom import FlowerShape, _petals_and_thorns, _placement, \
-    _shade_parities, features
-from fieldflower.gfield import Word, format_word
+import oracle
+from fieldflower.flowergeom import FlowerShape, _placement, features
+from fieldflower.gfield import FieldElement, Word
 from fieldflower.modlinalg import MatrixOverGfp, mat_vec, rref
-from fieldflower.ntt import _eigen_space_for, apply_addition_only
+from fieldflower.ntt import EigenSpace, apply_addition_only
 from fieldflower.render import _SVG, _TIKZ, RenderSpec, _arrow_geometry, _fmt, \
     _require_drawable, _svg_document, to_svg
-from reference_constants import GOLAY_SIGNED_ROWS
 
 
-def reference_addition_only(x: Word) -> Word:
-    """The 12-point ternary transform of one word, one symbol at a time: add
-    x_j under a +1 entry, subtract it under a -1 entry, reduce mod 3."""
-    out = []
-    for row in GOLAY_SIGNED_ROWS:
-        acc = 0
-        for e, v in zip(row, x.symbols):
-            if e == 1:
-                acc += v
-            elif e == -1:
-                acc -= v
-        out.append(acc % 3)
-    return Word(3, tuple(out))
+@cache
+def _listing(rows, p: int) -> tuple[Word, ...]:
+    return tuple(Word(p, oracle.codeword(u, rows, p)) for u in product(range(p), repeat=len(rows)))
 
 
-def reference_mat_vec(m, x: Word) -> Word:
-    """y_i = sum_j M[i][j] * x_j mod p, one row at a time."""
-    p = m.modulus
-    return Word(p, tuple(
-        sum(e * v for e, v in zip(row, x.symbols)) % p for row in m.entries
-    ))
+def reference_codewords(code) -> list[Word]:
+    """Every codeword u*G by the core, with the messages u in lexicographic
+    order: the order of enumerate_codewords."""
+    return list(_listing(code.generator.entries, code.modulus))
 
 
 def reference_isomorphism(th, tg, golay=None) -> tuple[bool, str]:
     """verify's transform-code-isomorphism verdict by walking every codeword:
-    the Hamming listing under th, then the golay listing (the built-in golay
-    code unless another is given) under tg, naming the first codeword moved."""
+    the Hamming listing under th, then the golay listing (the core's fixed
+    space of the 12-point matrix unless another code is given) under tg,
+    naming the first codeword moved."""
+    golay = (oracle.GOLAY_BASIS, 3) if golay is None else (golay.generator.entries, golay.modulus)
     total = 0
-    for m, code in ((th, hamming_code()), (tg, golay or builtin_code("golay"))):
-        words = enumerate_codewords(code)
+    for m, words in ((th, _listing(oracle.HAMMING_GENERATOR, 2)), (tg, _listing(*golay))):
         for w in words:
             if mat_vec(m, w) != w:
-                return False, f"codeword {format_word(w)} is not fixed"
+                return False, f"codeword {oracle.text(w.symbols, w.modulus)} is not fixed"
         total += len(words)
     return True, f"all {total} codewords are fixed points"
 
@@ -71,46 +55,26 @@ def _seeded_words() -> tuple[Word, ...]:
 
 def reference_addition_only_check(tg, golay, signed_rows) -> tuple[bool, str]:
     """verify's golay-addition-only verdict by evaluating every word: unless
-    tg is over GF(3) with 12 columns and the signed rows, summed symbol by
-    symbol, give reference_mat_vec(tg, w) on each golay codeword and seeded
-    word w, those words go in order through apply_addition_only and mat_vec;
-    then the 24 words v * e_j do, naming the first word the two map apart."""
-    words = enumerate_codewords(golay) + list(_seeded_words())
-
-    def signed(w):
-        return Word(3, tuple(sum(e * v for e, v in zip(row, w.symbols)) % 3
-                             for row in signed_rows))
+    tg is over GF(3) with 12 columns and the core's products by the signed
+    rows and by tg agree on each golay codeword and seeded word, those words
+    go in order through apply_addition_only and mat_vec; then the 24 words
+    v * e_j do, naming the first word the two map apart."""
+    words = [*_listing(golay.generator.entries, golay.modulus), *_seeded_words()]
     agree = tg.modulus == 3 and tg.cols == 12 and all(
-        signed(w) == reference_mat_vec(tg, w) for w in words)
+        oracle.mat_vec(signed_rows, w.symbols, 3) == oracle.mat_vec(tg.entries, w.symbols, 3)
+        for w in words)
     units = [Word(3, (0,) * j + (v,) + (0,) * (11 - j)) for j in range(12) for v in (1, 2)]
     for w in ([] if agree else words) + units:
         if apply_addition_only(w) != mat_vec(tg, w):
-            return False, f"paths disagree on {format_word(w)}"
+            return False, f"paths disagree on {oracle.text(w.symbols, w.modulus)}"
     return True, f"paths agree on {golay.size} codewords + {len(_seeded_words())} random words"
-
-
-def _rank(p: int, rows) -> int:
-    """The rank of the rows over GF(p), by forward elimination."""
-    rows = [list(row) for row in rows]
-    rank = 0
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv % p
-            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def rref_certified(m, result) -> bool:
     """A certificate for result = rref(m), from rref([M | I]) = [R | T]:
     T*M equals result's rows, each row of T*M taken by mat_vec of M
     transposed; those rows are in reduced echelon shape on result's pivot
-    columns; and T has full rank by _rank.  Row-equivalent to M and
+    columns; and T has full rank by the core's rank.  Row-equivalent to M and
     reduced, they are M's one rref."""
     p, k, n = m.modulus, m.rows, m.cols
     augmented = rref(MatrixOverGfp(p, tuple(
@@ -127,38 +91,39 @@ def rref_certified(m, result) -> bool:
     for i, c in enumerate(pivots):
         if any(reduced[i][:c]) or [row[c] for row in reduced] != [int(j == i) for j in range(k)]:
             return False
-    return _rank(p, t) == k
+    return oracle.rank(t, p) == k
 
 
 def reference_eigen_spectrum(m):
-    """eigen_spectrum by sweeping: the eigenspace of every lambda in GF(p),
-    each one null space, keeping the nonempty ones in ascending order."""
-    spaces = (_eigen_space_for(m, lam) for lam in range(m.modulus))
-    return [space for space in spaces if space.dimension >= 1]
+    """eigen_spectrum by the core's sweep: the canonical null space of
+    M - lambda*I at every lambda in GF(p), kept where it is nonempty."""
+    p = m.modulus
+    return [EigenSpace(FieldElement(lam, p), tuple(Word(p, b) for b in basis))
+            for lam, basis in oracle.eigen_spectrum(m.entries, p)]
 
 
 def eigen_space_certified(m, space) -> bool:
     """A certificate for one eigenspace of the square matrix m, by mat_vec
-    and _rank only: M*b = lambda*b for every basis vector b, the basis is
-    independent, and its size is n - rank(M - lambda*I)."""
+    and the core's rank only: M*b = lambda*b for every basis vector b, the
+    basis is independent, and its size is n - rank(M - lambda*I)."""
     p, n, lam = m.modulus, len(m.entries), space.eigenvalue.value
     if space.eigenvalue.modulus != p:
         return False
     if any(mat_vec(m, b).symbols != tuple(lam * v % p for v in b.symbols)
            for b in space.basis):
         return False
-    if space.basis and _rank(p, [b.symbols for b in space.basis]) != len(space.basis):
+    if space.basis and oracle.rank([b.symbols for b in space.basis], p) != len(space.basis):
         return False
     shifted = [[(e - lam) % p if i == j else e for j, e in enumerate(row)]
                for i, row in enumerate(m.entries)]
-    return space.dimension == n - _rank(p, shifted)
+    return space.dimension == n - oracle.rank(shifted, p)
 
 
 def reference_is_codeword(code, word: Word) -> bool:
     """Membership by rank: the word lies in the code exactly when stacking
     it under the generator's k independent rows leaves the rank at k."""
     stacked = code.generator.entries + (word.symbols,)
-    return _rank(code.modulus, stacked) == code.dimension
+    return oracle.rank(stacked, code.modulus) == code.dimension
 
 
 def reference_parse_word(text: str, p: int) -> Word:
@@ -189,14 +154,6 @@ def reference_random_words() -> list[tuple[int, ...]]:
     return list(islice(zip(*[symbols] * 12), 10000))
 
 
-def reference_format_word(word: Word) -> str:
-    """A word's canonical text, one symbol at a time: base-p digits for
-    p <= 10, else comma-separated decimals."""
-    if word.modulus <= 10:
-        return "".join(str(s) for s in word.symbols)
-    return ",".join(str(s) for s in word.symbols)
-
-
 def reference_constellation(word: Word) -> list[tuple]:
     """(index, radius, angle, x, y) of each symbol, placed afresh, uncached:
     z_k = x_k * exp(j*2*pi*k/N), angle 2*pi*k/N."""
@@ -206,34 +163,6 @@ def reference_constellation(word: Word) -> list[tuple]:
         angle = math.tau * k / n
         out.append((k, v, angle, v * math.cos(angle), v * math.sin(angle)))
     return out
-
-
-def reference_petals_and_thorns(x: tuple[int, ...]):
-    """Petal (k, k+1 mod N) pairs and thorn indices, by their definitions."""
-    n = len(x)
-    petals = [(k, (k + 1) % n) for k in range(n) if x[k] and x[(k + 1) % n]]
-    thorns = [k for k in range(n)
-              if x[k] and not x[(k - 1) % n] and not x[(k + 1) % n]]
-    return petals, thorns
-
-
-def reference_shades(petals, n: int) -> list[str]:
-    """Shade each run of cyclically consecutive petal starts by walking its
-    chain: alternate from the chain's lowest start, which is light."""
-    starts = {k for k, _ in petals}
-    shade_of = {}
-    if len(starts) == n:
-        heads = [0]
-    else:
-        heads = [k for k in starts if (k - 1) % n not in starts]
-    for head in heads:
-        chain = [head]
-        while (chain[-1] + 1) % n in starts and (chain[-1] + 1) % n != head:
-            chain.append((chain[-1] + 1) % n)
-        anchor = chain.index(min(chain))
-        for i, k in enumerate(chain):
-            shade_of[k] = "light" if (i - anchor) % 2 == 0 else "dark"
-    return [shade_of[k] for k, _ in petals]
 
 
 def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
@@ -251,13 +180,12 @@ def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
     return ("\n".join(lines + ["</svg>"]) + "\n").encode("ascii")
 
 
-def _cell_plan(support: tuple[int, ...]):
-    """What a cell of these symbols draws, by the flowergeom rules, which read
-    only their nonzero pattern: its petal starts, their shade parities, its
-    thorns and its nonzero indices, which get markers."""
-    starts, thorns = _petals_and_thorns(support)
-    return (starts, _shade_parities(starts, len(support)), thorns,
-            list(compress(range(len(support)), support)))
+def _cell_plan(x: tuple[int, ...]):
+    """What a cell of these symbols draws, by the core's petal, thorn and
+    shade rules: its petal starts, their shade parities (0 light, 1 dark),
+    its thorns and its nonzero indices, which get markers."""
+    return ([k for k, _ in oracle.petals(x)], [int(s == "dark") for s in oracle.shades(x)],
+            oracle.thorns(x), list(compress(range(len(x)), x)))
 
 
 def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
@@ -312,7 +240,7 @@ def _draw(f: dict, spec: RenderSpec, n: int, p: int, cells: int = 1):
         out += [thorn(o, pts[k][0], dark, w, i) for i, k in enumerate(lone)]
         out += [pts[k][2] for k in nonzero]
         if spec.label:
-            out.append(f["label"](o, spec, p, format_word(word)))
+            out.append(f["label"](o, spec, p, oracle.text(word.symbols, p)))
         return out
 
     return lines, place, cell

@@ -28,12 +28,13 @@ from fieldflower.codes import (
 from fieldflower.gfield import Word, format_word, format_word_list, parse_word
 from fieldflower.modlinalg import MatrixOverGfp, identity, null_space, rref, same_row_space
 from fieldflower.ntt import GOLAY, HAMMING, apply
+import oracle
 import reference_constants as ref
-from reference_paths import reference_format_word, reference_is_codeword
+from reference_paths import reference_codewords, reference_is_codeword
 
 
 def test_hamming_generator_matches_reference():
-    assert hamming_generator().entries == ref.HAMMING_GENERATOR_ROWS
+    assert hamming_generator().entries == oracle.HAMMING_GENERATOR
 
 
 def test_code_shape_properties():
@@ -52,8 +53,8 @@ def test_enumeration_order_and_count():
     assert len(set(words)) == 16
     assert words[0].symbols == (0,) * 7
     # message order is lexicographic, so word 1 is generator row 3 (u=0001)
-    assert words[1].symbols == ref.HAMMING_GENERATOR_ROWS[3]
-    assert words[8].symbols == ref.HAMMING_GENERATOR_ROWS[0]
+    assert words[1].symbols == oracle.HAMMING_GENERATOR[3]
+    assert words[8].symbols == oracle.HAMMING_GENERATOR[0]
 
 
 def test_hamming_weight_distribution():
@@ -121,7 +122,7 @@ def test_membership_of_named_words():
     # weight 1 is below any nonzero codeword weight
     assert not is_codeword(golay, parse_word("100000000000", 3))
     hamming = hamming_code()
-    for row in ref.HAMMING_GENERATOR_ROWS:
+    for row in oracle.HAMMING_GENERATOR:
         assert is_codeword(hamming, Word(2, row))
 
 
@@ -187,7 +188,7 @@ def test_generator_is_eliminated_once(monkeypatch):
     for module in (modlinalg, codes):
         monkeypatch.setattr(module, "_eliminate", spy(module._eliminate))
     code = LinearCode(generator)
-    word = Word(2, ref.HAMMING_GENERATOR_ROWS[0])
+    word = Word(2, oracle.HAMMING_GENERATOR[0])
     assert is_codeword(code, word) and is_codeword(code, word)
     assert minimum_distance(code) == 3
     assert eliminated.count(True) == 1
@@ -269,20 +270,6 @@ def test_enumeration_guard(monkeypatch):
             minimum_distance(big)
 
 
-def reference_codewords(code):
-    """The u*G walk: every codeword recomputed from its message word u, with
-    u in lexicographic order.  Oracle for the split walk in `codes`."""
-    p, g, n = code.modulus, code.generator.entries, code.length
-    words = []
-    for u in itertools.product(range(p), repeat=code.dimension):
-        acc = [0] * n
-        for coeff, row in zip(u, g):
-            for j in range(n):
-                acc[j] = (acc[j] + coeff * row[j]) % p
-        words.append(Word(p, tuple(acc)))
-    return words
-
-
 def reference_min_weight(words):
     """The least count of nonzero symbols over the nonzero words."""
     return min(sum(1 for s in w.symbols if s) for w in words if any(w.symbols))
@@ -299,7 +286,7 @@ def random_full_rank_code(rng, p, k, n, zero_cols=frozenset()):
             tuple(0 if j in zero_cols else rng.randrange(p) for j in range(n))
             for _ in range(k)
         )
-        if rref(MatrixOverGfp(p, rows)).rank == k:
+        if oracle.rank(rows, p) == k:
             return LinearCode(MatrixOverGfp(p, rows))
 
 
@@ -354,7 +341,8 @@ def test_split_walk_matches_reference_walk(code):
     expected = reference_codewords(code)
     got = enumerate_codewords(code)
     assert got == expected
-    assert format_word_list(got) == "".join(reference_format_word(w) + "\n" for w in expected)
+    assert format_word_list(got) == \
+        "".join(oracle.text(w.symbols, w.modulus) + "\n" for w in expected)
     assert all(type(w) is Word for w in got)
     # The walk builds its Words without _residues: each must round-trip
     # through it (int symbols in 0..p-1) to an equal, hash-equal Word.
@@ -414,7 +402,7 @@ def small_codes(draw):
     k = draw(st.integers(1, _MAX_K.get(p, 1)))
     n = draw(st.integers(k, k + 6))
     rows = tuple(draw(st.tuples(*[st.integers(0, p - 1)] * n)) for _ in range(k))
-    assume(rref(MatrixOverGfp(p, rows)).rank == k)
+    assume(oracle.rank(rows, p) == k)
     return LinearCode(MatrixOverGfp(p, rows))
 
 
@@ -427,9 +415,8 @@ def test_walks_match_the_reference_walk_on_random_codes(code):
 
 
 def listed_min_weight(code):
-    """The least weight over the nonzero words of `enumerate_codewords`."""
-    n = code.length
-    return min(n - w.symbols.count(0) for w in enumerate_codewords(code) if any(w.symbols))
+    """The least weight over the nonzero words of the core's codebook walk."""
+    return oracle.walk(code.generator.entries, code.modulus)[0]
 
 
 def walk_bench_codes(seed):
@@ -440,7 +427,7 @@ def walk_bench_codes(seed):
     for n, k, p in ((20, 10, 3), (32, 16, 2), (16, 8, 3), (24, 12, 2), (10, 6, 5)):
         while True:
             rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
-            if rref(MatrixOverGfp(p, rows)).rank == k:
+            if oracle.rank(rows, p) == k:
                 yield pytest.param(LinearCode(MatrixOverGfp(p, rows)),
                                    id=f"seed {seed} [{n},{k}]_{p}")
                 break

@@ -8,9 +8,9 @@ from fieldflower.flowergeom import ConstellationPoint, _point, constellation, \
     features, petal_shades
 from fieldflower.gfield import Word, parse_word
 from fieldflower.render import _cell_plan
+import oracle
 import reference_constants as ref
-from reference_paths import reference_constellation, reference_petals_and_thorns, \
-    reference_shades
+from reference_paths import reference_constellation
 
 
 def test_constellation_angles_and_radii():
@@ -198,10 +198,10 @@ def test_features_and_shades_match_the_reference_rules():
     for n in range(1, 13):
         for bits in itertools.product(range(2), repeat=n):
             shape = features(Word(2, bits))
-            petals, thorns = reference_petals_and_thorns(bits)
+            petals, thorns = oracle.petals(bits), oracle.thorns(bits)
             assert (list(shape.petals), list(shape.thorns)) == (petals, thorns)
-            assert petal_shades(shape) == reference_shades(petals, n), bits
+            assert petal_shades(shape) == oracle.shades(bits), bits
             starts, parities, plan_thorns, nonzero = _cell_plan(tuple(map(bool, bits)))
             assert [(k, (k + 1) % n) for k in starts] == petals
-            assert [("light", "dark")[d] for d in parities] == reference_shades(petals, n)
+            assert [("light", "dark")[d] for d in parities] == oracle.shades(bits)
             assert (plan_thorns, nonzero) == (thorns, [k for k in range(n) if bits[k]])

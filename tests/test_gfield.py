@@ -20,7 +20,8 @@ from fieldflower.gfield import (
     parse_word_list,
 )
 from fieldflower.modlinalg import MatrixOverGfp, parse_matrix
-from reference_paths import reference_format_word, reference_parse_word
+import oracle
+from reference_paths import reference_parse_word
 from test_render import golden_words
 
 PRIMES = (2, 3, 5, 7)
@@ -239,8 +240,9 @@ def test_format_word_matches_the_per_symbol_oracle():
     words = golden_words() + [Word(p, tuple(range(p))) for p in (2, 3, 5, 7, 11, 13)]
     words += [Word(p, (p - 1,) * 40) for p in PRIMES]
     for w in words:
-        assert format_word(w) == reference_format_word(w)
-    assert format_word_list(words) == "".join(reference_format_word(w) + "\n" for w in words)
+        assert format_word(w) == oracle.text(w.symbols, w.modulus)
+    assert format_word_list(words) == \
+        "".join(oracle.text(w.symbols, w.modulus) + "\n" for w in words)
 
 
 def test_parse_word_digit_form():

@@ -38,16 +38,16 @@ from fieldflower.ntt import (
     golay_ntt_signed_rows,
     hamming_ntt_matrix,
 )
+import oracle
 import reference_constants as ref
-from reference_paths import eigen_space_certified, reference_addition_only, \
-    reference_eigen_spectrum
+from reference_paths import eigen_space_certified, reference_eigen_spectrum
 
 
 def test_builtin_matrices_match_reference_transcription():
-    assert hamming_ntt_matrix().entries == ref.HAMMING_ROWS
-    assert golay_ntt_signed_rows() == ref.GOLAY_SIGNED_ROWS
+    assert hamming_ntt_matrix().entries == oracle.HAMMING_T
+    assert golay_ntt_signed_rows() == oracle.GOLAY_SIGNED
     assert golay_ntt_matrix().entries == tuple(
-        tuple(e % 3 for e in row) for row in ref.GOLAY_SIGNED_ROWS
+        tuple(e % 3 for e in row) for row in oracle.GOLAY_SIGNED
     )
 
 
@@ -119,16 +119,16 @@ def test_addition_only_batch_at_each_rows_extremes():
     # per row: 2 under every -1 entry and 0 elsewhere puts that lane at its
     # least sum (-2 * #(-1)), 2 under every +1 entry at its largest
     words = [Word(3, (2,) * 12)]
-    for row in ref.GOLAY_SIGNED_ROWS:
+    for row in oracle.GOLAY_SIGNED:
         for sign in (-1, 1):
             words.append(Word(3, tuple(2 if e == sign else 0 for e in row)))
-    expected = [reference_addition_only(w) for w in words]
+    expected = [Word(3, oracle.mat_vec(oracle.GOLAY_SIGNED, w.symbols, 3)) for w in words]
     assert [apply_addition_only(w) for w in words] == expected
 
 
 def test_addition_only_offset_rule():
-    most_negative = max(row.count(-1) for row in ref.GOLAY_SIGNED_ROWS)
-    most_positive = max(row.count(1) for row in ref.GOLAY_SIGNED_ROWS)
+    most_negative = max(row.count(-1) for row in oracle.GOLAY_SIGNED)
+    most_positive = max(row.count(1) for row in oracle.GOLAY_SIGNED)
     assert _OFFSET % 3 == 0
     assert 2 * most_negative <= _OFFSET < 2 * most_negative + 3
     assert _OFFSET + 2 * most_positive <= 255
@@ -139,7 +139,7 @@ def test_addition_only_columns_are_the_signed_columns_packed():
     # _OFFSET + v times signed column j
     assert len(_COLUMNS) == 12
     assert _OFFSET_LANES.to_bytes(12, "big") == bytes([_OFFSET] * 12)
-    for j, column in enumerate(zip(*ref.GOLAY_SIGNED_ROWS)):
+    for j, column in enumerate(zip(*oracle.GOLAY_SIGNED)):
         assert _COLUMNS[j][0] == 0
         assert _COLUMNS[j][2] == _COLUMNS[j][1] + _COLUMNS[j][1]
         for v in range(3):
@@ -166,7 +166,7 @@ def test_addition_only_agrees_with_matrix_product(words):
     # the packed columns, the per-symbol oracle and the product give one
     # image per word; built without a second range check, it is still a Word equal, hash-equal and pickle-equal to the
     # checked one
-    expected = [reference_addition_only(w) for w in words]
+    expected = [Word(3, oracle.mat_vec(oracle.GOLAY_SIGNED, w.symbols, 3)) for w in words]
     images = [apply_addition_only(w) for w in words]
     assert images == expected and list(map(hash, images)) == list(map(hash, expected))
     assert all(type(y) is Word for y in images)
@@ -186,7 +186,7 @@ def test_addition_only_exhaustive_over_padded_prefixes():
     # every ternary word whose last six symbols are zero
     words = [Word(3, prefix + (0,) * 6)
              for prefix in itertools.product(range(3), repeat=6)]
-    expected = [reference_addition_only(x) for x in words]
+    expected = [Word(3, oracle.mat_vec(oracle.GOLAY_SIGNED, x.symbols, 3)) for x in words]
     assert [apply_addition_only(x) for x in words] == expected
     assert expected == [apply(GOLAY, x) for x in words]
 
@@ -209,7 +209,7 @@ def test_fixed_space_hamming():
         assert apply(HAMMING, w) == w
     assert same_row_space(
         matrix_from_words(space.basis),
-        MatrixOverGfp(2, ref.HAMMING_GENERATOR_ROWS),
+        MatrixOverGfp(2, oracle.HAMMING_GENERATOR),
     )
 
 

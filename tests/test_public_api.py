@@ -1,5 +1,5 @@
-"""The names the package exports, the modules each one loads, and the oldest
-Python the package runs on, pinned."""
+"""The names the package exports, the modules each one loads, the oldest
+Python the package runs on, and the benchmark oracle's independence, pinned."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fieldflower
+import oracle
 
 SRC = Path(fieldflower.__file__).resolve().parent
 
@@ -158,3 +159,17 @@ def test_only_rref_builds_an_rref_result():
                 importers.append(path.stem)
     assert builders == [("modlinalg", "rref")]
     assert importers == []
+
+
+def test_the_benchmark_oracle_imports_only_the_standard_library():
+    # The tests take their slow paths from benchmarks/oracle.py, so it must
+    # stay free of the package it checks: every import absolute, of a
+    # standard-library module, and none of fieldflower.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module if node.level == 0 else "." for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    roots = {name.split(".")[0] for name in imported}
+    assert roots and "fieldflower" not in roots
+    assert roots <= sys.stdlib_module_names, roots - sys.stdlib_module_names

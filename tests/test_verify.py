@@ -14,7 +14,8 @@ from fieldflower.modlinalg import MatrixOverGfp, identity, mat_vec, null_space
 from fieldflower.ntt import fixed_space, golay_ntt_matrix, hamming_ntt_matrix
 from fieldflower.render import RenderSpec, _drawer, to_svg
 from fieldflower.verify import format_report, run_checks
-from reference_paths import _rank, reference_addition_only_check, reference_isomorphism, \
+import oracle
+from reference_paths import reference_addition_only_check, reference_isomorphism, \
     reference_random_words
 from test_codes import differential_code, random_full_rank_code
 from test_modlinalg import fixing
@@ -314,7 +315,7 @@ def test_walked_words_span_the_ternary_12_space():
     golay = code_from_fixed_space(golay_ntt_matrix())
     words = [w.symbols for w in enumerate_codewords(golay)] + reference_random_words()
     assert len(words) == 10729
-    assert _rank(3, words) == 12
+    assert oracle.rank(words, 3) == 12
 
 
 def test_golay_code_and_listing_are_built_once(monkeypatch, fresh_results):
