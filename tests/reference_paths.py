@@ -1,11 +1,12 @@
-"""Reference paths that put the package's types around the core's answers.
+"""Reference paths that put the package's types around the oracle's answers.
 
 The arithmetic, ranks, codebook listings, eigenspaces, text forms and
-flower rules are those of benchmarks/oracle.py, which imports nothing from
-the package.  What is left here reads or builds Words, codes and shapes:
-certificates for rref and for eigenspaces, the per-word evaluators, the
-verdicts of verify's two golay checks, and the reference renderers, which
-set up render's drawing walk afresh on every call.
+flower rules come from benchmarks/oracle.py, which imports nothing from the
+package and which the benchmark checks its outputs against too.  What is
+left here reads or builds Words, codes and shapes: certificates for rref
+and for eigenspaces, the per-word evaluators, the verdicts of verify's two
+golay checks, and the reference renderers, which set up render's drawing
+walk afresh on every call.
 """
 
 import math
@@ -28,19 +29,20 @@ def _listing(rows, p: int) -> tuple[Word, ...]:
 
 
 def reference_codewords(code) -> list[Word]:
-    """Every codeword u*G by the core, with the messages u in lexicographic
+    """Every codeword u*G by the oracle, with the messages u in lexicographic
     order: the order of enumerate_codewords."""
     return list(_listing(code.generator.entries, code.modulus))
 
 
 def reference_isomorphism(th, tg, golay=None) -> tuple[bool, str]:
     """verify's transform-code-isomorphism verdict by walking every codeword:
-    the Hamming listing under th, then the golay listing (the core's fixed
+    the Hamming listing under th, then the golay listing (the oracle's fixed
     space of the 12-point matrix unless another code is given) under tg,
     naming the first codeword moved."""
-    golay = (oracle.GOLAY_BASIS, 3) if golay is None else (golay.generator.entries, golay.modulus)
+    golay_rows = (oracle.GOLAY_BASIS, 3) if golay is None else \
+        (golay.generator.entries, golay.modulus)
     total = 0
-    for m, words in ((th, _listing(oracle.HAMMING_GENERATOR, 2)), (tg, _listing(*golay))):
+    for m, words in ((th, _listing(oracle.HAMMING_GENERATOR, 2)), (tg, _listing(*golay_rows))):
         for w in words:
             if mat_vec(m, w) != w:
                 return False, f"codeword {oracle.text(w.symbols, w.modulus)} is not fixed"
@@ -55,7 +57,7 @@ def _seeded_words() -> tuple[Word, ...]:
 
 def reference_addition_only_check(tg, golay, signed_rows) -> tuple[bool, str]:
     """verify's golay-addition-only verdict by evaluating every word: unless
-    tg is over GF(3) with 12 columns and the core's products by the signed
+    tg is over GF(3) with 12 columns and the oracle's products by the signed
     rows and by tg agree on each golay codeword and seeded word, those words
     go in order through apply_addition_only and mat_vec; then the 24 words
     v * e_j do, naming the first word the two map apart."""
@@ -74,8 +76,8 @@ def rref_certified(m, result) -> bool:
     """A certificate for result = rref(m), from rref([M | I]) = [R | T]:
     T*M equals result's rows, each row of T*M taken by mat_vec of M
     transposed; those rows are in reduced echelon shape on result's pivot
-    columns; and T has full rank by the core's rank.  Row-equivalent to M and
-    reduced, they are M's one rref."""
+    columns; and T has full rank by the oracle's rank.  Row-equivalent to M
+    and reduced, they are M's one rref."""
     p, k, n = m.modulus, m.rows, m.cols
     augmented = rref(MatrixOverGfp(p, tuple(
         row + tuple(int(i == j) for j in range(k)) for i, row in enumerate(m.entries))))
@@ -95,7 +97,7 @@ def rref_certified(m, result) -> bool:
 
 
 def reference_eigen_spectrum(m):
-    """eigen_spectrum by the core's sweep: the canonical null space of
+    """eigen_spectrum by the oracle's sweep: the canonical null space of
     M - lambda*I at every lambda in GF(p), kept where it is nonempty."""
     p = m.modulus
     return [EigenSpace(FieldElement(lam, p), tuple(Word(p, b) for b in basis))
@@ -104,7 +106,7 @@ def reference_eigen_spectrum(m):
 
 def eigen_space_certified(m, space) -> bool:
     """A certificate for one eigenspace of the square matrix m, by mat_vec
-    and the core's rank only: M*b = lambda*b for every basis vector b, the
+    and the oracle's rank only: M*b = lambda*b for every basis vector b, the
     basis is independent, and its size is n - rank(M - lambda*I)."""
     p, n, lam = m.modulus, len(m.entries), space.eigenvalue.value
     if space.eigenvalue.modulus != p:
@@ -181,7 +183,7 @@ def reference_panel(words: list[Word], columns: int, spec: RenderSpec) -> bytes:
 
 
 def _cell_plan(x: tuple[int, ...]):
-    """What a cell of these symbols draws, by the core's petal, thorn and
+    """What a cell of these symbols draws, by the oracle's petal, thorn and
     shade rules: its petal starts, their shade parities (0 light, 1 dark),
     its thorns and its nonzero indices, which get markers."""
     return ([k for k, _ in oracle.petals(x)], [int(s == "dark") for s in oracle.shades(x)],

@@ -415,7 +415,7 @@ def test_walks_match_the_reference_walk_on_random_codes(code):
 
 
 def listed_min_weight(code):
-    """The least weight over the nonzero words of the core's codebook walk."""
+    """The least weight over the nonzero words of the oracle's codebook walk."""
     return oracle.walk(code.generator.entries, code.modulus)[0]
 
 

@@ -231,8 +231,8 @@ def test_rank_nullity_against_exhaustive_kernel():
 
 
 @pytest.mark.parametrize("p", [2, 3, 2**61 - 1])
-def test_null_space_of_wide_and_tall_matrices_matches_the_core(p):
-    # Symbol for symbol against the core's basis: a wide 60x200 matrix, and
+def test_null_space_of_wide_and_tall_matrices_matches_the_oracle(p):
+    # Symbol for symbol against the oracle's basis: a wide 60x200 matrix, and
     # a tall 200x60 one whose 20 planted columns, at random places, combine
     # the other 40, so that its kernel is not zero.  Up to p = 61
     # elimination runs on packed rows, past it on lists of ints.
