@@ -9,7 +9,9 @@ everything upstream stays in exact integer arithmetic.
 
 Constellation points are shared immutable values: each (k, x_k, N) is placed
 once and its frozen point handed to every word that has it, from a bounded
-cache filled on first use.
+cache filled on first use.  A word's petals, thorns and shades depend only on
+which of its symbols are nonzero: _plan is the one place their rules run, kept
+per pattern of up to MAX_AXES symbols and read by features and render's drawer.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 
 from .gfield import Word
+
+# render refuses to draw a word of more symbols, and features keeps no plan of
+# one: a plan's size grows with its length, which features does not bound.
+MAX_AXES = 256
 
 
 @dataclass(frozen=True)
@@ -69,15 +75,6 @@ def constellation(word: Word) -> tuple[ConstellationPoint, ...]:
     return tuple(map(_point, range(n), word.symbols, repeat(n)))
 
 
-def _petals_and_thorns(x: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Petal start indices and thorn indices of the symbols x, ascending."""
-    n = len(x)
-    # x[k - 1] and x[k + 1 - n] are the cyclic neighbours of x[k], 0 <= k < n.
-    starts = [k for k in range(n) if x[k] and x[k + 1 - n]]
-    thorns = [k for k in range(n) if x[k] and not x[k - 1] and not x[k + 1 - n]]
-    return starts, thorns
-
-
 def _shade_parities(starts: list[int], n: int) -> list[int]:
     """petal_shades' rule on ascending petal starts: 0 is light, 1 dark.
 
@@ -94,14 +91,24 @@ def _shade_parities(starts: list[int], n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _plan(x: tuple[bool, ...]):
+    """The nonzero pattern x's petals as (k, (k+1) mod N) pairs, thorns, petal
+    shade parities (0 light, 1 dark) and nonzero indices, all in ascending k."""
+    n = len(x)
+    # x[k - 1] and x[k + 1 - n] are the cyclic neighbours of x[k], 0 <= k < n.
+    starts = [k for k in range(n) if x[k] and x[k + 1 - n]]
+    thorns = tuple(k for k in range(n) if x[k] and not x[k - 1] and not x[k + 1 - n])
+    return (tuple([(k, (k + 1) % n) for k in starts]), thorns,
+            tuple(_shade_parities(starts, n)), tuple(compress(range(n), x)))
+
+
 def features(word: Word) -> FlowerShape:
-    """Derive the points, petals and thorns of a word."""
-    n = len(word)
-    points = constellation(word)
-    starts, thorns = _petals_and_thorns(word.symbols)
-    return FlowerShape(word=word, points=points,
-                       petals=tuple([(k, (k + 1) % n) for k in starts]),
-                       thorns=tuple(thorns))
+    """Derive the points, petals and thorns of a word, from its pattern's plan."""
+    support = tuple(map(bool, word.symbols))
+    plan = _plan if len(support) <= MAX_AXES else _plan.__wrapped__
+    petals, thorns = plan(support)[:2]
+    return FlowerShape(word=word, points=constellation(word), petals=petals, thorns=thorns)
 
 
 def petal_shades(shape: FlowerShape) -> list[str]:

@@ -7,8 +7,9 @@ twice must produce identical bytes; golden-file tests depend on it.
 
 One walk, _drawer, decides which primitives a cell has and in what order; SVG
 and TikZ differ only in the format table that turns each primitive into text.
-A cell looks up its points in one table per axis and its plan per pattern, in
-caches panels share; every SVG is assembled as bytes, a panel cell by cell.
+A cell looks up its points in one table per axis, in caches panels share, and
+what it draws in flowergeom's plan of its nonzero pattern, the one features
+reads; every SVG is assembled as bytes, a panel cell by cell.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import compress, product
+from itertools import product
 from operator import getitem
 
-from .flowergeom import FlowerShape, _petals_and_thorns, _placement, _shade_parities
+from .flowergeom import MAX_AXES, FlowerShape, _placement, _plan
 from .gfield import Word, _require_prime, format_word
 
 _AXIS_COLOR = "B0B0B0"
@@ -29,11 +30,10 @@ _OUTLINE_COLOR = "404040"
 _LABEL_COLOR = "333333"
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
-# A cell of n symbols over GF(p) has n axes and p-1 grid rings; a longer word
+# A cell of n symbols over GF(p) has n axes and p-1 grid rings; n past MAX_AXES
 # or a larger p is refused before drawing.  So is a panel whose cells could
 # draw more primitives in all, or with more columns (which could only be
 # empty); at the bound a panel peaks at 34-90 MB with sizes up to MAX_SPEC_SIZE.
-MAX_AXES = 256
 MAX_RINGS = 1000
 MAX_PANEL_PRIMITIVES = 250_000
 MAX_SPEC_SIZE = 10_000
@@ -200,16 +200,6 @@ def _require_drawable(n: int, p: int, cells: int = 1) -> None:
                          f"{MAX_PANEL_PRIMITIVES}")
 
 
-@lru_cache(maxsize=1024)
-def _cell_plan(support: tuple[bool, ...]):
-    """What a cell of this nonzero pattern draws, by the flowergeom rules,
-    which read nothing else: its petal starts, their shade parities, its
-    thorns and its nonzero indices, which get markers."""
-    starts, thorns = _petals_and_thorns(support)
-    return (starts, _shade_parities(starts, len(support)), thorns,
-            list(compress(range(len(support)), support)))
-
-
 class _Axis(dict):
     """A drawer's points on one axis by symbol value; place(v) fills a miss, kept if keep."""
 
@@ -268,13 +258,13 @@ def _drawer(fmt: str, spec: RenderSpec, n: int, p: int):
 
     def cell(word):
         x = word.symbols
-        starts, parities, lone, nonzero = _cell_plan(tuple(map(bool, x)))
+        petals, lone, parities, nonzero = _plan(tuple(map(bool, x)))
         out = head.copy()
         # The all-zero word, every point on the origin, draws no petal or dot.
         if nonzero:
             pts = list(map(getitem, axes, x))
-            out += [petal(o_vertex, pts[k][1], pts[k + 1 - n][1], shades[d], i)
-                    for i, (k, d) in enumerate(zip(starts, parities))]
+            out += [petal(o_vertex, pts[a][1], pts[b][1], shades[d], i)
+                    for i, ((a, b), d) in enumerate(zip(petals, parities))]
             out.append(outline([q[1] for q in pts], w))
             out += [thorn(o, pts[k][0], shades[1], w, i) for i, k in enumerate(lone)]
             out += [pts[k][2] for k in nonzero]

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 MODLINALG, NTT = ("tests/test_modlinalg.py",), ("tests/test_ntt.py",)
 CODES = ("tests/test_codes.py",)
+FLOWER = ("tests/test_flowergeom.py", "tests/test_render.py")
 
 CATALOGUE = (
     Mutant("modlinalg", "_eliminate: the clearing add not reduced",
@@ -80,6 +81,16 @@ CATALOGUE = (
            "yield m - room // size, block()", "yield m - room // size - 1, block()", CODES),
     Mutant("codes", "weights: the bias off by one lane unit",
            "block.top - block.one", "block.top - 2 * block.one", CODES),
+    Mutant("flowergeom", "_plan: the petal rule's right neighbour made the left",
+           "starts = [k for k in range(n) if x[k] and x[k + 1 - n]]",
+           "starts = [k for k in range(n) if x[k] and x[k - 1]]", FLOWER),
+    Mutant("flowergeom", "_plan: the thorn rule without its left neighbour",
+           "if x[k] and not x[k - 1] and not x[k + 1 - n])", "if x[k] and not x[k + 1 - n])",
+           FLOWER),
+    Mutant("flowergeom", "_shade_parities: the seam never counted",
+           "seam = 0 < len(starts) < n and starts[0] == 0", "seam = False", FLOWER),
+    Mutant("flowergeom", "features: plans kept past MAX_AXES",
+           "if len(support) <= MAX_AXES else", "if True else", FLOWER, work=True),
     Mutant("render", "_Axis: points never kept",
            "if self.keep:\n", "if False:\n", ("tests/test_render.py",), work=True),
     Mutant("gfield", "parse_word: the digit p let through",

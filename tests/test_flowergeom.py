@@ -3,11 +3,11 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
-from fieldflower.flowergeom import ConstellationPoint, _point, constellation, \
-    features, petal_shades
+from fieldflower.flowergeom import MAX_AXES, ConstellationPoint, _plan, _point, \
+    constellation, features, petal_shades
 from fieldflower.gfield import Word, parse_word
-from fieldflower.render import _cell_plan
 import oracle
 import reference_constants as ref
 from reference_paths import reference_constellation
@@ -201,7 +201,42 @@ def test_features_and_shades_match_the_reference_rules():
             petals, thorns = oracle.petals(bits), oracle.thorns(bits)
             assert (list(shape.petals), list(shape.thorns)) == (petals, thorns)
             assert petal_shades(shape) == oracle.shades(bits), bits
-            starts, parities, plan_thorns, nonzero = _cell_plan(tuple(map(bool, bits)))
-            assert [(k, (k + 1) % n) for k in starts] == petals
+            plan_petals, plan_thorns, parities, nonzero = _plan(tuple(map(bool, bits)))
+            assert list(plan_petals) == petals
             assert [("light", "dark")[d] for d in parities] == oracle.shades(bits)
-            assert (plan_thorns, nonzero) == (thorns, [k for k in range(n) if bits[k]])
+            assert (list(plan_thorns), list(nonzero)) == \
+                (thorns, [k for k in range(n) if bits[k]])
+
+
+def test_features_keeps_plans_only_of_drawable_patterns():
+    # a plan grows with its word and features bounds no length, so past
+    # MAX_AXES symbols a word is planned afresh and no plan is kept
+    rng = random.Random(37)
+    long_words = [Word(2, (1,) * (MAX_AXES + 1))] + [
+        Word(3, tuple(rng.randrange(3) for _ in range(20_000))) for _ in range(3)]
+    _plan.cache_clear()
+    for word in long_words:
+        shape = features(word)
+        assert (list(shape.petals), list(shape.thorns)) == \
+            (oracle.petals(word.symbols), oracle.thorns(word.symbols))
+    assert _plan.cache_info().currsize == 0
+    # a drawable pattern is kept once, whatever its nonzero values
+    for word in (Word(3, (1, 2, 0) * (MAX_AXES // 3)), Word(3, (2, 2, 0) * (MAX_AXES // 3))):
+        shape = features(word)
+        assert (list(shape.petals), list(shape.thorns)) == \
+            (oracle.petals(word.symbols), oracle.thorns(word.symbols))
+        assert _plan.cache_info().currsize == 1
+    assert all(type(part) is tuple for part in _plan((True, False, True, True)))
+
+
+def test_petal_shades_follow_a_hand_built_shapes_petals():
+    # petal_shades reads shape.petals, not its word's pattern: a hand-built
+    # shape is shaded by the petals it was given
+    word = parse_word("1101100", 2)  # petals at 0 and 3, both light
+    assert petal_shades(features(word)) == ["light", "light"]
+    other = parse_word("1110111", 2)  # one run 4, 5, 6, 0, 1 through the wrap
+    shape = replace(features(word), petals=features(other).petals)
+    assert petal_shades(shape) == oracle.shades(other.symbols) == \
+        ["light", "dark", "dark", "light", "dark"]
+    shape = replace(features(word), petals=((5, 6), (6, 0)))
+    assert petal_shades(shape) == ["light", "dark"]

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from fieldflower import render
-from fieldflower.flowergeom import features
+from fieldflower.flowergeom import _plan, features
 from fieldflower.gfield import Word, format_word, parse_word
 from fieldflower.render import MAX_AXES, MAX_PANEL_PRIMITIVES, MAX_RINGS, MAX_SPEC_SIZE, \
-    RenderSpec, _cell_plan, _drawer, _require_drawable, panel, render_grid, to_svg, to_tikz
+    RenderSpec, _drawer, _require_drawable, panel, render_grid, to_svg, to_tikz
 import reference_constants as ref
 from reference_paths import reference_panel, reference_to_svg, reference_to_tikz
 
@@ -447,7 +447,7 @@ def test_cached_cells_match_the_uncached_walk():
     cases = [(shape, spec) for shape in differential_shapes() for spec in GOLDEN_SPECS]
     want = [(reference_to_svg(*case), reference_to_tikz(*case)) for case in cases]
     _drawer.cache_clear()
-    _cell_plan.cache_clear()
+    _plan.cache_clear()
     for _ in ("cold", "warm"):
         for case, pair in zip(cases, want):
             assert (to_svg(*case), to_tikz(*case)) == pair, \
@@ -466,7 +466,7 @@ def test_cells_are_drawn_from_the_word_not_its_points():
 
 def test_bounds_hold_after_a_cache_hit():
     assert _drawer.cache_info().maxsize == 1024
-    assert _cell_plan.cache_info().maxsize == 1024
+    assert _plan.cache_info().maxsize == 1024
     word = Word(3, (1, 0, 2, 2, 0, 1, 0))
     to_svg(features(word))  # the panel's key, ("svg", RenderSpec(), 7, 3), is now cached
     cells = MAX_PANEL_PRIMITIVES // 30 + 1  # a cell of 7 symbols over GF(3) counts 30
@@ -542,7 +542,7 @@ def test_a_second_round_of_cached_keys_retains_nothing_more():
     tracemalloc.start()
     try:
         _drawer.cache_clear()
-        _cell_plan.cache_clear()
+        _plan.cache_clear()
         first, second = draw_round(), draw_round()
     finally:
         tracemalloc.stop()
