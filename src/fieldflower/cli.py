@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -33,7 +32,7 @@ def _decimal(text: str) -> int:
 
 
 def _render_spec_from(args: argparse.Namespace) -> RenderSpec:
-    return RenderSpec(**{f.name: getattr(args, f.name) for f in fields(RenderSpec)})
+    return RenderSpec(**{name: getattr(args, name) for name in RenderSpec.__match_args__})
 
 
 def _add_render_options(sub: argparse.ArgumentParser) -> None:

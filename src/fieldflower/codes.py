@@ -52,16 +52,15 @@ from __future__ import annotations
 
 import gc
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .gfield import Word, _reduced_words, _require_prime, _same_field
+from .gfield import Word, _Frozen, _reduced_words, _require_prime, _same_field
 from .modlinalg import (
-    MatrixOverGfp, _eliminate, _fields_only, _Lanes, _null_basis, _word_lanes,
+    MatrixOverGfp, _eliminate, _Lanes, _null_basis, _word_lanes,
     mat_vec, matrix_from_words)
 from .ntt import GOLAY, Transform, fixed_space
 
@@ -79,17 +78,13 @@ _HAMMING_GENERATOR_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(_Frozen):
     """An [n, k] linear code over GF(p), given by a full-rank generator."""
 
-    generator: MatrixOverGfp
-
-    def __post_init__(self) -> None:
-        if len(self._reduced[1]) != self.generator.rows:
+    def __init__(self, generator: MatrixOverGfp) -> None:
+        object.__setattr__(self, "generator", generator)
+        if len(self._reduced[1]) != generator.rows:
             raise ValueError("generator rows are linearly dependent")
-
-    __getstate__ = _fields_only
 
     @cached_property
     def _reduced(self) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -17,40 +17,42 @@ per pattern of up to MAX_AXES symbols and read by features and render's drawer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 
-from .gfield import Word
+from .gfield import Word, _Frozen
 
 # render refuses to draw a word of more symbols, and features keeps no plan of
 # one: a plan's size grows with its length, which features does not bound.
 MAX_AXES = 256
 
 
-@dataclass(frozen=True)
-class ConstellationPoint:
+class ConstellationPoint(_Frozen):
     """One plotted symbol: polar (radius, angle) plus its cartesian image."""
 
-    index: int
-    radius: int
-    angle: float
-    x: float
-    y: float
+    def __init__(self, index: int, radius: int, angle: float, x: float, y: float) -> None:
+        set_field = object.__setattr__
+        set_field(self, "index", index)
+        set_field(self, "radius", radius)
+        set_field(self, "angle", angle)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
 
-@dataclass(frozen=True)
-class FlowerShape:
+class FlowerShape(_Frozen):
     """A word together with its derived geometry.
 
     petals are (k, (k+1) mod N) pairs in ascending k order; thorns are bare
     indices in ascending order.  The outline runs through points in order.
     """
 
-    word: Word
-    points: tuple[ConstellationPoint, ...]
-    petals: tuple[tuple[int, int], ...]
-    thorns: tuple[int, ...]
+    def __init__(self, word: Word, points: tuple[ConstellationPoint, ...],
+                 petals: tuple[tuple[int, int], ...], thorns: tuple[int, ...]) -> None:
+        set_field = object.__setattr__
+        set_field(self, "word", word)
+        set_field(self, "points", points)
+        set_field(self, "petals", petals)
+        set_field(self, "thorns", thorns)
 
 
 def _placement(k: int, v: float, n: int) -> tuple[float, float, float]:
@@ -91,15 +93,25 @@ def _shade_parities(starts: list[int], n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every petal pair (k, (k+1) mod N) of N = n axes, which the plans of
+    n symbols share."""
+    return tuple((k, (k + 1) % n) for k in range(n))
+
+
 @lru_cache(maxsize=1024)
 def _plan(x: tuple[bool, ...]):
     """The nonzero pattern x's petals as (k, (k+1) mod N) pairs, thorns, petal
-    shade parities (0 light, 1 dark) and nonzero indices, all in ascending k."""
+    shade parities (0 light, 1 dark) and nonzero indices, all in ascending k.
+    A pattern longer than MAX_AXES, whose plan features does not keep, keeps
+    no pairs either."""
     n = len(x)
     # x[k - 1] and x[k + 1 - n] are the cyclic neighbours of x[k], 0 <= k < n.
     starts = [k for k in range(n) if x[k] and x[k + 1 - n]]
     thorns = tuple(k for k in range(n) if x[k] and not x[k - 1] and not x[k + 1 - n])
-    return (tuple([(k, (k + 1) % n) for k in starts]), thorns,
+    pairs = (_pairs if n <= MAX_AXES else _pairs.__wrapped__)(n)
+    return (tuple(map(pairs.__getitem__, starts)), thorns,
             tuple(_shade_parities(starts, n)), tuple(compress(range(n), x)))
 
 

@@ -16,14 +16,17 @@ it has checked:
   matrix or mod 3;
 - `parse_word` (`_reduced_word`) checks the modulus and the largest digit of
   a digit string, and leaves any other text to `Word`, which names the error.
+
+Every frozen value class of the package derives from `_Frozen`, which gives
+it what a frozen dataclass has without importing `dataclasses`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -98,16 +101,87 @@ def _same_field(a, b) -> None:
         raise ValueError(f"modulus mismatch: GF({a.modulus}) vs GF({b.modulus})")
 
 
-@dataclass(frozen=True)
-class FieldElement:
+@cache
+def _dataclass_fields(cls) -> dict:
+    """The `dataclasses` fields of a value class, made by `make_dataclass`
+    from the parameters, annotations and defaults of its `__init__`."""
+    import dataclasses
+
+    names, init = cls.__match_args__, cls.__init__
+    defaults = dict(zip(names[::-1], (init.__defaults__ or ())[::-1]))
+    return dataclasses.make_dataclass(cls.__name__, [
+        (name, init.__annotations__[name],
+         dataclasses.field(default=defaults.get(name, dataclasses.MISSING)))
+        for name in names], frozen=True).__dataclass_fields__
+
+
+class _DataclassFields:
+    """`__dataclass_fields__` of a value class, read on the class or a value."""
+
+    def __get__(self, value, cls) -> dict:
+        return _dataclass_fields(cls)
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A value's fields are the parameters of its class's `__init__`, which
+    checks them and sets each one once, by `object.__setattr__`; setting or
+    deleting any attribute after that raises
+    `dataclasses.FrozenInstanceError`.  Values are equal when they are of
+    one class and their fields are, and hash as the tuple of their fields.
+    A value pickles its fields only, so a cache that a class keeps in its
+    `__dict__` is built again by the loaded value, and its repr is
+    `Class(field=value, ...)` where its class writes none.
+    `__match_args__` names the fields.  `__dataclass_fields__` is made for
+    `dataclasses.fields`, `replace`, `asdict`, `astuple` and `is_dataclass`
+    at its first read, so only their callers import `dataclasses`.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = names = code.co_varnames[1:code.co_argcount]
+        get = attrgetter(*names)
+        # the fields as a tuple, also for a class of one field
+        cls._values = get if len(names) > 1 else staticmethod(lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __getstate__(self) -> dict:
+        return dict(zip(self.__match_args__, self._values(self)))
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FieldElement(_Frozen):
     """A residue in GF(p), with 0 <= value < modulus."""
 
     __slots__ = ("value", "modulus")  # as Word's, which says why
-    value: int
-    modulus: int
 
-    def __post_init__(self) -> None:
-        _residues(self.modulus, (self.value,))
+    def __init__(self, value: int, modulus: int) -> None:
+        _residues(modulus, (value,))
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
     def __reduce__(self):
         return FieldElement, (self.value, self.modulus)
@@ -139,22 +213,19 @@ class FieldElement:
         return f"FieldElement({self.value} mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """An immutable length-N sequence of residues over GF(p)."""
 
-    # Slots named here rather than by slots=True, whose rebuilt class makes
-    # CPython 3.11's frozen __setattr__ raise TypeError on a new attribute.
-    # A pickle rebuilds the Word through its constructor, since setting a
-    # frozen slot raises.
+    # Slots keep a Word to an int and a tuple.  A pickle rebuilds the Word
+    # through its constructor, since setting a frozen slot raises.
     __slots__ = ("modulus", "symbols")
-    modulus: int
-    symbols: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", _residues(self.modulus, self.symbols))
-        if len(self.symbols) == 0:
+    def __init__(self, modulus: int, symbols: tuple[int, ...]) -> None:
+        symbols = _residues(modulus, symbols)
+        if not symbols:
             raise ValueError("a word must have at least one symbol")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "symbols", symbols)
 
     def __reduce__(self):
         return Word, (self.modulus, self.symbols)

@@ -28,42 +28,29 @@ through a v % p table, wider ones by shift, mask and % p.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache
 from itertools import chain, islice
 from operator import mul
 from struct import Struct
 from typing import Iterator, Sequence
 
-from .gfield import Word, _is_decimal, _reduced_word, _residues, _same_field
+from .gfield import Word, _Frozen, _is_decimal, _reduced_word, _residues, _same_field
 
 
-def _fields_only(value) -> dict:
-    """The pickled state of a dataclass value: its fields, and none of the
-    caches kept in its `__dict__`, which the loaded value builds again."""
-    return {f.name: getattr(value, f.name) for f in fields(value)}
-
-
-@dataclass(frozen=True)
-class MatrixOverGfp:
+class MatrixOverGfp(_Frozen):
     """A dense rows x cols matrix of residues over GF(p)."""
 
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(row) for row in self.entries)
-        )
-        if len(self.entries) == 0 or len(self.entries[0]) == 0:
+    def __init__(self, modulus: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        entries = tuple(tuple(row) for row in entries)
+        if len(entries) == 0 or len(entries[0]) == 0:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(self.entries[0])
-        for i, row in enumerate(self.entries):
+        width = len(entries[0])
+        for i, row in enumerate(entries):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-        _residues(self.modulus, chain.from_iterable(self.entries), width)
-
-    __getstate__ = _fields_only
+        _residues(modulus, chain.from_iterable(entries), width)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "entries", entries)
 
     @cached_property
     def _packed(self) -> tuple[int, tuple[int, ...]]:
@@ -93,13 +80,14 @@ def identity(n: int, p: int) -> MatrixOverGfp:
     ))
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(_Frozen):
     """Reduced row-echelon form plus rank and pivot columns."""
 
-    rref: MatrixOverGfp
-    rank: int
-    pivot_columns: tuple[int, ...]
+    def __init__(self, rref: MatrixOverGfp, rank: int, pivot_columns: tuple[int, ...]) -> None:
+        set_field = object.__setattr__
+        set_field(self, "rref", rref)
+        set_field(self, "rank", rank)
+        set_field(self, "pivot_columns", pivot_columns)
 
 
 def _require_operand(m: MatrixOverGfp, x: Word) -> None:

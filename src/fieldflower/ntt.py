@@ -27,11 +27,10 @@ those lanes, and one `bytes.translate` reduces every lane mod 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .gfield import FieldElement, Word, _reduced_word
+from .gfield import FieldElement, Word, _Frozen, _reduced_word
 from .modlinalg import MatrixOverGfp, _eliminate, _null_basis, _residue_table, mat_vec
 
 _HAMMING_ROWS = (
@@ -97,12 +96,12 @@ def golay_ntt_signed_rows() -> tuple[tuple[int, ...], ...]:
     return _GOLAY_SIGNED_ROWS
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(_Frozen):
     """A named linear transform over GF(p)."""
 
-    name: str
-    matrix: MatrixOverGfp
+    def __init__(self, name: str, matrix: MatrixOverGfp) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matrix", matrix)
 
 
 HAMMING = Transform("hamming", hamming_ntt_matrix())
@@ -144,12 +143,12 @@ MAX_SPECTRUM_MODULUS = 4096
 MAX_SPECTRUM_WORK = MAX_SPECTRUM_MODULUS * 12**3
 
 
-@dataclass(frozen=True)
-class EigenSpace:
+class EigenSpace(_Frozen):
     """An eigenvalue in GF(p) together with a canonical eigenvector basis."""
 
-    eigenvalue: FieldElement
-    basis: tuple[Word, ...]
+    def __init__(self, eigenvalue: FieldElement, basis: tuple[Word, ...]) -> None:
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dimension(self) -> int:

@@ -15,13 +15,12 @@ reads; every SVG is assembled as bytes, a panel cell by cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
 from operator import getitem
 
 from .flowergeom import MAX_AXES, FlowerShape, _placement, _plan
-from .gfield import Word, _require_prime, format_word
+from .gfield import Word, _Frozen, _require_prime, format_word
 
 _AXIS_COLOR = "B0B0B0"
 _RING_COLOR = "B0B0B0"
@@ -39,8 +38,7 @@ MAX_PANEL_PRIMITIVES = 250_000
 MAX_SPEC_SIZE = 10_000
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Frozen):
     """Visual constants for one rendering; all fields overridable from the CLI.
 
     canvas is the side length of one cell in abstract units, radius_scale the
@@ -48,22 +46,29 @@ class RenderSpec:
     Colors are 6-hex-digit RGB, with or without a leading '#'.
     """
 
-    canvas: float = 240.0
-    radius_scale: float = 40.0
-    stroke_width: float = 1.5
-    light_color: str = "9ECAE1"
-    dark_color: str = "2171B5"
-    marker_radius: float = 5.0
-    grid: bool = True
-    label: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("canvas", "radius_scale", "stroke_width", "marker_radius"):
-            v = getattr(self, name)
+    def __init__(self, canvas: float = 240.0, radius_scale: float = 40.0,
+                 stroke_width: float = 1.5, light_color: str = "9ECAE1",
+                 dark_color: str = "2171B5", marker_radius: float = 5.0,
+                 grid: bool = True, label: bool = False) -> None:
+        for name, v in (("canvas", canvas), ("radius_scale", radius_scale),
+                        ("stroke_width", stroke_width), ("marker_radius", marker_radius)):
             if not 0 < v <= MAX_SPEC_SIZE:
                 raise ValueError(f"{name} must be positive and at most {MAX_SPEC_SIZE}, got {v}")
-        object.__setattr__(self, "light_color", _clean_color(self.light_color))
-        object.__setattr__(self, "dark_color", _clean_color(self.dark_color))
+        set_field = object.__setattr__
+        set_field(self, "canvas", canvas)
+        set_field(self, "radius_scale", radius_scale)
+        set_field(self, "stroke_width", stroke_width)
+        set_field(self, "light_color", _clean_color(light_color))
+        set_field(self, "dark_color", _clean_color(dark_color))
+        set_field(self, "marker_radius", marker_radius)
+        set_field(self, "grid", grid)
+        set_field(self, "label", label)
+
+    def __hash__(self) -> int:
+        # as the base's, unrolled: every draw hashes its spec, a key of the
+        # kept drawers
+        return hash((self.canvas, self.radius_scale, self.stroke_width, self.light_color,
+                     self.dark_color, self.marker_radius, self.grid, self.label))
 
 
 def _clean_color(color: str) -> str:
@@ -311,7 +316,8 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
     if n < 2:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
-    spec = replace(spec or RenderSpec(), grid=True)
+    fields = {name: getattr(spec or RenderSpec(), name) for name in RenderSpec.__match_args__}
+    spec = RenderSpec(**fields | {"grid": True})
     _require_drawable(n, p)
     return _svg_document(spec.canvas, spec.canvas, _drawer("svg", spec, n, p)[0])
 

@@ -34,14 +34,13 @@ is deliberate: the check records the claim, not the behavior.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
 from .codes import LinearCode, code_from_fixed_space, hamming_code, hamming_generator, \
     minimum_distance
 from .flowergeom import features
-from .gfield import Word, _all_binary_7, format_word, parse_word
+from .gfield import Word, _Frozen, _all_binary_7, format_word, parse_word
 from .modlinalg import MatrixOverGfp, format_matrix, mat_vec, matrix_from_words, \
     same_row_space
 from .ntt import apply_addition_only, fixed_space, golay_ntt_matrix, \
@@ -65,11 +64,14 @@ _GOLAY_INVARIANTS = ("100000011111", "010000101221", "001000110122")
 _RANDOM_WORDS = 10000
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Frozen):
+    """One named check: whether it passed, and the line that says why."""
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 def _check_checksum(m: MatrixOverGfp, expected: str) -> tuple[bool, str]:

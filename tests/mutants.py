@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 MODLINALG, NTT = ("tests/test_modlinalg.py",), ("tests/test_ntt.py",)
 CODES = ("tests/test_codes.py",)
 FLOWER = ("tests/test_flowergeom.py", "tests/test_render.py")
+VALUES = ("tests/test_values.py",)
 
 CATALOGUE = (
     Mutant("modlinalg", "_eliminate: the clearing add not reduced",
@@ -91,10 +92,28 @@ CATALOGUE = (
            "seam = 0 < len(starts) < n and starts[0] == 0", "seam = False", FLOWER),
     Mutant("flowergeom", "features: plans kept past MAX_AXES",
            "if len(support) <= MAX_AXES else", "if True else", FLOWER, work=True),
+    Mutant("flowergeom", "_plan: petal pairs kept past MAX_AXES",
+           "(_pairs if n <= MAX_AXES else _pairs.__wrapped__)(n)", "_pairs(n)", FLOWER,
+           work=True),
+    Mutant("flowergeom", "_plan: petal pairs never shared",
+           "(_pairs if n <= MAX_AXES else _pairs.__wrapped__)(n)", "_pairs.__wrapped__(n)",
+           FLOWER, work=True),
     Mutant("render", "_Axis: points never kept",
            "if self.keep:\n", "if False:\n", ("tests/test_render.py",), work=True),
     Mutant("gfield", "parse_word: the digit p let through",
            "if max(digits) < p:", "if max(digits) <= p:", ("tests/test_gfield.py",)),
+    Mutant("gfield", "Word.__init__ without _residues",
+           "symbols = _residues(modulus, symbols)", "symbols = tuple(symbols)",
+           ("tests/test_gfield.py",)),
+    Mutant("gfield", "_Frozen.__eq__ without the class test",
+           "if other.__class__ is self.__class__:", "if True:", VALUES),
+    Mutant("gfield", "_Frozen.__hash__ without the last field",
+           "return hash(self._values(self))", "return hash(self._values(self)[:-1])", VALUES),
+    Mutant("gfield", "_Frozen.__setattr__ lets a new attribute through",
+           "    def __setattr__(self, name, value):\n",
+           "    def __setattr__(self, name, value):\n"
+           "        if name not in self.__match_args__:\n"
+           "            return object.__setattr__(self, name, value)\n", VALUES),
     Mutant("verify", "failure naming without the reversal",
            "for row in reversed(code.generator.entries):", "for row in code.generator.entries:",
            ("tests/test_verify.py",)),

@@ -648,14 +648,14 @@ def test_reduced_word_is_used_only_by_the_per_word_images():
 
 
 def test_frozen_values_are_written_only_in_post_init():
-    # A frozen value is set up by `object.__setattr__` in `__post_init__`
+    # A frozen value is set up by `object.__setattr__` in its `__init__`
     # and never written after: a derived cache is a `cached_property`.
     users = {
         (path.stem, scope)
         for path in Path(codes.__file__).parent.glob("*.py")
         for scope in loads_of("__setattr__", ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert users and {scope for _, scope in users} == {"__post_init__"}
+    assert users and {scope for _, scope in users} == {"__init__"}
 
 
 def test_reduced_words_match_checked_words():

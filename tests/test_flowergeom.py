@@ -5,7 +5,7 @@ import math
 import random
 from dataclasses import replace
 
-from fieldflower.flowergeom import MAX_AXES, ConstellationPoint, _plan, _point, \
+from fieldflower.flowergeom import MAX_AXES, ConstellationPoint, _pairs, _plan, _point, \
     constellation, features, petal_shades
 from fieldflower.gfield import Word, parse_word
 import oracle
@@ -227,6 +227,20 @@ def test_features_keeps_plans_only_of_drawable_patterns():
             (oracle.petals(word.symbols), oracle.thorns(word.symbols))
         assert _plan.cache_info().currsize == 1
     assert all(type(part) is tuple for part in _plan((True, False, True, True)))
+
+
+def test_kept_plans_of_one_length_share_their_petal_pairs():
+    # one (k, k+1 mod n) tuple per axis, shared by the kept plans of n
+    # symbols; a pattern past MAX_AXES keeps no pairs
+    _plan.cache_clear()
+    _pairs.cache_clear()
+    first = features(parse_word("1101110", 2)).petals
+    second = features(parse_word("1100110", 2)).petals
+    assert first == ((0, 1), (3, 4), (4, 5)) and second == ((0, 1), (4, 5))
+    assert second[0] is first[0] and second[1] is first[2]
+    assert _pairs.cache_info().currsize == 1
+    features(Word(2, (1,) * (MAX_AXES + 1)))
+    assert _pairs.cache_info().currsize == 1
 
 
 def test_petal_shades_follow_a_hand_built_shapes_petals():

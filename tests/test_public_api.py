@@ -91,8 +91,11 @@ def test_public_api_is_the_recorded_list():
     assert getattr(fieldflower, "nope", None) is None
 
 
+EVERY = ["cli", "codes", "flowergeom", "gfield", "modlinalg", "ntt", "render", "verify"]
+
 # The fieldflower modules loaded by importing the package and touching one
-# name (None: touching none), and nothing more.
+# name (None: touching none), or running one command line that writes its
+# last argument, and nothing more.
 LOADS = [
     (None, []),
     ("RenderSpec", ["flowergeom", "gfield", "render"]),
@@ -100,21 +103,33 @@ LOADS = [
     ("run_checks",
      ["codes", "flowergeom", "gfield", "modlinalg", "ntt", "render", "verify"]),
     ("rref", ["gfield", "modlinalg"]),
+    pytest.param(["render", "0112", "--p", "3", "--label", "--light-color", "#abcdef",
+                  "--out", "flower.svg"], EVERY, id="render-modules5"),
+    pytest.param(["panel", "all-binary-7", "--columns", "8", "--out", "panel.svg"],
+                 EVERY, id="panel-modules6"),
 ]
 
 
 @pytest.mark.parametrize("name, modules", LOADS)
-def test_a_name_loads_only_the_modules_it_reaches(name, modules):
-    # A fresh interpreter, since this one has imported every module by now.
-    code = ("import sys, fieldflower\n"
-            + (f"assert {name!r} not in vars(fieldflower)\nfieldflower.{name}\n" if name else "")
-            + "print(sorted(m.split('.', 1)[1] for m in sys.modules"
-              " if m.startswith('fieldflower.')))")
+def test_a_name_loads_only_the_modules_it_reaches(name, modules, tmp_path):
+    # A fresh interpreter, since this one has imported every module by now,
+    # run in tmp_path.  None of this loads `dataclasses` or `inspect`: only a
+    # caller of `dataclasses.fields` or `replace` loads them, itself.
+    if isinstance(name, list):
+        statement = f"from fieldflower import cli\nassert cli.main({name!r}) == 0\n"
+    else:
+        statement = f"assert {name!r} not in vars(fieldflower)\nfieldflower.{name}\n" if name else ""
+    code = ("import sys, fieldflower\n" + statement
+            + "print(repr((sorted(m.split('.', 1)[1] for m in sys.modules"
+              " if m.startswith('fieldflower.')), 'dataclasses' in sys.modules,"
+              " 'inspect' in sys.modules)))")
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert ast.literal_eval(proc.stdout) == modules
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == (modules, False, False)
+    written = [name[-1]] if isinstance(name, list) else []
+    assert [path.name for path in tmp_path.iterdir()] == written
 
 
 def test_int_byte_conversions_name_their_byte_order():
