@@ -316,7 +316,8 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
     if n < 2:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
-    fields = {name: getattr(spec or RenderSpec(), name) for name in RenderSpec.__match_args__}
+    spec = spec or RenderSpec()
+    fields = {name: getattr(spec, name) for name in RenderSpec.__match_args__}
     spec = RenderSpec(**fields | {"grid": True})
     _require_drawable(n, p)
     return _svg_document(spec.canvas, spec.canvas, _drawer("svg", spec, n, p)[0])
