@@ -58,10 +58,9 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .gfield import Word, _Frozen, _reduced_words, _require_prime, _same_field
+from .gfield import Word, _Frozen, _reduced_words, _same_field
 from .modlinalg import (
-    MatrixOverGfp, _eliminate, _Lanes, _null_basis, _word_lanes,
-    mat_vec, matrix_from_words)
+    MatrixOverGfp, _eliminate, _Lanes, _null_basis, _reduced_matrix, _word_lanes, mat_vec)
 from .ntt import GOLAY, Transform, fixed_space
 
 # Hard cap on p**k for any operation that walks the whole codebook.
@@ -96,8 +95,10 @@ class LinearCode(_Frozen):
     @cached_property
     def _parity_check(self) -> MatrixOverGfp:
         """H of `is_codeword`: the canonical null space of the generator,
-        read off `_reduced` at the first membership test."""
-        return matrix_from_words(_null_basis(self.modulus, self.length, *self._reduced))
+        read off `_reduced` at the first membership test of a code of k < n."""
+        p = self.modulus
+        basis = _null_basis(p, self.length, *self._reduced)
+        return _reduced_matrix(p, tuple(w.symbols for w in basis))
 
     @property
     def modulus(self) -> int:
@@ -130,7 +131,8 @@ def code_from_fixed_space(transform: Transform | MatrixOverGfp) -> LinearCode:
     space = fixed_space(transform)
     if space.dimension == 0:
         raise ValueError("transform has no fixed points besides zero; no code")
-    return LinearCode(matrix_from_words(space.basis))
+    return LinearCode(_reduced_matrix(space.basis[0].modulus,
+                                      tuple(w.symbols for w in space.basis)))
 
 
 # The named built-in codes, each built on request.
@@ -208,10 +210,10 @@ def _block_sums(m: int, lanes: _Lanes, pairs: Iterable[tuple[int, bytes]]
 
 def enumerate_codewords(code: LinearCode) -> list[Word]:
     """All p**k codewords u*G, ordered by the message word u lexicographically;
-    the modulus is checked once and each packed block by one lane test."""
+    the generator is a checked matrix, and each packed block is checked by
+    one lane test."""
     _check_enumerable(code)
     p, n, rows = code.modulus, code.length, code.generator.entries
-    _require_prime(p)
     h, m = _shape(p, n, len(rows))
     lanes, words = _Lanes(p, n, m), []
     size, unpack = lanes.size, lanes.struct.iter_unpack

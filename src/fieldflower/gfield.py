@@ -5,17 +5,29 @@ shared freely across threads, and every operation returns a new value.
 
 `_residues` alone decides what a value of GF(p) is (a prime `int` modulus,
 `int` residues in 0..p-1) for elements, words and matrices alike, and
-`_same_field` alone checks that two operands share a modulus.  Three callers
-build Words without it, each from symbols it knows to be residues of a field
-it has checked:
+`_same_field` alone checks that two operands share a modulus.
 
-- the codebook walk (`_reduced_words`) lane-tests every packed block of
+A value is checked where it enters the package: by a public constructor
+(`FieldElement`, `Word`, `MatrixOverGfp`), a parser or the CLI.  A value
+built from checked values is not checked again.  Three trusted builders
+skip `_residues`, each given residues of a prime its caller has checked:
+
+- `_reduced_words`, for the codebook walk (`codes.enumerate_codewords`),
+  which reads a checked generator and lane-tests every packed block of
   codewords before any of its Words is made;
-- `modlinalg.mat_vec` and `ntt.apply_addition_only` (`_reduced_word`)
-  reduce every symbol of an image themselves, mod the modulus of a checked
-  matrix or mod 3;
-- `parse_word` (`_reduced_word`) checks the modulus and the largest digit of
-  a digit string, and leaves any other text to `Word`, which names the error.
+- `_reduced_word`, for `modlinalg.mat_vec` and `ntt.apply_addition_only`,
+  which reduce every symbol of an image mod the modulus of a checked matrix
+  or mod 3; for `modlinalg._null_basis`, whose vectors (of null spaces,
+  eigenspaces and parity checks) elimination reduced; and for `parse_word`,
+  which checks the modulus and the largest digit of a digit string, and
+  leaves any other text to `Word`, which names the error;
+- `modlinalg._reduced_matrix`, for the matrices of `modlinalg.rref`,
+  `codes.LinearCode._parity_check` and `codes.code_from_fixed_space`,
+  whose rows elimination reduced.
+
+Their values equal, hash and pickle like checked builds, and
+tests/test_codes.py pins their callers.  An eigenspace's eigenvalue, one
+`FieldElement`, and the words `verify` multiplies stay checked.
 
 Every frozen value class of the package derives from `_Frozen`, which gives
 it what a frozen dataclass has without importing `dataclasses`.

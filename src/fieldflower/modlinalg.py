@@ -9,10 +9,13 @@ them in an `RrefResult`.  Pivot choices are deterministic (first nonzero
 entry scanning rows top-down, columns left-to-right), so that output, in
 particular canonical null-space bases, is byte-reproducible.
 
-Entries are checked by `gfield._residues` and operands matched by
-`gfield._same_field`; this module has no value check of its own.  A
-product's symbols are residues by construction, so its image is built by
-`gfield._reduced_word`, without a second check.
+Entries are checked by `gfield._residues`, in `MatrixOverGfp` and so in
+`parse_matrix` and `matrix_from_words`, and operands matched by
+`gfield._same_field`; this module has no value check of its own.  What it
+derives from a checked matrix is residues by construction and is not
+checked again: a product's image and each null-space vector are built by
+`gfield._reduced_word`, and `rref`'s matrix by `_reduced_matrix`, which
+`codes` also uses for a parity check and a fixed-space generator.
 
 Products are packed into lanes of big ints (Kronecker substitution).  A sum
 of n products of residues is at most n(p-1)**2, and `_lane_bytes` gives the
@@ -72,6 +75,16 @@ class MatrixOverGfp(_Frozen):
 
     def __repr__(self) -> str:
         return f"MatrixOverGfp({self.rows}x{self.cols} over GF({self.modulus}))"
+
+
+def _reduced_matrix(p: int, entries: tuple[tuple[int, ...], ...]) -> MatrixOverGfp:
+    """A matrix built without `_residues`, as `gfield._reduced_word` builds a
+    Word: the caller has checked that p is prime and that the entries are a
+    tuple of equally long tuple rows of ints in 0..p-1, at least one of one."""
+    m = object.__new__(MatrixOverGfp)
+    object.__setattr__(m, "modulus", p)
+    object.__setattr__(m, "entries", entries)
+    return m
 
 
 def identity(n: int, p: int) -> MatrixOverGfp:
@@ -263,7 +276,7 @@ def rref(m: MatrixOverGfp) -> RrefResult:
     remaining rows top-down; columns are processed left to right.
     """
     rows, pivots = _eliminate(m.modulus, m.entries)
-    return RrefResult(rref=MatrixOverGfp(m.modulus, tuple(rows)), rank=len(pivots),
+    return RrefResult(rref=_reduced_matrix(m.modulus, tuple(rows)), rank=len(pivots),
                       pivot_columns=tuple(pivots))
 
 
@@ -277,7 +290,7 @@ def _null_basis(p: int, n: int, rows: Sequence[Sequence[int]],
         v[f] = 1
         for i, pc in enumerate(pivots):
             v[pc] = (-rows[i][f]) % p
-        basis.append(Word(p, tuple(v)))
+        basis.append(_reduced_word(p, tuple(v)))
     return basis
 
 

@@ -78,6 +78,11 @@ def _clean_color(color: str) -> str:
     return c.upper()
 
 
+# The spec of every call made without one, built and checked once: the drawer
+# cache finds it by identity, not field by field.
+_DEFAULT_SPEC = RenderSpec()
+
+
 def _fmt(v: float) -> str:
     out = f"{v:.6f}"
     return "0.000000" if out == "-0.000000" else out
@@ -308,7 +313,7 @@ def to_svg(shape: FlowerShape, spec: RenderSpec | None = None) -> bytes:
     """Standalone SVG document for one flower shape, drawn from shape.word:
     a hand-built shape whose points disagree with its word is drawn from the
     word, as its petals and thorns already are."""
-    return _flower_svg(shape, spec or RenderSpec())
+    return _flower_svg(shape, spec or _DEFAULT_SPEC)
 
 
 def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
@@ -316,9 +321,10 @@ def render_grid(n: int, p: int, spec: RenderSpec | None = None) -> bytes:
     if n < 2:
         raise ValueError(f"grid needs at least 2 axes, got n={n}")
     _require_prime(p)
-    spec = spec or RenderSpec()
-    fields = {name: getattr(spec, name) for name in RenderSpec.__match_args__}
-    spec = RenderSpec(**fields | {"grid": True})
+    spec = spec or _DEFAULT_SPEC
+    if not spec.grid:
+        fields = {name: getattr(spec, name) for name in RenderSpec.__match_args__}
+        spec = RenderSpec(**fields | {"grid": True})
     _require_drawable(n, p)
     return _svg_document(spec.canvas, spec.canvas, _drawer("svg", spec, n, p)[0])
 
@@ -334,7 +340,7 @@ def panel(words: list[Word], columns: int, spec: RenderSpec | None = None,
     document exists only as bytes.  A panel whose cells could draw more than
     MAX_PANEL_PRIMITIVES primitives, or with more columns, is refused first.
     """
-    spec = spec or RenderSpec()
+    spec = spec or _DEFAULT_SPEC
     if not words:
         raise ValueError("panel needs at least one word")
     if columns < 1:
@@ -371,7 +377,7 @@ def to_tikz(shape: FlowerShape, spec: RenderSpec | None = None) -> str:
     Each primitive carries a trailing comment naming it, so element counts
     stay checkable on the text.  Like to_svg, it draws from shape.word.
     """
-    spec = spec or RenderSpec()
+    spec = spec or _DEFAULT_SPEC
     body = _one_cell("tikz", spec, shape)
     return "\n".join(["\\begin{tikzpicture}[x=1pt,y=1pt]", *body,
                       "\\end{tikzpicture}", ""])

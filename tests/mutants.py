@@ -56,6 +56,13 @@ CATALOGUE = (
            "v[pc] = (-rows[i][f]) % p", "v[pc] = rows[i][f] % p", MODLINALG),
     Mutant("modlinalg", "mat_vec: two-byte lanes through the one-byte translate",
            "if size == 1:", "if size <= 2:", MODLINALG),
+    Mutant("modlinalg", "_null_basis: the pivot entries not reduced",
+           "v[pc] = (-rows[i][f]) % p", "v[pc] = -rows[i][f]", MODLINALG),
+    Mutant("modlinalg", "_gauss_jordan: the clearing not reduced",
+           "other[c:] = [(x - f * y) % p for", "other[c:] = [(x - f * y) for", MODLINALG),
+    Mutant("modlinalg", "rref: the result's rows kept as a list",
+           "_reduced_matrix(m.modulus, tuple(rows))", "_reduced_matrix(m.modulus, rows)",
+           MODLINALG),
     Mutant("ntt", "_char_poly: no column swap",
            "row[s], row[i] = row[i], row[s]", "row[s], row[i] = row[s], row[i]", NTT),
     Mutant("ntt", "_char_poly: the compensating column operation with the wrong sign",
@@ -78,6 +85,11 @@ CATALOGUE = (
     Mutant("codes", "search: the G_j column order with the unused columns last",
            "itemgetter(*unused, *sorted(set(range(n)).difference(unused)))",
            "itemgetter(*sorted(set(range(n)).difference(unused)), *unused)", CODES),
+    Mutant("codes", "_parity_check: H's rows as a list",
+           "_reduced_matrix(p, tuple(w.symbols for w in basis))",
+           "_reduced_matrix(p, [w.symbols for w in basis])", CODES),
+    Mutant("codes", "code_from_fixed_space: the generator's rows as a list",
+           "tuple(w.symbols for w in space.basis)", "[w.symbols for w in space.basis]", CODES),
     Mutant("codes", "_block_sums: the last block's count one short",
            "yield m - room // size, block()", "yield m - room // size - 1, block()", CODES),
     Mutant("codes", "weights: the bias off by one lane unit",

@@ -31,6 +31,7 @@ from fieldflower.ntt import GOLAY, HAMMING, apply
 import oracle
 import reference_constants as ref
 from reference_paths import reference_codewords, reference_is_codeword
+from test_modlinalg import assert_built_alike, eliminated_matrices
 
 
 def test_hamming_generator_matches_reference():
@@ -620,42 +621,95 @@ def loads_of(name, node, scope="<module>"):
         yield from loads_of(name, child, scope)
 
 
-def test_reduced_word_is_used_only_by_enumerate_codewords():
-    # Every use of the unchecked bulk Word builder is pinned here: widening
-    # that trusted path means editing this set on purpose.
-    users = {
-        (path.stem, scope)
-        for path in Path(codes.__file__).parent.glob("*.py")
-        for scope in loads_of("_reduced_words", ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert users == {("codes", "enumerate_codewords")}
+# The trust boundary: each builder that makes a value without `_residues`,
+# or sets a frozen value's fields, and the (module, scope) pairs that may use
+# it, None standing for any module.  The Word builders serve the codebook
+# walk, the per-word images, digit-string parsing and null-space vectors; the
+# matrix builder serves rref's result, a code's H and a fixed-space code; a
+# frozen value is set up in its `__init__`, or in `_reduced_matrix`, and never
+# written after: a derived cache is a `cached_property`.  Widening a trusted
+# path means editing this table on purpose.
+TRUSTED_USERS = {
+    ("_reduced_words",): {("codes", "enumerate_codewords")},
+    ("_reduced_word",): {
+        ("modlinalg", "mat_vec"), ("ntt", "apply_addition_only"), ("gfield", "parse_word"),
+        ("modlinalg", "_null_basis"),
+    },
+    ("_set_modulus", "_set_symbols"): {("gfield", "_reduced_word"), ("gfield", "_reduced_words")},
+    ("_reduced_matrix",): {
+        ("modlinalg", "rref"), ("codes", "_parity_check"), ("codes", "code_from_fixed_space"),
+    },
+    ("__setattr__",): {(None, "__init__"), ("modlinalg", "_reduced_matrix")},
+}
 
 
-def test_reduced_word_is_used_only_by_the_per_word_images():
-    # The one-word builder serves the product, the addition-only path and
-    # digit-string parsing, and only the two builders set Word's slots.
-    def users(name):
-        return {
-            (path.stem, scope)
+@pytest.mark.parametrize("names", TRUSTED_USERS, ids="/".join)
+def test_trusted_builders_are_used_only_by_their_pinned_users(names):
+    allowed = TRUSTED_USERS[names]
+    for name in names:
+        users = {
+            (None if (None, scope) in allowed else path.stem, scope)
             for path in Path(codes.__file__).parent.glob("*.py")
             for scope in loads_of(name, ast.parse(path.read_text(encoding="utf-8")))
         }
-    assert users("_reduced_word") == {
-        ("modlinalg", "mat_vec"), ("ntt", "apply_addition_only"), ("gfield", "parse_word"),
-    }
-    for setter in ("_set_modulus", "_set_symbols"):
-        assert users(setter) == {("gfield", "_reduced_word"), ("gfield", "_reduced_words")}
+        assert users == allowed, name
 
 
-def test_frozen_values_are_written_only_in_post_init():
-    # A frozen value is set up by `object.__setattr__` in its `__init__`
-    # and never written after: a derived cache is a `cached_property`.
-    users = {
-        (path.stem, scope)
-        for path in Path(codes.__file__).parent.glob("*.py")
-        for scope in loads_of("__setattr__", ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert users and {scope for _, scope in users} == {"__init__"}
+def fixing_code(code):
+    """A square matrix whose fixed space is the code: I + A*H, with H the
+    oracle's null space of the generator and A the first n - k columns of
+    I, so T*x = x exactly when H*x = 0."""
+    p, n = code.modulus, code.length
+    h = oracle.null_space(code.generator.entries, p)
+    return MatrixOverGfp(p, tuple(
+        tuple((int(i == j) + (h[i][j] if i < len(h) else 0)) % p for j in range(n))
+        for i in range(n)))
+
+
+def test_trusted_code_matrices_match_checked_builds():
+    # A code's H and a fixed-space code's generator are built without a
+    # check; the oracle's rows go through MatrixOverGfp.
+    for seed in range(208):
+        code = differential_code(seed)
+        p, rows = code.modulus, code.generator.entries
+        if code.dimension < code.length:
+            assert_built_alike(code._parity_check,
+                               MatrixOverGfp(p, tuple(oracle.null_space(rows, p))))
+        t = fixing_code(code)
+        generator = code_from_fixed_space(t).generator
+        assert_built_alike(generator, MatrixOverGfp(p, tuple(oracle.fixed_basis(t.entries, p))))
+        assert same_row_space(generator, code.generator), seed
+    for t in (HAMMING, GOLAY):
+        assert_built_alike(code_from_fixed_space(t).generator, MatrixOverGfp(
+            t.matrix.modulus, tuple(oracle.fixed_basis(t.matrix.entries, t.matrix.modulus))))
+
+
+def test_derived_values_are_not_checked_again(monkeypatch):
+    # On checked inputs, rref, null_space, is_codeword (whose first call
+    # builds H) and code_from_fixed_space build their matrices and vectors
+    # without `_residues`.  The one check left is the fixed space's
+    # eigenvalue, a checked FieldElement(1, p).
+    residues, calls = gfield._residues, []
+
+    def counted(p, values, width=None):
+        calls.append(p)
+        return residues(p, values, width)
+
+    matrices = [MatrixOverGfp(p, tuple(map(tuple, rows))) for p, rows in eliminated_matrices()]
+    checked = [(code, fixing_code(code), Word(code.modulus, code.generator.entries[0]))
+               for code in map(differential_code, range(208)) if code.dimension < code.length]
+    for module in (gfield, modlinalg):
+        monkeypatch.setattr(module, "_residues", counted)
+    for m in matrices:
+        rref(m), null_space(m)
+    for code, _, word in checked:
+        assert "_parity_check" not in vars(code)
+        assert is_codeword(code, word)
+    assert calls == []
+    for _, t, _ in checked:
+        code_from_fixed_space(t)
+        assert calls == [t.modulus]
+        calls.clear()
 
 
 def test_reduced_words_match_checked_words():

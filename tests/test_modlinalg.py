@@ -131,6 +131,36 @@ def test_rref_matches_the_list_loop(monkeypatch, p):
             assert modlinalg._eliminate(p, rows) == modlinalg._gauss_jordan(p, rows)
 
 
+def assert_built_alike(got, checked):
+    """got, a value the package built without `_residues`, is the value the
+    checked constructors build: equal, of one type, hashed and pickled alike
+    at every protocol."""
+    assert type(got) is type(checked) and got == checked
+    assert hash(got) == hash(checked)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(got, protocol) == pickle.dumps(checked, protocol), protocol
+
+
+def eliminated_matrices():
+    """(p, rows) of the matrices this file eliminates: each prime's
+    elimination inputs and the built-in matrices."""
+    for p in ELIMINATION_PRIMES:
+        yield from ((p, rows) for rows in elimination_inputs(random.Random(p), p))
+    yield from ((2, oracle.HAMMING_GENERATOR), (2, oracle.HAMMING_T), (3, oracle.GOLAY_T))
+
+
+def test_trusted_rref_and_null_space_match_checked_builds():
+    # rref's matrix and the null-space vectors are built without a check;
+    # the oracle's rows and vectors go through MatrixOverGfp and Word.
+    for p, rows in eliminated_matrices():
+        m = MatrixOverGfp(p, tuple(map(tuple, rows)))
+        assert_built_alike(rref(m).rref, MatrixOverGfp(p, oracle.rref(m.entries, p)[0]))
+        basis = null_space(m)
+        checked = [Word(p, v) for v in oracle.null_space(m.entries, p)]
+        assert type(basis) is list
+        assert_built_alike(tuple(basis), tuple(checked))
+
+
 @pytest.mark.parametrize("p, n", [(2, 100), (2, 200), (3, 100), (3, 200), (2**61 - 1, 100)])
 def test_rref_certificate_on_large_matrices(p, n):
     rng = random.Random(n)

@@ -179,6 +179,27 @@ def test_render_grid_ignores_the_grid_switch():
     assert render_grid(7, 2, RenderSpec(grid=False)) == render_grid(7, 2)
 
 
+def test_calls_without_a_spec_build_no_spec(monkeypatch):
+    # Each draws with the one kept default, and draws what an explicit
+    # RenderSpec() draws; render_grid builds a spec only to turn a grid on.
+    words = [parse_word(text, 3) for text in ("2101201", "0000000", "1112220")]
+    shape, spec = features(words[0]), RenderSpec()
+    expected = (to_svg(shape, spec), to_tikz(shape, spec), panel(words, 2, spec),
+                render_grid(7, 3, spec))
+    built, init = [], RenderSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RenderSpec, "__init__", counted)
+    assert (to_svg(shape), to_tikz(shape), panel(words, 2), render_grid(7, 3)) == expected
+    assert render_grid(7, 3, spec) == expected[3]
+    assert built == []
+    assert render_grid(7, 3, RenderSpec(grid=False)) == expected[3]
+    assert built[0] == {"grid": False} and len(built) == 2 and built[1]["grid"] is True
+
+
 def test_render_grid_preconditions():
     with pytest.raises(ValueError):
         render_grid(1, 2)
